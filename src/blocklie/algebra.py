@@ -125,7 +125,7 @@ def central_allowed(variant: AlgebraVariant) -> bool:
     return variant.kind != "quotient" or variant.m == 0
 
 
-def _w_cocycle(a: int, i: int, j: int) -> Fraction:
+def _w_cocycle(a: int, i: int, j: int) -> int:
     """Central pairing of x^a D^i with x^-a D^j in the W algebras.
 
     The universal central extension of the differential-operator
@@ -138,27 +138,30 @@ def _w_cocycle(a: int, i: int, j: int) -> Fraction:
     verify_algebra_axioms is the witness).
     """
     if a == 0:
-        return ZERO
+        return 0
     if a < 0:
         return -_w_cocycle(-a, j, i)
-    return Fraction(sum((-m) ** i * (a - m) ** j for m in range(1, a + 1)))
+    return sum((-m) ** i * (a - m) ** j for m in range(1, a + 1))
 
 
-def bracket_terms(variant: AlgebraVariant, x: BasisKey, y: BasisKey) -> tuple[dict[BasisKey, Fraction], Fraction]:
+def bracket_terms(variant: AlgebraVariant, x: BasisKey, y: BasisKey) -> tuple[dict[BasisKey, int], int | Fraction]:
     """Structure constants: the bracket of two basis generators.
 
     Returns the generator terms and the coefficient of C.  Keys falling
     outside a quotient's level band are discarded (quotient projection).
+    Every coefficient is an int except the Virasoro central term
+    (a^3-a)/12, an exact Fraction; (a^3-a)/6 is integral because
+    (a-1)a(a+1) is divisible by 6.
     """
     a, i = x
     b, j = y
     kind = variant.kind
-    terms: dict[BasisKey, Fraction] = {}
-    central = ZERO
+    terms: dict[BasisKey, int] = {}
+    central = 0
     if kind == "virasoro":
         c = b - a
         if c:
-            terms[BasisKey(a + b, 0)] = Fraction(c)
+            terms[BasisKey(a + b, 0)] = c
         if a + b == 0:
             central = Fraction(a**3 - a, 12)
     elif kind in ("block", "quotient"):
@@ -166,26 +169,26 @@ def bracket_terms(variant: AlgebraVariant, x: BasisKey, y: BasisKey) -> tuple[di
         if c:
             key = BasisKey(a + b, i + j)
             if kind != "quotient" or key.level <= variant.n:
-                terms[key] = Fraction(c)
+                terms[key] = c
         if a + b == 0 and i + j == 0:
-            central = Fraction(a**3 - a, 6)
+            central = (a**3 - a) // 6
     elif kind == "blockbar":
         c = (i + 1) * b - (j + 1) * a
         if c:
-            terms[BasisKey(a + b, i + j)] = Fraction(c)
+            terms[BasisKey(a + b, i + j)] = c
         if a + b == 0 and i + j == -2:
-            central = Fraction(a)
+            central = a
     else:  # w1inf / winf: expand (D+b)^i D^j - D^i (D+a)^j
         for r in range(i + 1):
             coeff = math.comb(i, r) * b ** (i - r)
             if coeff:
                 key = BasisKey(a + b, r + j)
-                terms[key] = terms.get(key, ZERO) + coeff
+                terms[key] = terms.get(key, 0) + coeff
         for r in range(j + 1):
             coeff = math.comb(j, r) * a ** (j - r)
             if coeff:
                 key = BasisKey(a + b, i + r)
-                terms[key] = terms.get(key, ZERO) - coeff
+                terms[key] = terms.get(key, 0) - coeff
         terms = {k: v for k, v in terms.items() if v}
         if a + b == 0:
             central = _w_cocycle(a, i, j)
@@ -314,27 +317,45 @@ def central(variant: AlgebraVariant, coeff: Fraction | int = 1) -> AlgebraElemen
     return AlgebraElement(variant, central=coeff)
 
 
-def bracket(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    """Bilinear extension of the structure constants; C brackets to zero."""
-    if x.variant != y.variant:
-        raise ValueError("cannot bracket elements of different variants")
-    out = AlgebraElement(x.variant)
-    terms: dict[BasisKey, Fraction] = {}
-    central_total = ZERO
-    for kx, cx in x.terms.items():
-        for ky, cy in y.terms.items():
+def _bilinear(fn, variant: AlgebraVariant, xterms: dict, yterms: dict, terms: dict | None = None) -> tuple[dict, int | Fraction]:
+    """Bilinear extension of the structure constants ``fn`` to sparse combinations.
+
+    Adds the generator terms of [x, y] into ``terms`` (a new dict by
+    default) and returns it with the C coefficient.  Coefficients keep
+    the type the arithmetic gives them: ints stay ints.  C brackets to
+    zero, so only the generator parts of x and y are read.
+    """
+    if terms is None:
+        terms = {}
+    central_total = 0
+    for kx, cx in xterms.items():
+        for ky, cy in yterms.items():
             factor = cx * cy
-            gen_terms, c = bracket_terms(x.variant, kx, ky)
+            gen_terms, c = fn(variant, kx, ky)
             for key, coeff in gen_terms.items():
-                s = terms.get(key, ZERO) + factor * coeff
+                s = terms.get(key, 0) + factor * coeff
                 if s:
                     terms[key] = s
                 else:
                     terms.pop(key, None)
-            central_total += factor * c
-    out.terms = terms
-    out.central = central_total
+            if c:
+                central_total += factor * c
+    return terms, central_total
+
+
+def _element(variant: AlgebraVariant, terms: dict, central_coeff) -> AlgebraElement:
+    """Wrap bracket output as an element, with every coefficient a Fraction."""
+    out = AlgebraElement(variant)
+    out.terms = {k: Fraction(v) for k, v in terms.items()}
+    out.central = Fraction(central_coeff)
     return out
+
+
+def bracket(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
+    """Bilinear extension of the structure constants; C brackets to zero."""
+    if x.variant != y.variant:
+        raise ValueError("cannot bracket elements of different variants")
+    return _element(x.variant, *_bilinear(bracket_terms, x.variant, x.terms, y.terms))
 
 
 # ---------------------------------------------------------------------------
@@ -431,63 +452,42 @@ def verify_algebra_axioms(
 
     Every intermediate key is representable (quotients absorb overflow
     levels exactly, and the other variants are closed), so each check is
-    an exact identity.  Returns a list of violation records; empty means
-    the window passed.  ``bracket_fn`` exists so tests can inject
-    corrupted structure constants.
+    an exact identity.  C brackets to zero by construction, so it needs
+    no check.  Returns a list of violation records; empty means the
+    window passed; an empty window raises ValueError.  ``bracket_fn``
+    exists so tests can inject corrupted structure constants.
     """
     fn = bracket_fn or bracket_terms
-
-    def br(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-        out = AlgebraElement(variant)
-        terms: dict[BasisKey, Fraction] = {}
-        central_total = ZERO
-        for kx, cx in x.terms.items():
-            for ky, cy in y.terms.items():
-                gen_terms, c = fn(variant, kx, ky)
-                for key, coeff in gen_terms.items():
-                    s = terms.get(key, ZERO) + cx * cy * coeff
-                    if s:
-                        terms[key] = s
-                    else:
-                        terms.pop(key, None)
-                central_total += cx * cy * c
-        out.terms = terms
-        out.central = central_total
-        return out
-
     keys = window_keys(variant, degree_bound, level_cap)
-    elements = {k: gen(variant, k.alpha, k.level) for k in keys}
+    if not keys:
+        raise ValueError(f"empty axiom window for {variant} at degree {degree_bound}, level {level_cap}")
+    units = {k: {k: 1} for k in keys}
     violations: list[dict] = []
+
+    def record(check: str, where: dict, terms: dict, central_total) -> None:
+        violations.append({"check": check, **where, "residual": repr(_element(variant, terms, central_total))})
 
     for ix, kx in enumerate(keys):
         for ky in keys[ix:]:
-            r = br(elements[kx], elements[ky]) + br(elements[ky], elements[kx])
-            if not r.is_zero():
-                violations.append({"check": "antisymmetry", "pair": [list(kx), list(ky)], "residual": repr(r)})
-
-    if central_allowed(variant):
-        c = central(variant)
-        for k in keys:
-            r = br(c, elements[k])
-            if not r.is_zero():
-                violations.append({"check": "centrality", "key": list(k), "residual": repr(r)})
+            terms, c = _bilinear(fn, variant, units[kx], units[ky])
+            c += _bilinear(fn, variant, units[ky], units[kx], terms)[1]
+            if terms or c:
+                record("antisymmetry", {"pair": [list(kx), list(ky)]}, terms, c)
 
     n = len(keys)
     for ix in range(n):
-        x = elements[keys[ix]]
+        x = keys[ix]
         for iy in range(ix, n):
-            y = elements[keys[iy]]
+            y = keys[iy]
             for iz in range(iy, n):
-                z = elements[keys[iz]]
-                r = br(x, br(y, z)) + br(y, br(z, x)) + br(z, br(x, y))
-                if not r.is_zero():
-                    violations.append(
-                        {
-                            "check": "jacobi",
-                            "triple": [list(keys[ix]), list(keys[iy]), list(keys[iz])],
-                            "residual": repr(r),
-                        }
-                    )
+                z = keys[iz]
+                terms = {}
+                c = 0
+                for p, q, r in ((x, y, z), (y, z, x), (z, x, y)):
+                    inner, _ = _bilinear(fn, variant, units[q], units[r])
+                    c += _bilinear(fn, variant, units[p], inner, terms)[1]
+                if terms or c:
+                    record("jacobi", {"triple": [list(x), list(y), list(z)]}, terms, c)
     return violations
 
 

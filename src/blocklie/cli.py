@@ -96,22 +96,13 @@ def _fill(args: argparse.Namespace, config: dict, names: list[str]) -> None:
                 setattr(args, name, defaults[name])
 
 
-def _emit(args: argparse.Namespace, payload: dict, table_rows: list[dict] | None = None, columns: list[str] | None = None) -> None:
-    if getattr(args, "out", None):
-        write_report(payload, args.out)
-    if getattr(args, "format", "table") == "json":
-        sys.stdout.write(dumps_report(payload))
-    elif table_rows is not None and columns is not None:
-        print(render_table(table_rows, columns))
-
-
-def _finish(args: argparse.Namespace, payload: dict, human: str | None = None) -> None:
+def _finish(args: argparse.Namespace, payload: dict, human: str) -> None:
     # one JSON document on stdout under --format json, one summary otherwise
     if getattr(args, "out", None):
         write_report(payload, args.out)
     if getattr(args, "format", "table") == "json":
         sys.stdout.write(dumps_report(payload))
-    elif human is not None:
+    else:
         print(human)
 
 
@@ -143,7 +134,7 @@ def _cmd_axioms(args: argparse.Namespace, config: dict) -> int:
         {"check": "algebra-axioms", "result": "ok" if not violations else f"{len(violations)} violations"},
         {"check": "vir-consistency", "result": f"c0={consistency['c0']}" if consistency["homomorphism"] else "failed"},
     ]
-    _emit(args, payload, rows, ["check", "result"])
+    _finish(args, payload, render_table(rows, ["check", "result"]))
     return 0 if passed else 1
 
 
@@ -213,7 +204,8 @@ def _cmd_module(args: argparse.Namespace, config: dict) -> int:
         extra = [BasisKey(1, i) for i in range(1, int(args.level_cap) + 1)]
         violations += modules.check_module_axioms(extended, int(args.pair_degree), extra_keys=extra)
         payload = {"command": "module.check", "violations": violations, "passed": not violations}
-        _emit(args, payload, [{"check": "module-axioms", "result": "ok" if not violations else "failed"}], ["check", "result"])
+        rows = [{"check": "module-axioms", "result": "ok" if not violations else "failed"}]
+        _finish(args, payload, render_table(rows, ["check", "result"]))
         return 0 if not violations else 1
     if action == "intertwiner":
         if args.to_b is None:
@@ -292,7 +284,7 @@ def _cmd_lemmas(args: argparse.Namespace, config: dict) -> int:
         "reports": [r.to_json() for r in reports],
     }
     rows = [{"claim": r.claim, "status": r.status, "passed": r.passed} for r in reports]
-    _emit(args, payload, rows, ["claim", "status", "passed"])
+    _finish(args, payload, render_table(rows, ["claim", "status", "passed"]))
     ok = all(r.passed for r in reports)
     if args.strict:
         ok = ok and all(r.status in (identities.STATUS_EXACT, identities.STATUS_NORMALIZED) for r in reports)

@@ -30,6 +30,7 @@ both travel together with an explicit match status.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -235,14 +236,22 @@ def _instantiate(poly: MultiPoly, beta_sign: int, negate_alpha: bool, kt_shift: 
     return out
 
 
-def shift_system() -> tuple[list[list[MultiPoly]], MultiPoly]:
+def shift_system() -> tuple[tuple[tuple[MultiPoly, ...], ...], MultiPoly]:
     """Three instantiated equations on (t_{k-a}, t_k, t_{k+a}) and their determinant.
 
     The free degree pair and base index are specialized to (a, a) at
     base k-a, (a, -a) at base k, and (-a, -a) at base k+a.  Every row
     has level-symbol degree at most 2 and the determinant at most 6;
-    both bounds are asserted.
+    both bounds are asserted.  The result is computed once per process
+    and shared, so the rows are tuples.
     """
+    return _shift_system()
+
+
+# cached separately so that shift_system stays a plain function with a
+# code object, which profilers and the layer tracer in bench/ key on
+@functools.cache
+def _shift_system() -> tuple[tuple[tuple[MultiPoly, ...], ...], MultiPoly]:
     generic = _generic_equation()
     instantiations = [
         (1, False, -1),
@@ -251,7 +260,7 @@ def shift_system() -> tuple[list[list[MultiPoly]], MultiPoly]:
     ]
     base_shifts = [-1, 0, 1]
     columns = [-ALPHA, _const(0), ALPHA]
-    rows: list[list[MultiPoly]] = []
+    rows: list[tuple[MultiPoly, ...]] = []
     for (beta_sign, negate_alpha, kt_shift), base in zip(instantiations, base_shifts):
         row = [_const(0), _const(0), _const(0)]
         for off, coeff in generic:
@@ -263,7 +272,7 @@ def shift_system() -> tuple[list[list[MultiPoly]], MultiPoly]:
                     break
             else:
                 raise AssertionError(f"unknown offset {off_inst} outside the three-term band")
-        rows.append(row)
+        rows.append(tuple(row))
 
     for row in rows:
         for entry in row:
@@ -276,7 +285,7 @@ def shift_system() -> tuple[list[list[MultiPoly]], MultiPoly]:
     )
     if det.degree_in("i") > 6:
         raise AssertionError("determinant exceeds level-symbol degree 6")
-    return rows, det
+    return tuple(rows), det
 
 
 def shift_system_report() -> LemmaReport:

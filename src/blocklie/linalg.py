@@ -138,9 +138,6 @@ class RationalMatrix:
                 out[r] += v * vector[c]
         return out
 
-    def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(self.cols, self.rows, {(c, r): v for (r, c), v in self.entries.items()})
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RationalMatrix):
             return NotImplemented
@@ -273,10 +270,6 @@ def solve(m: RationalMatrix, rhs: Sequence[Fraction]) -> Optional[list[Fraction]
             return None  # row 0 = 1: inconsistent
         solution[pivot] = row.get(aug, ZERO)
     return solution
-
-
-def rank(m: RationalMatrix) -> int:
-    return row_reduce(m).rank
 
 
 def stack_rows(blocks: Iterable[RationalMatrix]) -> RationalMatrix:

@@ -130,11 +130,6 @@ class WindowedModule:
     def has_generator(self, generator: BasisKey) -> bool:
         return BasisKey(*generator) in set(self.generators)
 
-    def margin(self, k: int, col: int) -> int | None:
-        if self.col_margins is None:
-            return None
-        return self.col_margins[k][col]
-
     def copy(self) -> "WindowedModule":
         return WindowedModule(
             self.variant,

@@ -1,9 +1,9 @@
 """Exact rational scalars and their wire format.
 
-Every scalar in this package is a ``fractions.Fraction``: reduced,
-positive denominator, arbitrary precision.  The wire format is the
-compact string ``"p/q"``, shortened to ``"p"`` when the denominator
-is one.
+Every scalar stored in an element, matrix or polynomial is a
+``fractions.Fraction``; the integral structure constants of the
+algebras are plain ints.  The wire format is the compact string
+``"p/q"``, shortened to ``"p"`` when the denominator is one.
 """
 
 from __future__ import annotations

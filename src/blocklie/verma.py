@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import algebra
 from .algebra import BasisKey, bracket_terms
@@ -97,10 +97,6 @@ def partition_dimensions(n: int, max_depth: int) -> list[int]:
             for d in range(m, max_depth + 1):
                 coeffs[d] += coeffs[d - m]
     return coeffs
-
-
-def depth_of(word: Iterable[tuple[int, int]]) -> int:
-    return sum(alpha for alpha, _ in word)
 
 
 def monomial_repr(word: Monomial) -> str:

@@ -117,8 +117,87 @@ def test_axiom_sweep_detects_corruption():
             c = c + 1  # break the cocycle
         return terms, c
 
-    violations = verify_algebra_axioms(BLOCK_B, 2, 1, bracket_fn=corrupted)
-    assert violations
+    # the exact residuals are frozen so the reported witness cannot drift
+    assert verify_algebra_axioms(BLOCK_B, 2, 1, bracket_fn=corrupted) == [
+        {"check": "antisymmetry", "pair": [[1, 0], [2, 0]], "residual": "C"},
+        {"check": "jacobi", "triple": [[0, 0], [1, 0], [2, 0]], "residual": "-2*C"},
+    ]
+
+
+def test_axiom_sweep_accepts_fraction_structure_constants():
+    def corrupted(variant, x, y):
+        terms, c = bracket_terms(variant, x, y)
+        if x == BasisKey(1, 1) and y == BasisKey(-1, 0):
+            terms = dict(terms)
+            terms[BasisKey(0, 1)] = terms.get(BasisKey(0, 1), 0) + Fraction(1, 3)
+            c = c + Fraction(-1, 2)
+        return terms, c
+
+    violations = verify_algebra_axioms(quotient(0, 2), 1, 2, bracket_fn=corrupted)
+    assert [(v["check"], v["residual"]) for v in violations] == [
+        ("antisymmetry", "1/3*L_{0,1} - 1/2*C"),
+        ("jacobi", "2/3*L_{-1,1}"),
+        ("jacobi", "2/3*L_{-1,2}"),
+        ("jacobi", "1/3*L_{0,1} - 1/2*C"),
+        ("jacobi", "-2/3*L_{1,1}"),
+        ("jacobi", "-2/3*L_{1,2}"),
+    ]
+    assert violations[0]["pair"] == [[-1, 0], [1, 1]]
+    assert violations[3]["triple"] == [[-1, 0], [0, 0], [1, 1]]
+
+
+@pytest.mark.parametrize("degree, level", [(-1, 3), (2, -1)])
+def test_axiom_sweep_rejects_empty_window(degree, level):
+    with pytest.raises(ValueError, match="empty axiom window"):
+        verify_algebra_axioms(BLOCK_B, degree, level)
+
+
+@pytest.mark.parametrize("variant", [BLOCK_B, BLOCK_BBAR, W_1INF, W_INF, quotient(0, 3)])
+def test_structure_constants_are_ints(variant):
+    keys = window_keys(variant, 4, 3)
+    for x in keys:
+        for y in keys:
+            terms, c = bracket_terms(variant, x, y)
+            assert all(type(v) is int for v in terms.values())
+            assert type(c) is int
+
+
+def test_virasoro_central_term_stays_rational():
+    terms, c = bracket_terms(VIRASORO, BasisKey(2, 0), BasisKey(-2, 0))
+    assert terms == {BasisKey(0, 0): -4} and type(terms[BasisKey(0, 0)]) is int
+    assert type(c) is Fraction and c == Fraction(1, 2)
+
+
+def reference_bracket(x, y):
+    """Bilinear bracket over Fractions only: every structure constant is lifted first."""
+    terms = {}
+    central_total = Fraction(0)
+    for kx, cx in x.terms.items():
+        for ky, cy in y.terms.items():
+            gen_terms, c = bracket_terms(x.variant, kx, ky)
+            for key, coeff in gen_terms.items():
+                terms[key] = terms.get(key, Fraction(0)) + cx * cy * Fraction(coeff)
+            central_total += cx * cy * Fraction(c)
+    return AlgebraElement(x.variant, terms, central_total)
+
+
+@pytest.mark.parametrize("variant", [VIRASORO, BLOCK_B, BLOCK_BBAR, W_1INF, W_INF, quotient(0, 3), quotient(1, 3)])
+def test_bracket_matches_fraction_reference(variant):
+    rng = random.Random(f"reference:{variant}")
+    keys = window_keys(variant, 3, 3)
+
+    def element():
+        terms = {rng.choice(keys): Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(rng.randint(1, 4))}
+        c = Fraction(rng.randint(-3, 3), rng.randint(1, 4)) if variant != quotient(1, 3) else 0
+        return AlgebraElement(variant, terms, c)
+
+    for _ in range(40):
+        x, y = element(), element()
+        result, expected = bracket(x, y), reference_bracket(x, y)
+        assert result.to_json() == expected.to_json()
+        assert result == expected
+        assert all(type(v) is Fraction for v in result.terms.values())
+        assert type(result.central) is Fraction
 
 
 def test_gradation_property():

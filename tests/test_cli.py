@@ -3,6 +3,8 @@
 import json
 from fractions import Fraction
 
+import pytest
+
 from blocklie.cli import main
 from blocklie.modules import IntermediateSpec, build_window, extend_trivially
 
@@ -80,6 +82,14 @@ def test_axioms_command(capsys):
     code, out, _ = run(capsys, "axioms", "--variant", "Vir", "--degree", "5", "--vir-degree", "4")
     assert code == 0
     assert "c0=1/2" in out
+
+
+@pytest.mark.parametrize("flag", ["--degree", "--level"])
+def test_axioms_empty_window_is_usage_error(capsys, flag):
+    code, out, err = run(capsys, "axioms", "--variant", "B", flag, "-1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: empty axiom window")
 
 
 def test_lemmas_default_passes_strict_flags_discrepancy(capsys):

@@ -34,6 +34,13 @@ def test_shift_system_shape():
     assert det.degree_in("i") == 6
 
 
+def test_shift_system_is_computed_once():
+    first = ident.shift_system()
+    assert ident.shift_system() is first
+    rows, _ = first
+    assert type(rows) is tuple and all(type(row) is tuple for row in rows)
+
+
 def test_shift_system_report():
     report = ident.shift_system_report()
     assert report.passed
