@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import algebra, identities, modules, verma
@@ -276,8 +275,7 @@ def _cmd_verma(args: argparse.Namespace, config: dict) -> int:
 
 
 def _cmd_lemmas(args: argparse.Namespace, config: dict) -> int:
-    workers = int(os.environ.get("BLOCKLIE_WORKERS", "1"))
-    reports = identities.run_standard_suite(workers=workers)
+    reports = identities.run_standard_suite()
     payload = {
         "command": "lemmas",
         "strict": bool(args.strict),

@@ -648,13 +648,8 @@ def _nilpotency_job(band: int) -> LemmaReport:
     return nilpotency_chain_check(adjoint_window(0, band, -4, 4))
 
 
-def run_standard_suite(workers: int | None = None) -> list[LemmaReport]:
-    """Every report of this module on its standard windows, sorted by claim.
-
-    Each report is an independent pure computation, so the suite may run
-    on a worker pool; assembly sorts by claim identifier either way, so
-    the output is deterministic for any worker count.
-    """
+def run_standard_suite() -> list[LemmaReport]:
+    """Every report of this module on its standard windows, sorted by claim."""
     jobs = [
         (nested_bracket_identity, ()),
         (shift_system_report, ()),
@@ -667,12 +662,6 @@ def run_standard_suite(workers: int | None = None) -> list[LemmaReport]:
                 jobs.append((_derivation_job, (band, degree, power)))
         jobs.append((_nilpotency_job, (band,)))
 
-    if workers and workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(lambda job: job[0](*job[1]), jobs))
-    else:
-        reports = [fn(*args) for fn, args in jobs]
+    reports = [fn(*args) for fn, args in jobs]
     reports.sort(key=lambda r: r.claim)
     return reports

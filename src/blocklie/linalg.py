@@ -10,6 +10,23 @@ rank and a basis of the right kernel.  The kernel basis follows the
 standard free-variable construction: for each non-pivot column f the
 basis vector has a 1 in slot f and minus the rref entries in the pivot
 slots, so e.g. rref [[1, 2]] yields the kernel vector (-2, 1).
+
+Before any ``Fraction`` arithmetic, ``row_reduce`` ranks the matrix
+modulo the prime p = 2^30 - 35 and uses the answer only where it is a
+proof, so every result is still exact and equal to a full rational
+elimination:
+
+* rank mod p <= rank over Q.  A minor that is nonzero mod p is nonzero
+  over Q, provided p divides no denominator (otherwise the modular pass
+  gives up and the full rational elimination runs).
+* Full column rank has the unique RREF [I; 0] (identity over zero rows)
+  and an empty kernel, so that answer needs no rational arithmetic.
+* Otherwise only the rows independent mod p (hence over Q) are
+  eliminated, and every dropped row is checked exactly to annihilate
+  the resulting kernel.  Equal kernels mean equal row spaces, so rref,
+  pivots and kernel are those of the whole matrix.  If a dropped row
+  fails the check (p divides a minor that is nonzero over Q) the whole
+  matrix is eliminated over Q.
 """
 
 from __future__ import annotations
@@ -215,30 +232,80 @@ def _eliminate(rows: list[dict[int, Fraction]]) -> list[tuple[int, dict[int, Fra
     return reduced
 
 
-def row_reduce(m: RationalMatrix) -> RowReduction:
-    """Reduced row-echelon form with rank and an exact right-kernel basis.
+# the largest prime below 2**30: every residue is a single CPython digit
+_PRIME = 1073741789
 
-    rank + len(kernel) == cols, and m @ v == 0 holds exactly for every
-    kernel basis vector v.
+
+def _independent_rows_mod_p(rows: list[dict[int, Fraction]], cols: int) -> Optional[list[int]]:
+    """Indices of the rows that become pivots in Gauss-Jordan elimination mod p.
+
+    The sibling of ``_eliminate`` over GF(p), stopping once the rank
+    reaches ``cols``.  Returns None when p divides a denominator, since
+    the residues would then say nothing about the rational matrix.
     """
-    sparse_rows: list[dict[int, Fraction]] = [{} for _ in range(m.rows)]
-    for (r, c), v in m.entries.items():
-        sparse_rows[r][c] = v
-    reduced = _eliminate(sparse_rows)
+    if cols == 0:
+        return []
+    p = _PRIME
+    inverses: dict[int, int] = {1: 1}
+    # pivot -> row, fully reduced: a row is zero in every other pivot column
+    reduced: dict[int, dict[int, int]] = {}
+    chosen: list[int] = []
+    for index, frow in enumerate(rows):
+        row: dict[int, int] = {}
+        for c, v in frow.items():
+            den = v.denominator
+            inv = inverses.get(den)
+            if inv is None:
+                if den % p == 0:
+                    return None
+                inv = inverses[den] = pow(den, -1, p)
+            r = v.numerator * inv % p
+            if r:
+                row[c] = r
+        for pivot in [c for c in row if c in reduced]:
+            coeff = row[pivot]
+            for c, v in reduced[pivot].items():
+                s = (row.get(c, 0) - coeff * v) % p
+                if s:
+                    row[c] = s
+                else:
+                    del row[c]
+        if not row:
+            continue
+        pivot = min(row)
+        inv = pow(row[pivot], -1, p)
+        row = {c: v * inv % p for c, v in row.items()}
+        for prow in reduced.values():
+            coeff = prow.get(pivot)
+            if coeff:
+                for c, v in row.items():
+                    s = (prow.get(c, 0) - coeff * v) % p
+                    if s:
+                        prow[c] = s
+                    else:
+                        del prow[c]
+        reduced[pivot] = row
+        chosen.append(index)
+        if len(chosen) == cols:
+            break
+    return chosen
 
+
+def _reduction(reduced: list[tuple[int, dict[int, Fraction]]], rows: int, cols: int) -> RowReduction:
+    """Rref, pivots and free-variable kernel basis of an ``_eliminate`` result."""
     pivots = [p for p, _ in reduced]
     pivot_set = set(pivots)
     entries = {}
     for r, (_, row) in enumerate(reduced):
         for c, v in row.items():
             entries[(r, c)] = v
-    rref = RationalMatrix(m.rows, m.cols, entries)
+    rref = RationalMatrix(rows, cols, entries)
 
     kernel: list[list[Fraction]] = []
-    for free in range(m.cols):
+    for free in range(cols):
         if free in pivot_set:
             continue
-        vec = [ZERO] * m.cols
+        vec = [ZERO] * cols
         vec[free] = Fraction(1)
         for pivot, row in reduced:
             coeff = row.get(free)
@@ -246,6 +313,38 @@ def row_reduce(m: RationalMatrix) -> RowReduction:
                 vec[pivot] = -coeff
         kernel.append(vec)
     return RowReduction(rref=rref, rank=len(pivots), pivots=pivots, kernel=kernel)
+
+
+def row_reduce(m: RationalMatrix) -> RowReduction:
+    """Reduced row-echelon form with rank and an exact right-kernel basis.
+
+    rank + len(kernel) == cols, and m @ v == 0 holds exactly for every
+    kernel basis vector v.  A rank computed mod p decides full column
+    rank and picks the rows to eliminate (see the module docstring); the
+    result is identical to eliminating every row over Q.
+    """
+    sparse_rows: list[dict[int, Fraction]] = [{} for _ in range(m.rows)]
+    for (r, c), v in m.entries.items():
+        sparse_rows[r][c] = v
+    chosen = _independent_rows_mod_p(sparse_rows, m.cols)
+    if chosen is not None and len(chosen) == m.cols:
+        return RowReduction(
+            rref=RationalMatrix(m.rows, m.cols, {(i, i): Fraction(1) for i in range(m.cols)}),
+            rank=m.cols,
+            pivots=list(range(m.cols)),
+            kernel=[],
+        )
+    if chosen is not None:
+        reduction = _reduction(_eliminate([sparse_rows[i] for i in chosen]), m.rows, m.cols)
+        kept = set(chosen)
+        if all(
+            sum(v * vec[c] for c, v in row.items() if vec[c]) == 0
+            for i, row in enumerate(sparse_rows)
+            if i not in kept
+            for vec in reduction.kernel
+        ):
+            return reduction
+    return _reduction(_eliminate(sparse_rows), m.rows, m.cols)
 
 
 def solve(m: RationalMatrix, rhs: Sequence[Fraction]) -> Optional[list[Fraction]]:

@@ -107,6 +107,31 @@ class WindowedModule:
         self.central_scalar = Fraction(central_scalar)
         self.col_margins = col_margins
         self.labels = labels
+        self._validate()
+
+    def _validate(self) -> None:
+        """Raise ValueError unless dims, actions and margins fit together."""
+        for k, d in self.dims.items():
+            if d < 0:
+                raise ValueError(f"weight space {k} has negative dimension {d}")
+        for g in self.generators:
+            for k in self.indices():
+                t = k + g.alpha
+                if not self.in_range(t):
+                    continue
+                m = self.actions.get((g, k))
+                if m is None:
+                    raise ValueError(f"no action stored for {g} at index {k}")
+                if (m.rows, m.cols) != (self.dims[t], self.dims[k]):
+                    raise ValueError(
+                        f"action of {g} at index {k} is {m.rows}x{m.cols}, "
+                        f"expected {self.dims[t]}x{self.dims[k]}"
+                    )
+        if self.col_margins is not None:
+            for k in self.indices():
+                margins = self.col_margins.get(k)
+                if margins is None or len(margins) != self.dims[k]:
+                    raise ValueError(f"column margins at index {k} do not match dimension {self.dims[k]}")
 
     def indices(self) -> range:
         return range(self.lo, self.hi + 1)
@@ -122,10 +147,7 @@ class WindowedModule:
         generator = BasisKey(*generator)
         if not self.in_range(k) or not self.in_range(k + generator.alpha):
             return None
-        m = self.actions.get((generator, k))
-        if m is None:
-            raise KeyError(f"no action stored for {generator} at index {k}")
-        return m
+        return self.actions[(generator, k)]
 
     def has_generator(self, generator: BasisKey) -> bool:
         return BasisKey(*generator) in set(self.generators)
@@ -546,7 +568,9 @@ def submodule_closure(
     """Dimensions of the subspace generated from seed vectors under the stored actions.
 
     Iterates generator application until the per-index spans stabilize;
-    growth is monotone and bounded by the window dimension.
+    growth is monotone and bounded by the window dimension.  A target
+    whose span is already the whole weight space contains every image,
+    so generators into it are skipped.
     """
     gens = [BasisKey(*g) for g in (generators if generators is not None else mod.generators)]
     spans: dict[int, list[tuple[int, dict[int, Fraction]]]] = {k: [] for k in mod.indices()}
@@ -587,12 +611,12 @@ def submodule_closure(
         new_frontier = []
         for k, dense in frontier:
             for g in gens:
-                m = mod.act(g, k)
-                if m is None or m.rows == 0:
+                t = k + g.alpha
+                if not mod.in_range(t) or len(spans[t]) == mod.dims[t]:
                     continue
-                image = m.apply(dense)
-                if any(image) and insert(k + g.alpha, image):
-                    new_frontier.append((k + g.alpha, image))
+                image = mod.act(g, k).apply(dense)
+                if any(image) and insert(t, image):
+                    new_frontier.append((t, image))
         frontier = new_frontier
     return {k: len(spans[k]) for k in mod.indices()}
 

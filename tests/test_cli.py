@@ -124,6 +124,43 @@ def test_classify_reports_malformed_file(tmp_path, capsys):
     assert "offset" in err
 
 
+def _break_actions(data):
+    del data["actions"][:5]
+
+
+def _break_shape(data):
+    data["actions"][0]["matrix"] = {"rows": 2, "cols": 2, "entries": {"0,0": "1", "1,1": "1"}}
+
+
+def _break_dims(data):
+    data["dims"]["0"] = -3
+
+
+def _break_margins(data):
+    data["col_margins"] = {k: [0, 0] for k in data["dims"]}
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (_break_actions, "no action stored"),
+        (_break_shape, "is 2x2, expected 1x1"),
+        (_break_dims, "negative dimension -3"),
+        (_break_margins, "column margins"),
+    ],
+    ids=["deleted-actions", "wrong-shape", "negative-dim", "margins-length"],
+)
+def test_classify_rejects_inconsistent_module(tmp_path, capsys, corrupt, message):
+    data = extend_trivially(build_window(IntermediateSpec("Aab", Fraction(1, 2), Fraction(2)), -4, 4), 1).to_json()
+    corrupt(data)
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "classify", "--module-file", str(path))
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
 def test_config_file_with_flag_override(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"degree": 3, "vir_degree": 2}')
@@ -170,12 +207,3 @@ def test_unwritable_report_path(capsys):
     code, _, err = run(capsys, "verma", "--n", "1", "--depth", "2", "dims", "--out", "/no-such-dir/report.json")
     assert code == 1
     assert "cannot write report" in err
-
-
-def test_worker_pool_matches_serial(monkeypatch, capsys):
-    monkeypatch.setenv("BLOCKLIE_WORKERS", "3")
-    code_par, out_par, _ = run(capsys, "lemmas", "--format", "json")
-    monkeypatch.delenv("BLOCKLIE_WORKERS")
-    code_ser, out_ser, _ = run(capsys, "lemmas", "--format", "json")
-    assert code_par == code_ser == 0
-    assert out_par == out_ser

@@ -4,7 +4,11 @@ import random
 from fractions import Fraction
 
 from blocklie.linalg import (
+    _PRIME,
     RationalMatrix,
+    _eliminate,
+    _independent_rows_mod_p,
+    _reduction,
     char_poly,
     eval_poly_matrix,
     row_reduce,
@@ -135,3 +139,101 @@ def test_rational_wire_format():
         pass
     else:
         raise AssertionError("expected parse failure")
+
+
+# -- the modular rank certificate ----------------------------------------------
+
+
+def _rows(m):
+    rows = [{} for _ in range(m.rows)]
+    for (r, c), v in m.entries.items():
+        rows[r][c] = v
+    return rows
+
+
+def _reference_row_reduce(m):
+    """Rational Gauss-Jordan on every row, with no modular shortcut."""
+    return _reduction(_eliminate(_rows(m)), m.rows, m.cols)
+
+
+def _assert_matches_reference(m):
+    got, want = row_reduce(m), _reference_row_reduce(m)
+    assert got.rref.to_json() == want.rref.to_json()
+    assert got.rank == want.rank
+    assert got.pivots == want.pivots
+    assert got.kernel == want.kernel
+    return got
+
+
+def _low_rank(rng, rows, cols, rank):
+    left = _random_matrix(rng, rows, rank, density=0.8)
+    right = _random_matrix(rng, rank, cols, density=0.8)
+    return left @ right
+
+
+def test_certificate_full_column_rank_matches_reference():
+    rng = random.Random(21)
+    checked = 0
+    for _ in range(40):
+        cols = rng.randint(1, 6)
+        m = _random_matrix(rng, cols + rng.randint(0, 4), cols, density=0.7)
+        red = _assert_matches_reference(m)
+        checked += red.rank == cols
+    assert checked >= 20  # most draws take the [I; 0] shortcut
+
+
+def test_certificate_rank_deficient_matches_reference():
+    rng = random.Random(22)
+    for _ in range(40):
+        rows, cols = rng.randint(1, 8), rng.randint(2, 7)
+        m = _low_rank(rng, rows, cols, rng.randint(1, cols - 1))
+        red = _assert_matches_reference(m)
+        assert red.rank < cols
+        # duplicated rows leave the row space, and so the rref entries, unchanged
+        doubled = stack_rows([m, m])
+        assert _assert_matches_reference(doubled).rref.to_json()["entries"] == red.rref.to_json()["entries"]
+
+
+def test_certificate_degenerate_shapes():
+    for m in (
+        RationalMatrix.zero(3, 4),
+        RationalMatrix.zero(0, 3),
+        RationalMatrix.zero(3, 0),
+        RationalMatrix.zero(0, 0),
+        RationalMatrix.zero(4, 1),
+    ):
+        _assert_matches_reference(m)
+    assert row_reduce(RationalMatrix.zero(0, 3)).kernel == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert row_reduce(RationalMatrix.zero(3, 0)).rank == 0
+
+
+def test_certificate_denominator_divisible_by_prime():
+    # row 1 is p times row 0; reading 1/p as 0 mod p would claim rank 2
+    m = RationalMatrix.from_rows([[1, Fraction(1, _PRIME)], [_PRIME, 1]])
+    assert _independent_rows_mod_p(_rows(m), m.cols) is None
+    red = _assert_matches_reference(m)
+    assert red.rank == 1 and red.kernel == [[Fraction(-1, _PRIME), Fraction(1)]]
+
+
+def test_certificate_prime_entry_has_rank_one():
+    m = RationalMatrix.from_rows([[_PRIME]])
+    assert _independent_rows_mod_p(_rows(m), m.cols) == []
+    red = _assert_matches_reference(m)
+    assert red.rank == 1 and red.kernel == []
+
+
+def test_certificate_unlucky_prime_falls_back():
+    # the rows agree mod p, so row 1 is dropped and fails the exact check
+    m = RationalMatrix.from_rows([[1, 1], [1, 1 + _PRIME]])
+    assert _independent_rows_mod_p(_rows(m), m.cols) == [0]
+    red = _assert_matches_reference(m)
+    assert red.rank == 2 and red.kernel == [] and red.pivots == [0, 1]
+
+
+def test_certificate_unlucky_prime_keeps_kernel():
+    # rank 1 mod p, rank 2 over Q; row 1 annihilates the first kernel
+    # vector of row 0, (-1, 1, 0), and only the second, (-1, 0, 1)
+    m = RationalMatrix.from_rows([[1, 1, 1], [1, 1, 1 + _PRIME], [2, 2, 2]])
+    assert _independent_rows_mod_p(_rows(m), m.cols) == [0]
+    red = _assert_matches_reference(m)
+    assert red.rank == 2 and red.kernel == [[Fraction(-1), Fraction(1), Fraction(0)]]
