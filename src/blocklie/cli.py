@@ -238,6 +238,8 @@ def _cmd_verma(args: argparse.Namespace, config: dict) -> int:
     _fill(args, config, ["n", "depth", "c"])
     n = int(args.n)
     depth = int(args.depth)
+    if n < 0 or depth < 0:
+        raise UsageError(f"need n >= 0 and depth >= 0, got n={n} and depth={depth}")
     if args.action == "dims":
         report = verma.quasifinite_report(n, depth)
         payload = {"command": "verma.dims", "report": report, "passed": report["match"]}

@@ -1,9 +1,15 @@
 """Sparse exact-rational matrices with rank, kernel and solve.
 
-A matrix stores only its nonzero entries in a dict keyed by (row, col).
-All arithmetic is over ``fractions.Fraction``, so every result below is
-an exact statement, not an approximation.  Matrices are treated as
-immutable after construction; no operation mutates its operands.
+A matrix stores only its nonzero entries in a dict keyed by (row, col)
+with ``fractions.Fraction`` values, and every result below is an exact
+statement, not an approximation.  Matrices are treated as immutable
+after construction; no operation mutates its operands.
+
+Elimination runs on Python ints: each row is scaled by the lcm of its
+denominators and reduced fraction-free, kept primitive with a positive
+pivot entry.  Rationals appear only in the emitted reduced row-echelon
+form, where each row is divided by its pivot entry; that form is unique,
+so it equals the one rational Gauss-Jordan elimination gives.
 
 Row reduction returns the reduced row-echelon form together with the
 rank and a basis of the right kernel.  The kernel basis follows the
@@ -11,7 +17,7 @@ standard free-variable construction: for each non-pivot column f the
 basis vector has a 1 in slot f and minus the rref entries in the pivot
 slots, so e.g. rref [[1, 2]] yields the kernel vector (-2, 1).
 
-Before any ``Fraction`` arithmetic, ``row_reduce`` ranks the matrix
+Before any exact elimination, ``row_reduce`` ranks the matrix
 modulo the prime p = 2^30 - 35 and uses the answer only where it is a
 proof, so every result is still exact and equal to a full rational
 elimination:
@@ -33,6 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from .rationals import ZERO, format_rational, parse_rational
@@ -196,40 +203,62 @@ class RowReduction:
 
 
 def _eliminate(rows: list[dict[int, Fraction]]) -> list[tuple[int, dict[int, Fraction]]]:
-    """Reduce sparse rows to a fully reduced echelon list of (pivot, row)."""
-    reduced: list[tuple[int, dict[int, Fraction]]] = []
-    for row in rows:
-        row = dict(row)
-        # forward-reduce against existing pivots
-        for pivot, prow in reduced:
-            coeff = row.get(pivot)
-            if coeff:
-                for c, v in prow.items():
-                    s = row.get(c, ZERO) - coeff * v
-                    if s:
-                        row[c] = s
-                    else:
-                        row.pop(c, None)
+    """Reduce sparse rows to a fully reduced echelon list of (pivot, row).
+
+    Fraction-free Gauss-Jordan on int rows (Bareiss 1968; see the module
+    docstring): rows are combined as b/g * row - a/g * prow, g = gcd(a, b).
+    """
+    # pivot -> primitive int row, zero in every other pivot column
+    reduced: dict[int, dict[int, int]] = {}
+    for frow in rows:
+        den = lcm(*[v.denominator for v in frow.values()])
+        row = {c: v.numerator * (den // v.denominator) for c, v in frow.items()}
+        # forward-reduce; each pivot row is zero in the other pivot columns,
+        # so the order of the steps does not matter
+        for pivot in [c for c in row if c in reduced]:
+            prow = reduced[pivot]
+            a, b = row[pivot], prow[pivot]
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            if b != 1:
+                row = {c: b * v for c, v in row.items()}
+            for c, v in prow.items():
+                s = row.get(c, 0) - a * v
+                if s:
+                    row[c] = s
+                else:
+                    del row[c]
         if not row:
             continue
         pivot = min(row)
-        inv = 1 / row[pivot]
-        row = {c: v * inv for c, v in row.items()}
+        g = gcd(*row.values())
+        if row[pivot] < 0:
+            g = -g
+        if g != 1:
+            row = {c: v // g for c, v in row.items()}
         # back-eliminate the new pivot from earlier rows
-        for idx, (p, prow) in enumerate(reduced):
-            coeff = prow.get(pivot)
-            if coeff:
-                new = dict(prow)
+        b = row[pivot]
+        for p, prow in reduced.items():
+            a = prow.get(pivot)
+            if a:
+                g = gcd(a, b)
+                a, scale = a // g, b // g
+                new = {c: scale * v for c, v in prow.items()} if scale != 1 else prow
                 for c, v in row.items():
-                    s = new.get(c, ZERO) - coeff * v
+                    s = new.get(c, 0) - a * v
                     if s:
                         new[c] = s
                     else:
-                        new.pop(c, None)
-                reduced[idx] = (p, new)
-        reduced.append((pivot, row))
-    reduced.sort(key=lambda pr: pr[0])
-    return reduced
+                        del new[c]
+                g = gcd(*new.values())
+                if g != 1:
+                    new = {c: v // g for c, v in new.items()}
+                reduced[p] = new
+        reduced[pivot] = row
+    return [
+        (pivot, {c: Fraction(v, row[pivot]) for c, v in row.items()})
+        for pivot, row in sorted(reduced.items())
+    ]
 
 
 # the largest prime below 2**30: every residue is a single CPython digit

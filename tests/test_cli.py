@@ -78,6 +78,20 @@ def test_verma_singular_with_inline_lambda(capsys):
     assert "singular vectors through depth 2: 0" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verma", "--n", "1", "--depth", "-1", "singular", "--lam", "1/2,0", "--c", "0"),
+        ("verma", "--n", "1", "--depth", "-3", "dims"),
+    ],
+)
+def test_verma_negative_depth_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: need n >= 0 and depth >= 0")
+
+
 def test_axioms_command(capsys):
     code, out, _ = run(capsys, "axioms", "--variant", "Vir", "--degree", "5", "--vir-degree", "4")
     assert code == 0

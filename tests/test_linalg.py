@@ -3,6 +3,10 @@
 import random
 from fractions import Fraction
 
+import pytest
+
+from blocklie import modules, verma
+
 from blocklie.linalg import (
     _PRIME,
     RationalMatrix,
@@ -15,7 +19,7 @@ from blocklie.linalg import (
     solve,
     stack_rows,
 )
-from blocklie.rationals import format_rational, parse_rational
+from blocklie.rationals import ZERO, format_rational, parse_rational
 
 
 def test_identity_full_rank():
@@ -151,17 +155,60 @@ def _rows(m):
     return rows
 
 
+def _reference_eliminate(rows):
+    """Gauss-Jordan over Fraction, frozen from the original ``_eliminate``."""
+    reduced: list[tuple[int, dict[int, Fraction]]] = []
+    for row in rows:
+        row = dict(row)
+        # forward-reduce against existing pivots
+        for pivot, prow in reduced:
+            coeff = row.get(pivot)
+            if coeff:
+                for c, v in prow.items():
+                    s = row.get(c, ZERO) - coeff * v
+                    if s:
+                        row[c] = s
+                    else:
+                        row.pop(c, None)
+        if not row:
+            continue
+        pivot = min(row)
+        inv = 1 / row[pivot]
+        row = {c: v * inv for c, v in row.items()}
+        # back-eliminate the new pivot from earlier rows
+        for idx, (p, prow) in enumerate(reduced):
+            coeff = prow.get(pivot)
+            if coeff:
+                new = dict(prow)
+                for c, v in row.items():
+                    s = new.get(c, ZERO) - coeff * v
+                    if s:
+                        new[c] = s
+                    else:
+                        new.pop(c, None)
+                reduced[idx] = (p, new)
+        reduced.append((pivot, row))
+    reduced.sort(key=lambda pr: pr[0])
+    return reduced
+
+
 def _reference_row_reduce(m):
     """Rational Gauss-Jordan on every row, with no modular shortcut."""
-    return _reduction(_eliminate(_rows(m)), m.rows, m.cols)
+    return _reduction(_reference_eliminate(_rows(m)), m.rows, m.cols)
 
 
-def _assert_matches_reference(m):
-    got, want = row_reduce(m), _reference_row_reduce(m)
+def _assert_same(got, want):
     assert got.rref.to_json() == want.rref.to_json()
     assert got.rank == want.rank
     assert got.pivots == want.pivots
     assert got.kernel == want.kernel
+
+
+def _assert_matches_reference(m):
+    """row_reduce, and the integer kernel on every row, against the reference."""
+    got, want = row_reduce(m), _reference_row_reduce(m)
+    _assert_same(got, want)
+    _assert_same(_reduction(_eliminate(_rows(m)), m.rows, m.cols), want)
     return got
 
 
@@ -237,3 +284,153 @@ def test_certificate_unlucky_prime_keeps_kernel():
     assert _independent_rows_mod_p(_rows(m), m.cols) == [0]
     red = _assert_matches_reference(m)
     assert red.rank == 2 and red.kernel == [[Fraction(-1), Fraction(1), Fraction(0)]]
+
+
+# -- the fraction-free integer kernel --------------------------------------------
+
+
+def _seeded(rng, rows, cols, entry, density=0.7):
+    return RationalMatrix(
+        rows, cols, {(r, c): entry(rng) for r in range(rows) for c in range(cols) if rng.random() < density}
+    )
+
+
+def _with_dependent_rows(rng, m, extra):
+    """Append ``extra`` rational combinations of m's rows, which cancel to zero."""
+    rows = m.to_rows()
+    for _ in range(extra):
+        weights = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in rows]
+        rows.append([sum((w * row[c] for w, row in zip(weights, rows)), ZERO) for c in range(m.cols)])
+    return RationalMatrix.from_rows(rows)
+
+
+def _check_family(rng, entry):
+    for _ in range(25):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        m = _seeded(rng, rows, cols, entry)
+        _assert_matches_reference(m)
+        _assert_matches_reference(_with_dependent_rows(rng, m, rng.randint(1, 3)))
+        _assert_matches_reference(stack_rows([m, m]))
+
+
+def test_integer_kernel_mixed_denominators():
+    _check_family(random.Random(31), lambda rng: Fraction(rng.randint(-60, 60), rng.randint(2, 97)))
+
+
+def test_integer_kernel_entries_above_two_to_the_64():
+    big = 2**64
+    _check_family(
+        random.Random(32),
+        lambda rng: Fraction(rng.choice((-1, 1)) * rng.randint(big, 4 * big), rng.randint(1, 3 * big)),
+    )
+
+
+def test_integer_kernel_negative_leading_entries():
+    rng = random.Random(33)
+    for _ in range(25):
+        cols = rng.randint(2, 7)
+        rows = []
+        for _ in range(rng.randint(1, 7)):
+            lead = rng.randint(0, cols - 1)
+            row = [ZERO] * lead + [Fraction(-rng.randint(1, 9), rng.randint(1, 5))]
+            row += [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(cols - lead - 1)]
+            rows.append(row)
+        red = _assert_matches_reference(RationalMatrix.from_rows(rows))
+        assert all(red.rref.entry(r, p) == 1 for r, p in enumerate(red.pivots))
+
+
+def test_integer_kernel_rows_cancel_to_zero():
+    rng = random.Random(34)
+    for _ in range(25):
+        m = _seeded(rng, rng.randint(1, 4), rng.randint(2, 7), lambda rng: Fraction(rng.randint(-9, 9), rng.randint(1, 7)))
+        red = _assert_matches_reference(_with_dependent_rows(rng, m, 4))
+        assert red.rank == row_reduce(m).rank
+    # every row after the first is a multiple of it: one pivot, the rest cancels
+    row = [Fraction(-3, 7), Fraction(5, 2), ZERO, Fraction(1, 3)]
+    m = RationalMatrix.from_rows([[k * v for v in row] for k in (1, -2, Fraction(7, 3), 5)])
+    red = _assert_matches_reference(m)
+    assert red.rank == 1 and red.rref.to_rows()[0] == [1, Fraction(-35, 6), 0, Fraction(-7, 9)]
+
+
+def test_integer_kernel_duplicated_rows():
+    rng = random.Random(35)
+    for _ in range(25):
+        m = _seeded(rng, rng.randint(1, 6), rng.randint(1, 6), lambda rng: Fraction(rng.randint(-20, 20), rng.randint(1, 30)))
+        red = _assert_matches_reference(m)
+        doubled = _assert_matches_reference(stack_rows([m, m, m]))
+        assert doubled.rref.to_json()["entries"] == red.rref.to_json()["entries"]
+        assert doubled.kernel == red.kernel
+
+
+def _reference_solve(m, rhs):
+    rows = _rows(m)
+    for r, v in enumerate(rhs):
+        if v:
+            rows[r][m.cols] = Fraction(v)
+    solution = [ZERO] * m.cols
+    for pivot, row in _reference_eliminate(rows):
+        if pivot == m.cols:
+            return None
+        solution[pivot] = row.get(m.cols, ZERO)
+    return solution
+
+
+def test_solve_with_denominators_matches_reference():
+    rng = random.Random(36)
+    solved = inconsistent = 0
+    for _ in range(40):
+        m = _seeded(rng, rng.randint(1, 6), rng.randint(1, 6), lambda rng: Fraction(rng.randint(-9, 9), rng.randint(1, 11)))
+        if rng.random() < 0.5:
+            m = _with_dependent_rows(rng, m, 2)
+        rhs = [Fraction(rng.randint(-9, 9), rng.randint(2, 13)) for _ in range(m.rows)]
+        x = solve(m, rhs)
+        assert x == _reference_solve(m, rhs)
+        if x is None:
+            inconsistent += 1
+        else:
+            solved += 1
+            assert m.apply(x) == rhs
+    assert solved and inconsistent
+
+
+def _captured_system(module, run):
+    """The matrix behind the first ``row_reduce`` call that ``run`` makes in ``module``."""
+    seen = []
+    real = module.row_reduce
+
+    def record(m):
+        seen.append(m)
+        return real(m)
+
+    module.row_reduce = record
+    try:
+        run()
+    finally:
+        module.row_reduce = real
+    return seen[0]
+
+
+def _verma_system(lam, c, n, depth):
+    weight = verma.WeightFunctional(tuple(Fraction(v) for v in lam), Fraction(c))
+    return _captured_system(verma, lambda: verma.singular_vectors(weight, n, depth))
+
+
+def _extension_system(a, b, lo, hi):
+    window = modules.build_window(modules.IntermediateSpec("Aab", Fraction(a), Fraction(b)), lo, hi)
+    return _captured_system(modules, lambda: modules.extension_space(window, 2))
+
+
+@pytest.mark.parametrize(
+    "build, kernel_dim",
+    [
+        pytest.param(lambda: _verma_system(("2/3", 0), "-5/2", 1, 10), 6, id="verma-n1-depth10"),
+        pytest.param(lambda: _verma_system(("1/3", "-5/2", 0), "-5/2", 2, 6), 7, id="verma-n2-depth6"),
+        pytest.param(lambda: _extension_system(2, 0, -20, 20), 1, id="extension-a2-b0"),
+    ],
+)
+def test_integer_kernel_on_real_systems(build, kernel_dim):
+    m = build()
+    red = _assert_matches_reference(m)
+    assert len(red.kernel) == kernel_dim
+    for vec in red.kernel:
+        assert not any(m.apply(vec))
