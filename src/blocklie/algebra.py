@@ -317,19 +317,21 @@ def central(variant: AlgebraVariant, coeff: Fraction | int = 1) -> AlgebraElemen
     return AlgebraElement(variant, central=coeff)
 
 
-def _bilinear(fn, variant: AlgebraVariant, xterms: dict, yterms: dict, terms: dict | None = None) -> tuple[dict, int | Fraction]:
+def _bilinear(fn, variant: AlgebraVariant, xterms, yterms, terms: dict | None = None) -> tuple[dict, int | Fraction]:
     """Bilinear extension of the structure constants ``fn`` to sparse combinations.
 
-    Adds the generator terms of [x, y] into ``terms`` (a new dict by
-    default) and returns it with the C coefficient.  Coefficients keep
-    the type the arithmetic gives them: ints stay ints.  C brackets to
-    zero, so only the generator parts of x and y are read.
+    ``xterms`` and ``yterms`` are (key, coefficient) pairs, such as
+    ``dict.items()``; ``yterms`` is iterated once per x term.  Adds the
+    generator terms of [x, y] into ``terms`` (a new dict by default) and
+    returns it with the C coefficient.  Coefficients keep the type the
+    arithmetic gives them: ints stay ints.  C brackets to zero, so only
+    the generator parts of x and y are read.
     """
     if terms is None:
         terms = {}
     central_total = 0
-    for kx, cx in xterms.items():
-        for ky, cy in yterms.items():
+    for kx, cx in xterms:
+        for ky, cy in yterms:
             factor = cx * cy
             gen_terms, c = fn(variant, kx, ky)
             for key, coeff in gen_terms.items():
@@ -355,7 +357,7 @@ def bracket(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     """Bilinear extension of the structure constants; C brackets to zero."""
     if x.variant != y.variant:
         raise ValueError("cannot bracket elements of different variants")
-    return _element(x.variant, *_bilinear(bracket_terms, x.variant, x.terms, y.terms))
+    return _element(x.variant, *_bilinear(bracket_terms, x.variant, x.terms.items(), y.terms.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -453,42 +455,81 @@ def verify_algebra_axioms(
     Every intermediate key is representable (quotients absorb overflow
     levels exactly, and the other variants are closed), so each check is
     an exact identity.  C brackets to zero by construction, so it needs
-    no check.  Returns a list of violation records; empty means the
-    window passed; an empty window raises ValueError.  ``bracket_fn``
-    exists so tests can inject corrupted structure constants.
+    no check.  Returns a list of violation records, antisymmetry pairs
+    (x <= y) before Jacobi triples (x <= y <= z), each in window order;
+    empty means the window passed; an empty window raises ValueError.
+    ``bracket_fn`` exists so tests can inject corrupted structure
+    constants.
+
+    Each ordered pair of window keys is bracketed exactly once, through
+    ``_bilinear`` (which drops zero coefficients), into a pair table:
+    the upper triangle [keys[q], keys[r]], q <= r, is built first and
+    kept for the whole sweep; the column [keys[r], x], r > q, of the
+    outer key x = keys[q] is built when x is reached and freed after it.
+    A Jacobi triple then reads its three inner brackets from the table
+    and brackets only the outer ones.  The outer brackets [x, w] of the
+    current x are memoised in a dict cleared whenever x advances; a memo
+    over every outer pair would hold far more than the table.
     """
     fn = bracket_fn or bracket_terms
     keys = window_keys(variant, degree_bound, level_cap)
     if not keys:
         raise ValueError(f"empty axiom window for {variant} at degree {degree_bound}, level {level_cap}")
-    units = {k: {k: 1} for k in keys}
-    violations: list[dict] = []
-
-    def record(check: str, where: dict, terms: dict, central_total) -> None:
-        violations.append({"check": check, **where, "residual": repr(_element(variant, terms, central_total))})
-
-    for ix, kx in enumerate(keys):
-        for ky in keys[ix:]:
-            terms, c = _bilinear(fn, variant, units[kx], units[ky])
-            c += _bilinear(fn, variant, units[ky], units[kx], terms)[1]
-            if terms or c:
-                record("antisymmetry", {"pair": [list(kx), list(ky)]}, terms, c)
-
     n = len(keys)
-    for ix in range(n):
-        x = keys[ix]
+    units = [((k, 1),) for k in keys]
+    # [keys[q], keys[r]] at q*n + r, as ((key, coeff) pairs, C coefficient)
+    table: list = [None] * (n * n)
+
+    def tabulate(q: int, r: int) -> None:
+        terms, c = _bilinear(fn, variant, units[q], units[r])
+        table[q * n + r] = (tuple(terms.items()), c)
+
+    memo: dict = {}  # w -> [x, w] for the current outer key x
+
+    def outer_x(variant: AlgebraVariant, kx: BasisKey, w: BasisKey):
+        hit = memo.get(w)
+        if hit is None:
+            hit = memo[w] = fn(variant, kx, w)
+        return hit
+
+    antisymmetry: list[dict] = []
+    jacobi: list[dict] = []
+
+    def record(found: list, check: str, where: dict, terms: dict, central_total) -> None:
+        found.append({"check": check, **where, "residual": repr(_element(variant, terms, central_total))})
+
+    for q in range(n):
+        for r in range(q, n):
+            tabulate(q, r)
+    for ix, x in enumerate(keys):
+        for iz in range(ix + 1, n):
+            tabulate(iz, ix)
+        memo.clear()
+        unit_x = units[ix]
         for iy in range(ix, n):
             y = keys[iy]
+            xy, c = table[ix * n + iy]
+            yx, c_yx = table[iy * n + ix]
+            terms = dict(xy)
+            for key, coeff in yx:
+                s = terms.get(key, 0) + coeff
+                if s:
+                    terms[key] = s
+                else:
+                    del terms[key]
+            c += c_yx
+            if terms or c:
+                record(antisymmetry, "antisymmetry", {"pair": [list(x), list(y)]}, terms, c)
+            unit_y = units[iy]
             for iz in range(iy, n):
-                z = keys[iz]
-                terms = {}
-                c = 0
-                for p, q, r in ((x, y, z), (y, z, x), (z, x, y)):
-                    inner, _ = _bilinear(fn, variant, units[q], units[r])
-                    c += _bilinear(fn, variant, units[p], inner, terms)[1]
+                terms, c = _bilinear(outer_x, variant, unit_x, table[iy * n + iz][0])
+                c += _bilinear(fn, variant, unit_y, table[iz * n + ix][0], terms)[1]
+                c += _bilinear(fn, variant, units[iz], xy, terms)[1]
                 if terms or c:
-                    record("jacobi", {"triple": [list(x), list(y), list(z)]}, terms, c)
-    return violations
+                    record(jacobi, "jacobi", {"triple": [list(x), list(y), list(keys[iz])]}, terms, c)
+        for iz in range(ix + 1, n):
+            table[iz * n + ix] = None
+    return antisymmetry + jacobi
 
 
 def vir_consistency(degree_bound: int) -> dict:

@@ -119,18 +119,24 @@ def _cmd_bracket(args: argparse.Namespace, config: dict) -> int:
 def _cmd_axioms(args: argparse.Namespace, config: dict) -> int:
     _fill(args, config, ["variant", "degree", "level", "vir_degree"])
     variant = parse_variant(args.variant)
-    violations = algebra.verify_algebra_axioms(variant, int(args.degree), int(args.level))
+    degree, level = int(args.degree), int(args.level)
+    violations = algebra.verify_algebra_axioms(variant, degree, level)
     consistency = algebra.vir_consistency(int(args.vir_degree))
     passed = not violations and consistency["homomorphism"] and consistency["quotient_matches"]
+    # the sweep checks every pair x <= y and every triple x <= y <= z of the window
+    n = len(algebra.window_keys(variant, degree, level))
+    checked = {"keys": n, "pairs": n * (n + 1) // 2, "triples": n * (n + 1) * (n + 2) // 6}
     payload = {
         "command": "axioms",
-        "config": {"variant": str(variant), "degree": int(args.degree), "level": int(args.level)},
+        "config": {"variant": str(variant), "degree": degree, "level": level},
+        "checked": checked,
         "violations": violations,
         "vir_consistency": consistency,
         "passed": passed,
     }
     rows = [
         {"check": "algebra-axioms", "result": "ok" if not violations else f"{len(violations)} violations"},
+        {"check": "checked", "result": f"{n} keys, {checked['pairs']} pairs, {checked['triples']} triples"},
         {"check": "vir-consistency", "result": f"c0={consistency['c0']}" if consistency["homomorphism"] else "failed"},
     ]
     _finish(args, payload, render_table(rows, ["check", "result"]))
@@ -246,6 +252,8 @@ def _cmd_verma(args: argparse.Namespace, config: dict) -> int:
         _finish(args, payload, ", ".join(str(d) for d in report["dimensions"][1:]))
         return 0 if report["match"] else 1
     if args.action == "singular":
+        if depth < 1:
+            raise UsageError("singular vectors need depth >= 1, got depth=0")
         if args.lambda_file:
             try:
                 with open(args.lambda_file, encoding="utf-8") as handle:

@@ -27,12 +27,7 @@ elimination:
   gives up and the full rational elimination runs).
 * Full column rank has the unique RREF [I; 0] (identity over zero rows)
   and an empty kernel, so that answer needs no rational arithmetic.
-* Otherwise only the rows independent mod p (hence over Q) are
-  eliminated, and every dropped row is checked exactly to annihilate
-  the resulting kernel.  Equal kernels mean equal row spaces, so rref,
-  pivots and kernel are those of the whole matrix.  If a dropped row
-  fails the check (p divides a minor that is nonzero over Q) the whole
-  matrix is eliminated over Q.
+* Any other matrix is eliminated whole over Q.
 """
 
 from __future__ import annotations
@@ -265,21 +260,20 @@ def _eliminate(rows: list[dict[int, Fraction]]) -> list[tuple[int, dict[int, Fra
 _PRIME = 1073741789
 
 
-def _independent_rows_mod_p(rows: list[dict[int, Fraction]], cols: int) -> Optional[list[int]]:
-    """Indices of the rows that become pivots in Gauss-Jordan elimination mod p.
+def _rank_mod_p(rows: list[dict[int, Fraction]], cols: int) -> Optional[int]:
+    """Rank of the rows modulo p, by Gauss-Jordan elimination mod p.
 
     The sibling of ``_eliminate`` over GF(p), stopping once the rank
     reaches ``cols``.  Returns None when p divides a denominator, since
     the residues would then say nothing about the rational matrix.
     """
     if cols == 0:
-        return []
+        return 0
     p = _PRIME
     inverses: dict[int, int] = {1: 1}
     # pivot -> row, fully reduced: a row is zero in every other pivot column
     reduced: dict[int, dict[int, int]] = {}
-    chosen: list[int] = []
-    for index, frow in enumerate(rows):
+    for frow in rows:
         row: dict[int, int] = {}
         for c, v in frow.items():
             den = v.denominator
@@ -314,10 +308,9 @@ def _independent_rows_mod_p(rows: list[dict[int, Fraction]], cols: int) -> Optio
                     else:
                         del prow[c]
         reduced[pivot] = row
-        chosen.append(index)
-        if len(chosen) == cols:
+        if len(reduced) == cols:
             break
-    return chosen
+    return len(reduced)
 
 
 def _reduction(reduced: list[tuple[int, dict[int, Fraction]]], rows: int, cols: int) -> RowReduction:
@@ -349,30 +342,19 @@ def row_reduce(m: RationalMatrix) -> RowReduction:
 
     rank + len(kernel) == cols, and m @ v == 0 holds exactly for every
     kernel basis vector v.  A rank computed mod p decides full column
-    rank and picks the rows to eliminate (see the module docstring); the
-    result is identical to eliminating every row over Q.
+    rank (see the module docstring); the result is identical to
+    eliminating every row over Q.
     """
     sparse_rows: list[dict[int, Fraction]] = [{} for _ in range(m.rows)]
     for (r, c), v in m.entries.items():
         sparse_rows[r][c] = v
-    chosen = _independent_rows_mod_p(sparse_rows, m.cols)
-    if chosen is not None and len(chosen) == m.cols:
+    if _rank_mod_p(sparse_rows, m.cols) == m.cols:
         return RowReduction(
             rref=RationalMatrix(m.rows, m.cols, {(i, i): Fraction(1) for i in range(m.cols)}),
             rank=m.cols,
             pivots=list(range(m.cols)),
             kernel=[],
         )
-    if chosen is not None:
-        reduction = _reduction(_eliminate([sparse_rows[i] for i in chosen]), m.rows, m.cols)
-        kept = set(chosen)
-        if all(
-            sum(v * vec[c] for c, v in row.items() if vec[c]) == 0
-            for i, row in enumerate(sparse_rows)
-            if i not in kept
-            for vec in reduction.kernel
-        ):
-            return reduction
     return _reduction(_eliminate(sparse_rows), m.rows, m.cols)
 
 

@@ -15,6 +15,7 @@ from blocklie.algebra import (
     BasisKey,
     KeyWindow,
     LaurentOp,
+    _element,
     associated_graded_check,
     bracket,
     bracket_terms,
@@ -150,6 +151,108 @@ def test_axiom_sweep_accepts_fraction_structure_constants():
 def test_axiom_sweep_rejects_empty_window(degree, level):
     with pytest.raises(ValueError, match="empty axiom window"):
         verify_algebra_axioms(BLOCK_B, degree, level)
+
+
+def _reference_bilinear(fn, variant, xterms: dict, yterms: dict, terms: dict | None = None):
+    """``algebra._bilinear`` on dict operands, frozen from before the pair table."""
+    if terms is None:
+        terms = {}
+    central_total = 0
+    for kx, cx in xterms.items():
+        for ky, cy in yterms.items():
+            factor = cx * cy
+            gen_terms, c = fn(variant, kx, ky)
+            for key, coeff in gen_terms.items():
+                s = terms.get(key, 0) + factor * coeff
+                if s:
+                    terms[key] = s
+                else:
+                    terms.pop(key, None)
+            if c:
+                central_total += factor * c
+    return terms, central_total
+
+
+def _reference_sweep(variant, degree_bound, level_cap=0, bracket_fn=None):
+    """The axiom sweep frozen from before the pair table: every bracket is recomputed per pair and triple."""
+    fn = bracket_fn or bracket_terms
+    keys = window_keys(variant, degree_bound, level_cap)
+    if not keys:
+        raise ValueError(f"empty axiom window for {variant} at degree {degree_bound}, level {level_cap}")
+    units = {k: {k: 1} for k in keys}
+    violations: list[dict] = []
+
+    def record(check: str, where: dict, terms: dict, central_total) -> None:
+        violations.append({"check": check, **where, "residual": repr(_element(variant, terms, central_total))})
+
+    for ix, kx in enumerate(keys):
+        for ky in keys[ix:]:
+            terms, c = _reference_bilinear(fn, variant, units[kx], units[ky])
+            c += _reference_bilinear(fn, variant, units[ky], units[kx], terms)[1]
+            if terms or c:
+                record("antisymmetry", {"pair": [list(kx), list(ky)]}, terms, c)
+
+    n = len(keys)
+    for ix in range(n):
+        x = keys[ix]
+        for iy in range(ix, n):
+            y = keys[iy]
+            for iz in range(iy, n):
+                z = keys[iz]
+                terms = {}
+                c = 0
+                for p, q, r in ((x, y, z), (y, z, x), (z, x, y)):
+                    inner, _ = _reference_bilinear(fn, variant, units[q], units[r])
+                    c += _reference_bilinear(fn, variant, units[p], inner, terms)[1]
+                if terms or c:
+                    record("jacobi", {"triple": [list(x), list(y), list(z)]}, terms, c)
+    return violations
+
+
+def _corrupted(kind: str, keys, rng: random.Random):
+    """``bracket_terms`` corrupted on a seeded tenth of the ordered window pairs."""
+    hit = {(x, y) for x in keys for y in keys if rng.random() < 0.1}
+
+    def fn(variant, x, y):
+        terms, c = bracket_terms(variant, x, y)
+        if kind == "fraction":
+            terms = {k: Fraction(v) for k, v in terms.items()}
+            c = Fraction(c)
+        if (x, y) not in hit:
+            return terms, c
+        terms = dict(terms)
+        if kind == "central":
+            c += 1
+        elif kind == "asymmetric":
+            key = BasisKey(x.alpha + y.alpha, x.level)  # depends on the order of x and y
+            terms[key] = terms.get(key, 0) + 1
+        elif kind == "fraction":
+            key = BasisKey(x.alpha + y.alpha, y.level)
+            terms[key] = terms.get(key, 0) + Fraction(1, 3)
+            c += Fraction(-1, 2)
+        elif kind == "zero":
+            # a stored zero that the bilinear sum must drop, never a violation
+            terms.setdefault(BasisKey(x.alpha + y.alpha, x.level + y.level + 1), 0)
+        return terms, c
+
+    return fn
+
+
+@pytest.mark.parametrize("kind", ["central", "asymmetric", "fraction", "zero"])
+@pytest.mark.parametrize(
+    "name, degree, level",
+    [("Vir", 6, 0), ("B", 3, 2), ("Bbar", 2, 2), ("W1inf", 2, 2), ("Winf", 2, 3), ("Q:0:2", 3, 2), ("Q:1:3", 2, 3)],
+)
+def test_axiom_sweep_matches_reference_under_corruption(name, degree, level, kind):
+    variant = parse_variant(name)
+    rng = random.Random(f"sweep:{name}:{kind}")
+    fn = _corrupted(kind, window_keys(variant, degree, level), rng)
+    expected = _reference_sweep(variant, degree, level, bracket_fn=fn)
+    assert verify_algebra_axioms(variant, degree, level, bracket_fn=fn) == expected
+    if kind == "zero":
+        assert expected == []
+    else:
+        assert {v["check"] for v in expected} == {"antisymmetry", "jacobi"}
 
 
 @pytest.mark.parametrize("variant", [BLOCK_B, BLOCK_BBAR, W_1INF, W_INF, quotient(0, 3)])

@@ -92,10 +92,26 @@ def test_verma_negative_depth_is_usage_error(capsys, argv):
     assert err.startswith("error: need n >= 0 and depth >= 0")
 
 
+def test_verma_singular_depth_zero_is_usage_error(capsys):
+    code, out, err = run(capsys, "verma", "--n", "1", "--depth", "0", "singular", "--lam", "1/2,0", "--c", "0")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: singular vectors need depth >= 1")
+
+
 def test_axioms_command(capsys):
     code, out, _ = run(capsys, "axioms", "--variant", "Vir", "--degree", "5", "--vir-degree", "4")
     assert code == 0
     assert "c0=1/2" in out
+    assert "11 keys, 66 pairs, 286 triples" in out
+
+
+def test_axioms_report_counts_checked_window(capsys):
+    code, out, _ = run(capsys, "axioms", "--variant", "B", "--degree", "2", "--level", "1", "--vir-degree", "2", "--format", "json")
+    report = json.loads(out)
+    assert code == 0 and report["passed"] is True
+    # 5 degrees x 2 levels
+    assert report["checked"] == {"keys": 10, "pairs": 55, "triples": 220}
 
 
 @pytest.mark.parametrize("flag", ["--degree", "--level"])

@@ -11,7 +11,7 @@ from blocklie.linalg import (
     _PRIME,
     RationalMatrix,
     _eliminate,
-    _independent_rows_mod_p,
+    _rank_mod_p,
     _reduction,
     char_poly,
     eval_poly_matrix,
@@ -257,31 +257,31 @@ def test_certificate_degenerate_shapes():
 def test_certificate_denominator_divisible_by_prime():
     # row 1 is p times row 0; reading 1/p as 0 mod p would claim rank 2
     m = RationalMatrix.from_rows([[1, Fraction(1, _PRIME)], [_PRIME, 1]])
-    assert _independent_rows_mod_p(_rows(m), m.cols) is None
+    assert _rank_mod_p(_rows(m), m.cols) is None
     red = _assert_matches_reference(m)
     assert red.rank == 1 and red.kernel == [[Fraction(-1, _PRIME), Fraction(1)]]
 
 
 def test_certificate_prime_entry_has_rank_one():
     m = RationalMatrix.from_rows([[_PRIME]])
-    assert _independent_rows_mod_p(_rows(m), m.cols) == []
+    assert _rank_mod_p(_rows(m), m.cols) == 0
     red = _assert_matches_reference(m)
     assert red.rank == 1 and red.kernel == []
 
 
 def test_certificate_unlucky_prime_falls_back():
-    # the rows agree mod p, so row 1 is dropped and fails the exact check
+    # the rows agree mod p, so rank 1 mod p proves nothing and Q decides
     m = RationalMatrix.from_rows([[1, 1], [1, 1 + _PRIME]])
-    assert _independent_rows_mod_p(_rows(m), m.cols) == [0]
+    assert _rank_mod_p(_rows(m), m.cols) == 1
     red = _assert_matches_reference(m)
     assert red.rank == 2 and red.kernel == [] and red.pivots == [0, 1]
 
 
 def test_certificate_unlucky_prime_keeps_kernel():
-    # rank 1 mod p, rank 2 over Q; row 1 annihilates the first kernel
-    # vector of row 0, (-1, 1, 0), and only the second, (-1, 0, 1)
+    # rank 1 mod p, rank 2 over Q: the kernel over Q is the one vector
+    # (-1, 1, 0) of row 0's two that row 1 also annihilates
     m = RationalMatrix.from_rows([[1, 1, 1], [1, 1, 1 + _PRIME], [2, 2, 2]])
-    assert _independent_rows_mod_p(_rows(m), m.cols) == [0]
+    assert _rank_mod_p(_rows(m), m.cols) == 1
     red = _assert_matches_reference(m)
     assert red.rank == 2 and red.kernel == [[Fraction(-1), Fraction(1), Fraction(0)]]
 
