@@ -280,7 +280,7 @@ def _cmd_verma(args: argparse.Namespace, config: dict) -> int:
             "positive_generators_validated_to_degree": depth + 2 if generators_ok else None,
         }
         _finish(args, payload, f"singular vectors through depth {depth}: {len(found)}")
-        return 0
+        return 0 if generators_ok else 1
     raise UsageError(f"unknown verma action {args.action!r}")
 
 

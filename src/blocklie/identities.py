@@ -340,7 +340,7 @@ def _monomial_ratio(computed: MultiPoly, stated: MultiPoly) -> MultiPoly | None:
     exps = tuple(a - b for a, b in zip(lead_c, lead_s))
     if any(e < 0 for e in exps):
         return None
-    mono = MultiPoly(ALPHABET, {exps: computed.terms[lead_c] / stated.terms[lead_s]})
+    mono = MultiPoly(ALPHABET, {exps: Fraction(computed.terms[lead_c]) / stated.terms[lead_s]})
     return mono if stated * mono == computed else None
 
 
@@ -385,6 +385,10 @@ def shift_system_leading_coefficient(
             details["normalization_factor"] = repr(mono)
         else:
             status = STATUS_DISCREPANCY
+            content, primitive = computed.content_split()
+            details["content"] = repr(content)
+            details["primitive_part"] = repr(primitive)
+            details["residual"] = repr(stated - primitive)
             swapped = _swap_symbols(stated, "bp", "bq")
             mono_swapped = _monomial_ratio(computed, swapped)
             if mono_swapped is not None:
@@ -637,31 +641,31 @@ def nilpotency_chain_check(mod: WindowedModule, level: int | None = None) -> Lem
     )
 
 
-def _derivation_job(band: int, degree: int, power: int) -> LemmaReport:
+def _derivation_job(window: WindowedModule, degree: int, power: int) -> LemmaReport:
     coeffs = [ZERO] * power + [Fraction(1)]
-    report = derivation_rule_check(adjoint_window(0, band, -4, 4), coeffs, degree)
-    report.claim = f"derivation-rule-band{band}-deg{degree}-power{power}"
+    report = derivation_rule_check(window, coeffs, degree)
+    report.claim = f"derivation-rule-band{window.variant.n}-deg{degree}-power{power}"
     return report
 
 
-def _nilpotency_job(band: int) -> LemmaReport:
-    return nilpotency_chain_check(adjoint_window(0, band, -4, 4))
-
-
 def run_standard_suite() -> list[LemmaReport]:
-    """Every report of this module on its standard windows, sorted by claim."""
-    jobs = [
-        (nested_bracket_identity, ()),
-        (shift_system_report, ()),
-        (shift_system_leading_coefficient, ()),
-        (edge_product_diagonals, ()),
+    """Every report of this module on its standard windows, sorted by claim.
+
+    Each band's adjoint window is built once, shared by that band's
+    derivation and nilpotency jobs, and dropped before the next band's.
+    """
+    reports = [
+        nested_bracket_identity(),
+        shift_system_report(),
+        shift_system_leading_coefficient(),
+        edge_product_diagonals(),
     ]
     for band in (1, 2):
+        window = adjoint_window(0, band, -4, 4)
         for degree in (1, 2):
             for power in (1, 2, 3):
-                jobs.append((_derivation_job, (band, degree, power)))
-        jobs.append((_nilpotency_job, (band,)))
-
-    reports = [fn(*args) for fn, args in jobs]
+                reports.append(_derivation_job(window, degree, power))
+        reports.append(nilpotency_chain_check(window))
+        del window
     reports.sort(key=lambda r: r.claim)
     return reports

@@ -417,12 +417,24 @@ def char_poly(m: RationalMatrix) -> list[Fraction]:
 
 
 def eval_poly_matrix(coeffs: Sequence[Fraction], m: RationalMatrix) -> RationalMatrix:
-    """Evaluate a univariate polynomial (ascending coefficients) at a square matrix."""
+    """Evaluate a univariate polynomial (ascending coefficients) at a square matrix.
+
+    Coefficients may be ints or Fractions.  Horner's rule: each step
+    multiplies the accumulator by m and adds the next coefficient on the
+    diagonal of that fresh product in place.
+    """
     if m.rows != m.cols:
         raise ValueError("polynomial evaluation needs a square matrix")
     acc = RationalMatrix.zero(m.rows, m.cols)
     for c in reversed(list(coeffs)):
         acc = acc @ m
         if c:
-            acc = acc + RationalMatrix.identity(m.rows).scale(c)
+            c = Fraction(c)
+            entries = acc.entries
+            for i in range(m.rows):
+                s = entries.get((i, i), ZERO) + c
+                if s:
+                    entries[(i, i)] = s
+                else:
+                    del entries[(i, i)]
     return acc

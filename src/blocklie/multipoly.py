@@ -1,12 +1,14 @@
 """Sparse multivariate polynomials over exact rationals.
 
 A polynomial carries a fixed ordered symbol alphabet and a dict mapping
-exponent tuples (one slot per symbol) to Fraction coefficients.  Zero
-coefficients are never stored; the zero polynomial has an empty dict.
+exponent tuples (one slot per symbol) to coefficients.  An integral
+coefficient is stored as a Python ``int``; only a non-integral one is a
+``Fraction``.  Zero coefficients are never stored; the zero polynomial
+has an empty dict.
 
 Example over the alphabet ("x", "y"):
 
-    x^2*y + 3  ->  {(2, 1): Fraction(1), (0, 0): Fraction(3)}
+    x^2*y + 3/2  ->  {(2, 1): 1, (0, 0): Fraction(3, 2)}
 
 Operations on two polynomials require identical alphabets; mixing
 alphabets raises ValueError rather than guessing an embedding.
@@ -15,25 +17,52 @@ alphabets raises ValueError rather than guessing an embedding.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+from operator import add, sub
 from typing import Mapping, Sequence
 
 from .rationals import ZERO, format_rational
 
 
+def _normal(value) -> int | Fraction:
+    """An exact scalar as an int when it is integral, else as a Fraction."""
+    if type(value) is int:
+        return value
+    value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
+def _drop_zeros(acc: dict) -> dict:
+    """The nonzero entries of a sum, with integral Fractions back as ints."""
+    return {
+        e: c if type(c) is int or c.denominator != 1 else c.numerator
+        for e, c in acc.items()
+        if c
+    }
+
+
 class MultiPoly:
     __slots__ = ("alphabet", "terms")
 
-    def __init__(self, alphabet: Sequence[str], terms: Mapping[tuple[int, ...], Fraction] | None = None):
+    def __init__(self, alphabet: Sequence[str], terms: Mapping[tuple[int, ...], Fraction | int] | None = None):
         self.alphabet = tuple(alphabet)
-        self.terms: dict[tuple[int, ...], Fraction] = {}
+        self.terms: dict[tuple[int, ...], int | Fraction] = {}
         if terms:
             width = len(self.alphabet)
             for exps, coeff in terms.items():
                 if len(exps) != width:
                     raise ValueError(f"exponent tuple {exps} does not match alphabet of size {width}")
-                coeff = Fraction(coeff)
+                coeff = _normal(coeff)
                 if coeff != 0:
                     self.terms[tuple(exps)] = coeff
+
+    @classmethod
+    def _make(cls, alphabet: tuple[str, ...], terms: dict) -> "MultiPoly":
+        """Wrap terms that are already normal: tuple keys, nonzero ints or non-integral Fractions."""
+        poly = object.__new__(cls)
+        poly.alphabet = alphabet
+        poly.terms = terms
+        return poly
 
     # -- constructors ------------------------------------------------------
 
@@ -43,10 +72,9 @@ class MultiPoly:
 
     @classmethod
     def const(cls, alphabet: Sequence[str], value: Fraction | int) -> "MultiPoly":
-        value = Fraction(value)
-        if value == 0:
-            return cls(alphabet)
-        return cls(alphabet, {(0,) * len(alphabet): value})
+        alphabet = tuple(alphabet)
+        value = _normal(value)
+        return cls._make(alphabet, {(0,) * len(alphabet): value} if value else {})
 
     @classmethod
     def symbol(cls, alphabet: Sequence[str], name: str) -> "MultiPoly":
@@ -54,7 +82,7 @@ class MultiPoly:
         idx = alphabet.index(name)
         exps = [0] * len(alphabet)
         exps[idx] = 1
-        return cls(alphabet, {tuple(exps): Fraction(1)})
+        return cls._make(alphabet, {tuple(exps): 1})
 
     # -- ring operations ---------------------------------------------------
 
@@ -72,17 +100,13 @@ class MultiPoly:
         other = self._coerce(other)
         terms = dict(self.terms)
         for exps, c in other.terms.items():
-            s = terms.get(exps, ZERO) + c
-            if s:
-                terms[exps] = s
-            else:
-                terms.pop(exps, None)
-        return MultiPoly(self.alphabet, terms)
+            terms[exps] = terms.get(exps, 0) + c
+        return MultiPoly._make(self.alphabet, _drop_zeros(terms))
 
     __radd__ = __add__
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.alphabet, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._make(self.alphabet, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "MultiPoly":
         return self + (-self._coerce(other))
@@ -92,16 +116,13 @@ class MultiPoly:
 
     def __mul__(self, other) -> "MultiPoly":
         other = self._coerce(other)
-        acc: dict[tuple[int, ...], Fraction] = {}
+        acc: dict[tuple[int, ...], int | Fraction] = {}
+        right = list(other.terms.items())
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                s = acc.get(exps, ZERO) + c1 * c2
-                if s:
-                    acc[exps] = s
-                else:
-                    acc.pop(exps, None)
-        return MultiPoly(self.alphabet, acc)
+            for e2, c2 in right:
+                exps = tuple(map(add, e1, e2))
+                acc[exps] = acc.get(exps, 0) + c1 * c2
+        return MultiPoly._make(self.alphabet, _drop_zeros(acc))
 
     __rmul__ = __mul__
 
@@ -118,8 +139,10 @@ class MultiPoly:
         return out
 
     def scale(self, factor: Fraction | int) -> "MultiPoly":
-        factor = Fraction(factor)
-        return MultiPoly(self.alphabet, {e: c * factor for e, c in self.terms.items()})
+        factor = _normal(factor)
+        if not factor:
+            return MultiPoly._make(self.alphabet, {})
+        return MultiPoly._make(self.alphabet, _drop_zeros({e: c * factor for e, c in self.terms.items()}))
 
     # -- structure ---------------------------------------------------------
 
@@ -153,10 +176,8 @@ class MultiPoly:
         terms = {}
         for exps, c in self.terms.items():
             if exps[idx] == degree:
-                reduced = list(exps)
-                reduced[idx] = 0
-                terms[tuple(reduced)] = c
-        return MultiPoly(self.alphabet, terms)
+                terms[exps[:idx] + (0,) + exps[idx + 1:]] = c
+        return MultiPoly._make(self.alphabet, terms)
 
     def derivative(self, name: str) -> "MultiPoly":
         idx = self.alphabet.index(name)
@@ -164,11 +185,23 @@ class MultiPoly:
         for exps, c in self.terms.items():
             e = exps[idx]
             if e:
-                lowered = list(exps)
-                lowered[idx] = e - 1
-                key = tuple(lowered)
-                terms[key] = terms.get(key, ZERO) + c * e
-        return MultiPoly(self.alphabet, terms)
+                terms[exps[:idx] + (e - 1,) + exps[idx + 1:]] = c * e
+        return MultiPoly._make(self.alphabet, _drop_zeros(terms))
+
+    def content_split(self) -> tuple["MultiPoly", "MultiPoly"]:
+        """(content, primitive part) with self == content * primitive, for nonzero self.
+
+        The content is the monomial of the smallest exponents times the
+        rational gcd of the coefficients; the primitive part then has
+        coprime integer coefficients and a positive leading term.
+        """
+        low = tuple(map(min, zip(*self.terms)))
+        coeffs = [Fraction(c) for c in self.terms.values()]
+        scalar = Fraction(gcd(*(c.numerator for c in coeffs)), lcm(*(c.denominator for c in coeffs)))
+        if self.terms[max(self.terms)] < 0:
+            scalar = -scalar
+        primitive = {tuple(map(sub, e, low)): c / scalar for e, c in zip(self.terms, coeffs)}
+        return MultiPoly(self.alphabet, {low: scalar}), MultiPoly(self.alphabet, primitive)
 
     def substitute(self, name: str, value: "MultiPoly | Fraction | int") -> "MultiPoly":
         """Replace one symbol by a polynomial (or constant) over the same alphabet."""
@@ -177,31 +210,50 @@ class MultiPoly:
         else:
             self._check(value)
         idx = self.alphabet.index(name)
-        out = MultiPoly.zero(self.alphabet)
-        powers: dict[int, MultiPoly] = {0: MultiPoly.const(self.alphabet, 1)}
+        acc: dict[tuple[int, ...], int | Fraction] = {}
+        powers: dict[int, list] = {}
         for exps, c in self.terms.items():
             e = exps[idx]
             if e not in powers:
-                powers[e] = value ** e
-            rest = list(exps)
-            rest[idx] = 0
-            out = out + powers[e] * MultiPoly(self.alphabet, {tuple(rest): c})
-        return out
+                powers[e] = list((value ** e).terms.items())
+            rest = exps[:idx] + (0,) + exps[idx + 1:]
+            for pe, pc in powers[e]:
+                key = tuple(map(add, rest, pe))
+                acc[key] = acc.get(key, 0) + c * pc
+        return MultiPoly._make(self.alphabet, _drop_zeros(acc))
 
     def evaluate(self, assignment: Mapping[str, Fraction | int]) -> Fraction:
-        """Full evaluation; every symbol occurring in a term must be assigned."""
-        values = []
-        for name in self.alphabet:
-            values.append(Fraction(assignment[name]) if name in assignment else None)
-        total = ZERO
+        """Full evaluation; every symbol occurring in a term must be assigned.
+
+        The sum runs on integer numerators: each value p/q of a symbol of
+        maximum degree D enters a term of exponent e as p^e * q^(D-e), so
+        every term shares the denominator prod q^D, and terms are summed
+        per coefficient denominator before one Fraction is built for each.
+        """
+        values = {name: Fraction(assignment[name]) for name in self.alphabet if name in assignment}
+        tables = []
+        scale = 1
+        for idx, top in enumerate(map(max, zip(*self.terms))):
+            if not top:
+                continue
+            name = self.alphabet[idx]
+            if name not in values:
+                raise ValueError("evaluation is missing a symbol assignment")
+            p, q = values[name].numerator, values[name].denominator
+            tables.append((idx, [p ** e * q ** (top - e) for e in range(top + 1)]))
+            scale *= q ** top
+        sums: dict[int, int] = {}
         for exps, c in self.terms.items():
-            term = c
-            for e, v in zip(exps, values):
-                if e:
-                    if v is None:
-                        raise ValueError("evaluation is missing a symbol assignment")
-                    term *= v ** e
-            total += term
+            term = 1
+            for idx, table in tables:
+                term *= table[exps[idx]]
+            if type(c) is int:
+                sums[1] = sums.get(1, 0) + c * term
+            else:
+                sums[c.denominator] = sums.get(c.denominator, 0) + c.numerator * term
+        total = ZERO
+        for den, num in sums.items():
+            total += Fraction(num, den * scale)
         return total
 
     # -- presentation ------------------------------------------------------

@@ -1,9 +1,11 @@
 """Exact rational scalars and their wire format.
 
-Every scalar stored in an element, matrix or polynomial is a
-``fractions.Fraction``; the integral structure constants of the
-algebras are plain ints.  The wire format is the compact string
-``"p/q"``, shortened to ``"p"`` when the denominator is one.
+Every scalar stored in an element or matrix is a
+``fractions.Fraction``.  The integral structure constants of the
+algebras and the integral coefficients of polynomials are plain ints;
+a polynomial keeps a ``Fraction`` only for a non-integral coefficient.
+The wire format is the compact string ``"p/q"``, shortened to ``"p"``
+when the denominator is one, for an int and a Fraction alike.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def format_rational(x: Fraction) -> str:
-    """Render a Fraction as "p" or "p/q"."""
+def format_rational(x: Fraction | int) -> str:
+    """Render a Fraction or an int as "p" or "p/q"."""
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"

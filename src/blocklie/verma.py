@@ -249,7 +249,8 @@ def singular_vectors(lam: WeightFunctional, n: int, depth: int) -> list[dict[Mon
 
     Computes the joint kernel of the positive generating set, then
     checks each kernel vector against every positive-degree generator
-    whose image depth is still nonnegative.
+    whose image depth is still nonnegative; a vector that fails raises
+    RuntimeError.
     """
     if depth == 0:
         return [{(): Fraction(1)}]
@@ -274,7 +275,9 @@ def singular_vectors(lam: WeightFunctional, n: int, depth: int) -> list[dict[Mon
             for level in range(n + 1):
                 image = action.act(BasisKey(alpha, level), v)
                 if image:
-                    raise AssertionError("kernel vector not annihilated by the full positive part")
+                    raise RuntimeError(
+                        f"depth-{depth} kernel vector not annihilated by L_{{{alpha},{level}}}"
+                    )
         vectors.append(v)
     return vectors
 

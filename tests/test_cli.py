@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from blocklie import verma
 from blocklie.cli import main
 from blocklie.modules import IntermediateSpec, build_window, extend_trivially
 
@@ -90,6 +91,31 @@ def test_verma_negative_depth_is_usage_error(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: need n >= 0 and depth >= 0")
+
+
+def test_verma_singular_unvalidated_generators_exit_one(capsys, monkeypatch):
+    monkeypatch.setattr(verma, "validate_positive_generators", lambda n, degree: False)
+    code, out, err = run(
+        capsys, "verma", "--n", "1", "--depth", "2", "singular", "--lam", "1/2,2/3", "--c", "0", "--format", "json"
+    )
+    assert code == 1
+    assert json.loads(out)["positive_generators_validated_to_degree"] is None
+    assert err == ""
+
+
+def test_verma_singular_failed_kernel_check_is_an_error_not_a_traceback(capsys, monkeypatch):
+    # every degree-2 generator now maps the depth-2 kernel vectors to the vacuum
+    original = verma.VermaAction.act
+
+    def corrupted(self, key, vec):
+        return {(): Fraction(1)} if key.alpha == 2 else original(self, key, vec)
+
+    monkeypatch.setattr(verma.VermaAction, "act", corrupted)
+    code, out, err = run(capsys, "verma", "--n", "1", "--depth", "2", "singular", "--lam", "0,0", "--c", "0")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: depth-2 kernel vector not annihilated by L_{2,")
+    assert "Traceback" not in err
 
 
 def test_verma_singular_depth_zero_is_usage_error(capsys):

@@ -205,3 +205,55 @@ def test_standard_suite_passes():
     statuses = {r.claim: r.status for r in reports}
     assert statuses["nested-bracket-identity"] == ident.STATUS_EXACT
     assert statuses["shift-system"] == ident.STATUS_EXACT
+
+
+def test_leading_coefficient_records_content_and_residual():
+    report = ident.shift_system_leading_coefficient()
+    assert report.status == ident.STATUS_DISCREPANCY
+    a, kt, bp, bq = ident.ALPHA, ident.KT, ident.BP, ident.BQ
+    primitive = (a ** 2).scale(4) * (bp ** 2 - bp - bq ** 2 + bq) + kt.scale(2) + 1
+    residual = (a ** 2).scale(-8) * (bp ** 2 - bq ** 2 + bq) + a.scale(2)
+    assert report.details["content"] == "alpha^6" == repr(a ** 6)
+    assert report.details["primitive_part"] == repr(primitive)
+    assert report.details["residual"] == repr(residual)
+    _, det = ident.shift_system()
+    assert det.coeff_of("i", 6) == a ** 6 * primitive
+    assert ident.STATED_LEADING - primitive == residual
+
+
+def test_monomial_ratio_exact_on_int_coefficients():
+    # int / int would give the float 1/3, which is not exactly one third,
+    # so the product check would fail and the ratio be lost
+    a = ident.ALPHA
+    stated = 3 + a.scale(6)
+    computed = a ** 2 + (a ** 3).scale(2)
+    assert all(type(c) is int for c in (*stated.terms.values(), *computed.terms.values()))
+    ratio = ident._monomial_ratio(computed, stated)
+    assert ratio is not None
+    (coeff,) = ratio.terms.values()
+    assert type(coeff) is Fraction and coeff == F(1, 3)
+    assert ratio == (a ** 2).scale(F(1, 3))
+
+
+def test_standard_suite_builds_one_window_per_band(monkeypatch):
+    built = []
+
+    def counting_window(*args):
+        built.append(args)
+        return adjoint_window(*args)
+
+    first = [r.to_json() for r in ident.run_standard_suite()]
+    monkeypatch.setattr(ident, "adjoint_window", counting_window)
+    second = [r.to_json() for r in ident.run_standard_suite()]
+    assert built == [(0, 1, -4, 4), (0, 2, -4, 4)]
+    assert second == first
+    assert [r["claim"] for r in first] == sorted(
+        ["nested-bracket-identity", "shift-system", "shift-system-leading-coefficient", "edge-product-diagonals"]
+        + [
+            f"derivation-rule-band{band}-deg{degree}-power{power}"
+            for band in (1, 2)
+            for degree in (1, 2)
+            for power in (1, 2, 3)
+        ]
+        + ["nilpotency-chain-band1", "nilpotency-chain-band2"]
+    )
