@@ -52,7 +52,6 @@ from .multipoly import MultiPoly
 from .rationals import format_rational, parse_rational
 from .verma import (
     WeightFunctional,
-    act_verma,
     normal_order,
     partition_dimensions,
     quasifinite_report,

@@ -33,7 +33,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .rationals import ZERO, format_rational, parse_rational
+from .linalg import Echelon
+from .rationals import ZERO, accumulate, format_rational, parse_rational
 
 
 class BasisKey(NamedTuple):
@@ -223,15 +224,8 @@ class AlgebraElement:
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         if self.variant != other.variant:
             raise ValueError("cannot add elements of different variants")
-        terms = dict(self.terms)
-        for key, coeff in other.terms.items():
-            s = terms.get(key, ZERO) + coeff
-            if s:
-                terms[key] = s
-            else:
-                terms.pop(key, None)
         out = AlgebraElement(self.variant)
-        out.terms = terms
+        out.terms = accumulate(dict(self.terms), other.terms.items())
         out.central = self.central + other.central
         return out
 
@@ -334,12 +328,7 @@ def _bilinear(fn, variant: AlgebraVariant, xterms, yterms, terms: dict | None = 
         for ky, cy in yterms:
             factor = cx * cy
             gen_terms, c = fn(variant, kx, ky)
-            for key, coeff in gen_terms.items():
-                s = terms.get(key, 0) + factor * coeff
-                if s:
-                    terms[key] = s
-                else:
-                    terms.pop(key, None)
+            accumulate(terms, gen_terms.items(), factor)
             if c:
                 central_total += factor * c
     return terms, central_total
@@ -409,18 +398,9 @@ def laurent_bracket(a: LaurentOp, b: LaurentOp) -> LaurentOp:
     the t^2 coefficient of f*g.
     """
     coeffs: dict[int, Fraction] = {}
-
-    def add(p: int, c: Fraction) -> None:
-        s = coeffs.get(p, ZERO) + c
-        if s:
-            coeffs[p] = s
-        else:
-            coeffs.pop(p, None)
-
     for p, cf in a.coeffs.items():
-        for q, cg in b.coeffs.items():
-            # b*f'(t)g(t) - a*f(t)g'(t), both landing on t^(p+q-1)
-            add(p + q - 1, cf * cg * (b.alpha * p - a.alpha * q))
+        # b*f'(t)g(t) - a*f(t)g'(t), both landing on t^(p+q-1)
+        accumulate(coeffs, ((p + q - 1, cg * (b.alpha * p - a.alpha * q)) for q, cg in b.coeffs.items()), cf)
     central = ZERO
     if a.alpha + b.alpha == 0:
         residue = ZERO
@@ -510,13 +490,7 @@ def verify_algebra_axioms(
             y = keys[iy]
             xy, c = table[ix * n + iy]
             yx, c_yx = table[iy * n + ix]
-            terms = dict(xy)
-            for key, coeff in yx:
-                s = terms.get(key, 0) + coeff
-                if s:
-                    terms[key] = s
-                else:
-                    del terms[key]
+            terms = accumulate(dict(xy), yx)
             c += c_yx
             if terms or c:
                 record(antisymmetry, "antisymmetry", {"pair": [list(x), list(y)]}, terms, c)
@@ -658,43 +632,6 @@ def generation_closure(
             vec[ncols - 1] = elem.central
         return vec
 
-    span: list[tuple[int, dict[int, Fraction]]] = []
-
-    def reduce_vec(vec: dict[int, Fraction]) -> dict[int, Fraction]:
-        vec = dict(vec)
-        for pivot, row in span:
-            coeff = vec.get(pivot)
-            if coeff:
-                for c, v in row.items():
-                    s = vec.get(c, ZERO) - coeff * v
-                    if s:
-                        vec[c] = s
-                    else:
-                        vec.pop(c, None)
-        return vec
-
-    def insert(vec: dict[int, Fraction]) -> bool:
-        vec = reduce_vec(vec)
-        if not vec:
-            return False
-        pivot = min(vec)
-        inv = 1 / vec[pivot]
-        vec = {c: v * inv for c, v in vec.items()}
-        for idx, (p, row) in enumerate(span):
-            coeff = row.get(pivot)
-            if coeff:
-                new = dict(row)
-                for c, v in vec.items():
-                    s = new.get(c, ZERO) - coeff * v
-                    if s:
-                        new[c] = s
-                    else:
-                        new.pop(c, None)
-                span[idx] = (p, new)
-        span.append((pivot, vec))
-        span.sort(key=lambda pr: pr[0])
-        return True
-
     def elem_of_vec(vec: dict[int, Fraction]) -> AlgebraElement:
         terms = {keys[c]: v for c, v in vec.items() if c < ncols - 1}
         central_part = vec.get(ncols - 1, ZERO)
@@ -702,10 +639,11 @@ def generation_closure(
             central_part = ZERO
         return AlgebraElement(variant, terms, central_part)
 
+    span = Echelon()
     frontier: list[dict[int, Fraction]] = []
     for seed in seeds:
         vec = to_vec(gen(variant, seed.alpha, seed.level))
-        if insert(vec):
+        if span.insert(vec):
             frontier.append(vec)
 
     while frontier:
@@ -717,13 +655,8 @@ def generation_closure(
                 if produced.is_zero():
                     continue
                 pvec = to_vec(produced)
-                if insert(pvec):
+                if span.insert(pvec):
                     new_frontier.append(pvec)
         frontier = new_frontier
 
-    reached = set()
-    for key, col in index.items():
-        unit = reduce_vec({col: Fraction(1)})
-        if not unit:
-            reached.add(key)
-    return reached
+    return {key for key, col in index.items() if not span.reduce({col: 1})}

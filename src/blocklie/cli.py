@@ -183,6 +183,8 @@ def _cmd_module(args: argparse.Namespace, config: dict) -> int:
         lines = []
         for spec in grid:
             report = modules.extension_space(modules.build_window(spec, lo, hi), int(args.level_cap))
+            if report.equations == 0:
+                raise UsageError(f"range {lo}:{hi} at level cap {args.level_cap} gives no extension equations")
             results.append(
                 {
                     "a": str(spec.a),

@@ -37,10 +37,10 @@ from typing import Sequence
 
 from . import algebra
 from .algebra import BasisKey, bracket, gen
-from .linalg import char_poly, eval_poly_matrix
+from .linalg import RationalMatrix, char_poly, eval_poly_matrix
 from .modules import WindowedModule, adjoint_window
 from .multipoly import MultiPoly
-from .rationals import ZERO, format_rational
+from .rationals import ZERO, accumulate, format_rational
 
 ALPHABET = ("alpha", "beta", "i", "kt", "bp", "bq")
 
@@ -115,15 +115,8 @@ def sym_bracket(x: SymbolicElement, y: SymbolicElement) -> SymbolicElement:
     for (d1, l1), c1 in x.items():
         for (d2, l2), c2 in y.items():
             coeff = _lev_plus_one(l1) * _deg_poly(d2) - _lev_plus_one(l2) * _deg_poly(d1)
-            coeff = coeff * c1 * c2
-            if coeff.is_zero():
-                continue
             key = (tuple(a + b for a, b in zip(d1, d2)), tuple(a + b for a, b in zip(l1, l2)))
-            total = out.get(key, _const(0)) + coeff
-            if total.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = total
+            accumulate(out, ((key, coeff * c1 * c2),))
     return out
 
 
@@ -558,11 +551,14 @@ def derivation_rule_check(
         rhs = l_mat @ eval_poly_matrix(g_coeffs, x_src) + (eval_poly_matrix(gprime, x_tgt) @ z_mat).scale(factor)
         if lhs != rhs:
             violations.append({"index": k, "part": "identity"})
+        # running powers: X_t^m, X_s^m and X_s^(m-1)
+        tgt_power = RationalMatrix.identity(x_tgt.rows)
+        src_power = RationalMatrix.identity(x_src.rows)
         for m in range(1, len(g_coeffs)):
-            power = [ZERO] * m + [Fraction(1)]
-            lower = [ZERO] * (m - 1) + [Fraction(1)]
-            left = eval_poly_matrix(power, x_tgt) @ l_mat - l_mat @ eval_poly_matrix(power, x_src)
-            right = (z_mat @ eval_poly_matrix(lower, x_src)).scale(Fraction(m * (j + 1) * alpha))
+            lower = src_power
+            tgt_power, src_power = tgt_power @ x_tgt, src_power @ x_src
+            left = tgt_power @ l_mat - l_mat @ src_power
+            right = (z_mat @ lower).scale(Fraction(m * (j + 1) * alpha))
             if left != right:
                 violations.append({"index": k, "part": f"power-{m}"})
         checked += 1

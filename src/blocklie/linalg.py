@@ -5,11 +5,15 @@ with ``fractions.Fraction`` values, and every result below is an exact
 statement, not an approximation.  Matrices are treated as immutable
 after construction; no operation mutates its operands.
 
-Elimination runs on Python ints: each row is scaled by the lcm of its
-denominators and reduced fraction-free, kept primitive with a positive
-pivot entry.  Rationals appear only in the emitted reduced row-echelon
-form, where each row is divided by its pivot entry; that form is unique,
-so it equals the one rational Gauss-Jordan elimination gives.
+``Echelon`` is the one elimination kernel over Q: a growing span of
+sparse rows, kept fully reduced on Python ints.  ``row_reduce`` and
+``solve`` eliminate through it, and so do ``generation_closure`` and
+``submodule_closure``, which only ask whether a vector lies in a span.
+Each row is scaled by the lcm of its denominators and reduced
+fraction-free (Bareiss 1968), kept primitive with a positive pivot
+entry.  Rationals appear only in the emitted reduced row-echelon form,
+where each row is divided by its pivot entry; that form is unique, so
+it equals the one rational Gauss-Jordan elimination gives.
 
 Row reduction returns the reduced row-echelon form together with the
 rank and a basis of the right kernel.  The kernel basis follows the
@@ -37,7 +41,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
-from .rationals import ZERO, format_rational, parse_rational
+from .rationals import ZERO, accumulate, format_rational, parse_rational
 
 
 class RationalMatrix:
@@ -81,6 +85,11 @@ class RationalMatrix:
         return cls(rows, cols, entries)
 
     @classmethod
+    def from_sparse_rows(cls, rows: Sequence[dict[int, Fraction]], cols: int) -> "RationalMatrix":
+        """The len(rows) x cols matrix whose row r has the entries rows[r] (column -> value)."""
+        return cls(len(rows), cols, {(r, c): v for r, row in enumerate(rows) for c, v in row.items()})
+
+    @classmethod
     def column(cls, data: Sequence[Fraction | int]) -> "RationalMatrix":
         return cls(len(data), 1, {(r, 0): Fraction(v) for r, v in enumerate(data) if v})
 
@@ -94,6 +103,13 @@ class RationalMatrix:
         for (r, c), v in self.entries.items():
             out[r][c] = v
         return out
+
+    def sparse_rows(self) -> list[dict[int, Fraction]]:
+        """Row r as a dict column -> nonzero value, for every r."""
+        rows: list[dict[int, Fraction]] = [{} for _ in range(self.rows)]
+        for (r, c), v in self.entries.items():
+            rows[r][c] = v
+        return rows
 
     def column_vector(self, c: int) -> list[Fraction]:
         return [self.entry(r, c) for r in range(self.rows)]
@@ -109,14 +125,7 @@ class RationalMatrix:
 
     def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
         self._require_same_shape(other)
-        entries = dict(self.entries)
-        for key, v in other.entries.items():
-            s = entries.get(key, ZERO) + v
-            if s:
-                entries[key] = s
-            else:
-                entries.pop(key, None)
-        return RationalMatrix(self.rows, self.cols, entries)
+        return RationalMatrix(self.rows, self.cols, accumulate(dict(self.entries), other.entries.items()))
 
     def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
         return self + other.scale(Fraction(-1))
@@ -133,20 +142,14 @@ class RationalMatrix:
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        # index other by row for sparse traversal
-        by_row: dict[int, list[tuple[int, Fraction]]] = {}
-        for (r, c), v in other.entries.items():
-            by_row.setdefault(r, []).append((c, v))
-        acc: dict[tuple[int, int], Fraction] = {}
+        by_row: dict[int, dict[int, Fraction]] = {}
+        for (k, c), w in other.entries.items():
+            by_row.setdefault(k, {})[c] = w
+        acc: dict[int, dict[int, Fraction]] = {}
         for (r, k), v in self.entries.items():
-            for c, w in by_row.get(k, ()):
-                key = (r, c)
-                s = acc.get(key, ZERO) + v * w
-                if s:
-                    acc[key] = s
-                else:
-                    acc.pop(key, None)
-        return RationalMatrix(self.rows, other.cols, acc)
+            if k in by_row:
+                accumulate(acc.setdefault(r, {}), by_row[k].items(), v)
+        return RationalMatrix(self.rows, other.cols, {(r, c): s for r, row in acc.items() for c, s in row.items()})
 
     def apply(self, vector: Sequence[Fraction]) -> list[Fraction]:
         if len(vector) != self.cols:
@@ -197,34 +200,44 @@ class RowReduction:
     kernel: list[list[Fraction]]
 
 
-def _eliminate(rows: list[dict[int, Fraction]]) -> list[tuple[int, dict[int, Fraction]]]:
-    """Reduce sparse rows to a fully reduced echelon list of (pivot, row).
+class Echelon(dict):
+    """A growing span of sparse rows over Q, kept in reduced row-echelon form.
 
-    Fraction-free Gauss-Jordan on int rows (Bareiss 1968; see the module
-    docstring): rows are combined as b/g * row - a/g * prow, g = gcd(a, b).
+    Rows are dicts column -> value with Fraction or int values.  The span
+    is stored fraction-free on Python ints (see the module docstring), as
+    a dict pivot -> basis row: each basis row is primitive, positive at
+    its pivot (its first column) and zero in every other pivot column,
+    and ``len`` is the dimension.  An insertion reduces the row against
+    the span, combining b/g * row - a/g * prow with g = gcd(a, b), then
+    eliminates the new pivot from the earlier rows.
     """
-    # pivot -> primitive int row, zero in every other pivot column
-    reduced: dict[int, dict[int, int]] = {}
-    for frow in rows:
-        den = lcm(*[v.denominator for v in frow.values()])
-        row = {c: v.numerator * (den // v.denominator) for c, v in frow.items()}
-        # forward-reduce; each pivot row is zero in the other pivot columns,
-        # so the order of the steps does not matter
-        for pivot in [c for c in row if c in reduced]:
-            prow = reduced[pivot]
-            a, b = row[pivot], prow[pivot]
+
+    def reduce(self, row: dict[int, Fraction | int]) -> dict[int, int]:
+        """What is left of ``row`` after elimination by the basis rows, on ints.
+
+        The remainder is scaled by a positive factor to integers, and is
+        empty exactly when ``row`` lies in the span.  Zero values in
+        ``row`` are ignored.
+        """
+        den = lcm(*[v.denominator for v in row.values()])
+        out = {c: v.numerator * (den // v.denominator) for c, v in row.items() if v}
+        # each basis row is zero in the other pivot columns, so the order
+        # of the steps does not matter
+        for pivot in [c for c in out if c in self]:
+            prow = self[pivot]
+            a, b = out[pivot], prow[pivot]
             g = gcd(a, b)
             a, b = a // g, b // g
             if b != 1:
-                row = {c: b * v for c, v in row.items()}
-            for c, v in prow.items():
-                s = row.get(c, 0) - a * v
-                if s:
-                    row[c] = s
-                else:
-                    del row[c]
+                out = {c: b * v for c, v in out.items()}
+            accumulate(out, prow.items(), -a)
+        return out
+
+    def insert(self, row: dict[int, Fraction | int]) -> bool:
+        """Add ``row`` to the span; False, changing nothing, when it already lies in it."""
+        row = self.reduce(row)
         if not row:
-            continue
+            return False
         pivot = min(row)
         g = gcd(*row.values())
         if row[pivot] < 0:
@@ -233,27 +246,32 @@ def _eliminate(rows: list[dict[int, Fraction]]) -> list[tuple[int, dict[int, Fra
             row = {c: v // g for c, v in row.items()}
         # back-eliminate the new pivot from earlier rows
         b = row[pivot]
-        for p, prow in reduced.items():
+        for p, prow in self.items():
             a = prow.get(pivot)
             if a:
                 g = gcd(a, b)
                 a, scale = a // g, b // g
                 new = {c: scale * v for c, v in prow.items()} if scale != 1 else prow
-                for c, v in row.items():
-                    s = new.get(c, 0) - a * v
-                    if s:
-                        new[c] = s
-                    else:
-                        del new[c]
+                accumulate(new, row.items(), -a)
                 g = gcd(*new.values())
-                if g != 1:
-                    new = {c: v // g for c, v in new.items()}
-                reduced[p] = new
-        reduced[pivot] = row
-    return [
-        (pivot, {c: Fraction(v, row[pivot]) for c, v in row.items()})
-        for pivot, row in sorted(reduced.items())
-    ]
+                self[p] = {c: v // g for c, v in new.items()} if g != 1 else new
+        self[pivot] = row
+        return True
+
+    def rref(self) -> list[tuple[int, dict[int, Fraction]]]:
+        """The reduced row-echelon form over Q as (pivot, row) pairs, by pivot."""
+        return [
+            (pivot, {c: Fraction(v, row[pivot]) for c, v in row.items()})
+            for pivot, row in sorted(self.items())
+        ]
+
+
+def _eliminate(rows: Iterable[dict[int, Fraction]]) -> list[tuple[int, dict[int, Fraction]]]:
+    """Reduce sparse rows to a fully reduced echelon list of (pivot, row)."""
+    span = Echelon()
+    for row in rows:
+        span.insert(row)
+    return span.rref()
 
 
 # the largest prime below 2**30: every residue is a single CPython digit
@@ -263,8 +281,9 @@ _PRIME = 1073741789
 def _rank_mod_p(rows: list[dict[int, Fraction]], cols: int) -> Optional[int]:
     """Rank of the rows modulo p, by Gauss-Jordan elimination mod p.
 
-    The sibling of ``_eliminate`` over GF(p), stopping once the rank
-    reaches ``cols``.  Returns None when p divides a denominator, since
+    The sibling of ``Echelon`` over GF(p), stopping once the rank
+    reaches ``cols``.  It keeps its own loop, the hot path of the
+    full-rank certificate.  Returns None when p divides a denominator, since
     the residues would then say nothing about the rational matrix.
     """
     if cols == 0:
@@ -317,11 +336,7 @@ def _reduction(reduced: list[tuple[int, dict[int, Fraction]]], rows: int, cols: 
     """Rref, pivots and free-variable kernel basis of an ``_eliminate`` result."""
     pivots = [p for p, _ in reduced]
     pivot_set = set(pivots)
-    entries = {}
-    for r, (_, row) in enumerate(reduced):
-        for c, v in row.items():
-            entries[(r, c)] = v
-    rref = RationalMatrix(rows, cols, entries)
+    rref = RationalMatrix(rows, cols, {(r, c): v for r, (_, row) in enumerate(reduced) for c, v in row.items()})
 
     kernel: list[list[Fraction]] = []
     for free in range(cols):
@@ -345,17 +360,15 @@ def row_reduce(m: RationalMatrix) -> RowReduction:
     rank (see the module docstring); the result is identical to
     eliminating every row over Q.
     """
-    sparse_rows: list[dict[int, Fraction]] = [{} for _ in range(m.rows)]
-    for (r, c), v in m.entries.items():
-        sparse_rows[r][c] = v
-    if _rank_mod_p(sparse_rows, m.cols) == m.cols:
+    rows = m.sparse_rows()
+    if _rank_mod_p(rows, m.cols) == m.cols:
         return RowReduction(
             rref=RationalMatrix(m.rows, m.cols, {(i, i): Fraction(1) for i in range(m.cols)}),
             rank=m.cols,
             pivots=list(range(m.cols)),
             kernel=[],
         )
-    return _reduction(_eliminate(sparse_rows), m.rows, m.cols)
+    return _reduction(_eliminate(rows), m.rows, m.cols)
 
 
 def solve(m: RationalMatrix, rhs: Sequence[Fraction]) -> Optional[list[Fraction]]:
@@ -367,15 +380,12 @@ def solve(m: RationalMatrix, rhs: Sequence[Fraction]) -> Optional[list[Fraction]
     if len(rhs) != m.rows:
         raise ValueError(f"rhs length {len(rhs)} does not match {m.rows} rows")
     aug = m.cols  # augmented column index
-    sparse_rows: list[dict[int, Fraction]] = [{} for _ in range(m.rows)]
-    for (r, c), v in m.entries.items():
-        sparse_rows[r][c] = v
-    for r, v in enumerate(rhs):
+    rows = m.sparse_rows()
+    for row, v in zip(rows, rhs):
         if v:
-            sparse_rows[r][aug] = Fraction(v)
-    reduced = _eliminate(sparse_rows)
+            row[aug] = Fraction(v)
     solution = [ZERO] * m.cols
-    for pivot, row in reduced:
+    for pivot, row in _eliminate(rows):
         if pivot == aug:
             return None  # row 0 = 1: inconsistent
         solution[pivot] = row.get(aug, ZERO)
@@ -430,11 +440,5 @@ def eval_poly_matrix(coeffs: Sequence[Fraction], m: RationalMatrix) -> RationalM
         acc = acc @ m
         if c:
             c = Fraction(c)
-            entries = acc.entries
-            for i in range(m.rows):
-                s = entries.get((i, i), ZERO) + c
-                if s:
-                    entries[(i, i)] = s
-                else:
-                    del entries[(i, i)]
+            accumulate(acc.entries, [((i, i), c) for i in range(m.rows)])
     return acc

@@ -29,8 +29,8 @@ from typing import Optional, Sequence
 
 from . import algebra
 from .algebra import VIRASORO, BLOCK_B, AlgebraVariant, BasisKey, bracket_terms, parse_variant
-from .linalg import RationalMatrix, row_reduce
-from .rationals import ZERO, format_rational, parse_rational
+from .linalg import Echelon, RationalMatrix, row_reduce
+from .rationals import ZERO, accumulate, format_rational, parse_rational
 
 
 @dataclass(frozen=True)
@@ -408,22 +408,10 @@ def extension_space(
                         kept = range(dims[k])
                     for u in range(dims[k + a + b]):
                         for v in kept:
-                            cell: dict[int, Fraction] = {}
-
-                            def bump(key: tuple, value: Fraction) -> None:
-                                if value:
-                                    pos = index[key]
-                                    s = cell.get(pos, ZERO) + value
-                                    if s:
-                                        cell[pos] = s
-                                    else:
-                                        cell.pop(pos, None)
-
-                            for r in range(dims[k + a]):
-                                bump((level, a, k, r, v), rho_tgt.entry(u, r))
-                            for s in range(dims[k + b]):
-                                bump((level, a, k + b, u, s), -rho_src.entry(s, v))
-                            bump((level, a + b, k, u, v), -coeff)
+                            left = [(index[(level, a, k, r, v)], rho_tgt.entry(u, r)) for r in range(dims[k + a])]
+                            right = [(index[(level, a, k + b, u, s)], rho_src.entry(s, v)) for s in range(dims[k + b])]
+                            right.append((index[(level, a + b, k, u, v)], coeff))
+                            cell = accumulate(accumulate({}, left), right, -1)
                             if cell:
                                 rows.append(cell)
 
@@ -437,11 +425,7 @@ def extension_space(
             quadratic_decided=False,
         )
 
-    entries = {}
-    for r, cell in enumerate(rows):
-        for c, v in cell.items():
-            entries[(r, c)] = v
-    reduction = row_reduce(RationalMatrix(len(rows), n_unknowns, entries))
+    reduction = row_reduce(RationalMatrix.from_sparse_rows(rows, n_unknowns))
     kernel = reduction.kernel
     kdim = len(kernel)
 
@@ -531,11 +515,7 @@ def extension_space(
         return ExtensionReport(
             kdim, False, len(rows), n_unknowns, linear_kernel=kdim, basis=decoded
         )
-    qentries = {}
-    for r, cell in enumerate(quad_rows):
-        for c, v in cell.items():
-            qentries[(r, c)] = v
-    qreduction = row_reduce(RationalMatrix(len(quad_rows), len(mono_index), qentries))
+    qreduction = row_reduce(RationalMatrix.from_sparse_rows(quad_rows, len(mono_index)))
     # any solution s embeds as the monomial vector (s (x) s, s); coordinate m
     # dies whenever the monomial kernel forces either s_m or its square z_mm
     # to zero, so the variety is {0} once every coordinate is dead
@@ -573,28 +553,10 @@ def submodule_closure(
     so generators into it are skipped.
     """
     gens = [BasisKey(*g) for g in (generators if generators is not None else mod.generators)]
-    spans: dict[int, list[tuple[int, dict[int, Fraction]]]] = {k: [] for k in mod.indices()}
+    spans = {k: Echelon() for k in mod.indices()}
 
     def insert(k: int, dense: Sequence[Fraction]) -> bool:
-        vec = {i: Fraction(v) for i, v in enumerate(dense) if v}
-        span = spans[k]
-        for pivot, row in span:
-            coeff = vec.get(pivot)
-            if coeff:
-                for c, v in row.items():
-                    s = vec.get(c, ZERO) - coeff * v
-                    if s:
-                        vec[c] = s
-                    else:
-                        vec.pop(c, None)
-        if not vec:
-            return False
-        pivot = min(vec)
-        inv = 1 / vec[pivot]
-        vec = {c: v * inv for c, v in vec.items()}
-        span.append((pivot, vec))
-        span.sort(key=lambda pr: pr[0])
-        return True
+        return spans[k].insert(dict(enumerate(dense)))
 
     frontier: list[tuple[int, list[Fraction]]] = []
     for k, vectors in seeds.items():
@@ -681,27 +643,12 @@ def find_intertwiner(
             rb = mb.act(g, k)
             for u in range(mb.dims[t]):
                 for v in range(ma.dims[k]):
-                    cell: dict[int, Fraction] = {}
-                    for r in range(ma.dims[t]):
-                        coeff = ra.entry(r, v)
-                        if coeff:
-                            idx = index[(t, u, r)]
-                            cell[idx] = cell.get(idx, ZERO) + coeff
-                    for s in range(mb.dims[k]):
-                        coeff = rb.entry(u, s)
-                        if coeff:
-                            idx = index[(k, s, v)]
-                            cell[idx] = cell.get(idx, ZERO) - coeff
-                    cell = {i: v2 for i, v2 in cell.items() if v2}
+                    cell = accumulate({}, [(index[(t, u, r)], ra.entry(r, v)) for r in range(ma.dims[t])])
+                    accumulate(cell, [(index[(k, s, v)], rb.entry(u, s)) for s in range(mb.dims[k])], -1)
                     if cell:
                         rows.append(cell)
 
-    entries = {}
-    for r, cell in enumerate(rows):
-        for c, v in cell.items():
-            entries[(r, c)] = v
-    system = RationalMatrix(len(rows), len(index), entries)
-    kernel = row_reduce(system).kernel
+    kernel = row_reduce(RationalMatrix.from_sparse_rows(rows, len(index))).kernel
     if not kernel:
         return None
 
@@ -784,19 +731,11 @@ def tensor(ma: WindowedModule, mb: WindowedModule) -> WindowedModule:
             entries: dict[tuple[int, int], Fraction] = {}
             for col, (p, ia, q, ib) in enumerate(pairs[k]):
                 if ma.in_range(p + d):
-                    mat = ma.act(g, p)
-                    for r in range(ma.dims[p + d]):
-                        v = mat.entry(r, ia)
-                        if v:
-                            row = position[(p + d, r, q, ib)]
-                            entries[(row, col)] = entries.get((row, col), ZERO) + v
+                    image = enumerate(ma.act(g, p).column_vector(ia))
+                    accumulate(entries, (((position[(p + d, r, q, ib)], col), v) for r, v in image))
                 if mb.in_range(q + d):
-                    mat = mb.act(g, q)
-                    for r in range(mb.dims[q + d]):
-                        v = mat.entry(r, ib)
-                        if v:
-                            row = position[(p, ia, q + d, r)]
-                            entries[(row, col)] = entries.get((row, col), ZERO) + v
+                    image = enumerate(mb.act(g, q).column_vector(ib))
+                    accumulate(entries, (((position[(p, ia, q + d, r)], col), v) for r, v in image))
             actions[(g, k)] = RationalMatrix(dims[k + d], dims[k], entries)
     return WindowedModule(
         ma.variant,
@@ -868,11 +807,9 @@ def adjoint_window(m: int, n: int, lo: int, hi: int, gen_degree: int = 2) -> Win
                 level = lab[1]
                 terms, central_coeff = bracket_terms(variant, g, BasisKey(k, level))
                 for key, coeff in terms.items():
-                    row = position[t][("g", key.level)]
-                    entries[(row, col)] = entries.get((row, col), ZERO) + coeff
+                    entries[(position[t][("g", key.level)], col)] = coeff
                 if central_coeff:
-                    row = position[t][("c",)]
-                    entries[(row, col)] = entries.get((row, col), ZERO) + central_coeff
+                    entries[(position[t][("c",)], col)] = central_coeff
             actions[(g, k)] = RationalMatrix(dims[t], dims[k], entries)
     return WindowedModule(variant, ZERO, lo, hi, dims, generators, actions, ZERO, labels=labels)
 
@@ -970,16 +907,7 @@ def core_spanning_check(mod: WindowedModule) -> bool:
                 columns.append(mat.column_vector(c))
         if not columns:
             return False
-        stacked = RationalMatrix(
-            mod.dims[k],
-            len(columns),
-            {
-                (r, c): v
-                for c, colvec in enumerate(columns)
-                for r, v in enumerate(colvec)
-                if v
-            },
-        )
-        if row_reduce(stacked).rank != mod.dims[k]:
+        rows = [{c: col[r] for c, col in enumerate(columns) if col[r]} for r in range(mod.dims[k])]
+        if row_reduce(RationalMatrix.from_sparse_rows(rows, len(columns))).rank != mod.dims[k]:
             return False
     return True

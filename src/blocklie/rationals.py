@@ -6,11 +6,16 @@ algebras and the integral coefficients of polynomials are plain ints;
 a polynomial keeps a ``Fraction`` only for a non-integral coefficient.
 The wire format is the compact string ``"p/q"``, shortened to ``"p"``
 when the denominator is one, for an int and a Fraction alike.
+
+Sparse vectors are dicts from keys to nonzero coefficients, and every
+sum into one goes through ``accumulate``, which adds scaled values and
+drops the entries that cancel.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Iterable
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -33,3 +38,27 @@ def parse_rational(text: str | int) -> Fraction:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed rational {text!r}") from exc
+
+
+def accumulate(target: dict, pairs: Iterable[tuple], scale=1) -> dict:
+    """Add ``scale * value`` into ``target[key]`` for each (key, value) pair.
+
+    An entry whose sum is zero is dropped, so ``target`` stays a sparse
+    vector of nonzero coefficients.  A value for an absent key is stored
+    as it is, so ints stay ints and Fractions stay Fractions, and a zero
+    value for an absent key is skipped.  Any ring element with
+    ``__bool__`` works as a value.  ``scale == 1`` multiplies nothing.
+    Returns ``target``.
+    """
+    scaled = scale != 1
+    for key, value in pairs:
+        if scaled:
+            value = scale * value
+        old = target.get(key)
+        if old is not None:
+            value = old + value
+        if value:
+            target[key] = value
+        else:
+            target.pop(key, None)
+    return target

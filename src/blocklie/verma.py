@@ -28,9 +28,9 @@ from typing import Sequence
 
 from . import algebra
 from .algebra import BasisKey, bracket_terms
-from .linalg import RationalMatrix, row_reduce, stack_rows
+from .linalg import RationalMatrix, row_reduce
 from .modules import WindowedModule
-from .rationals import ZERO, format_rational, parse_rational
+from .rationals import accumulate, format_rational, parse_rational
 
 Monomial = tuple[tuple[int, int], ...]
 
@@ -123,28 +123,16 @@ def normal_order(word: Sequence[tuple[int, int]], n: int) -> dict[Monomial, Frac
         w, coeff = pending.popitem()
         spot = next((t for t in range(len(w) - 1) if w[t] < w[t + 1]), None)
         if spot is None:
-            s = done.get(w, ZERO) + coeff
-            if s:
-                done[w] = s
-            else:
-                done.pop(w, None)
+            accumulate(done, ((w, coeff),))
             continue
         swapped = w[:spot] + (w[spot + 1], w[spot]) + w[spot + 2 :]
-        s = pending.get(swapped, ZERO) + coeff
-        if s:
-            pending[swapped] = s
-        else:
-            pending.pop(swapped, None)
+        accumulate(pending, ((swapped, coeff),))
         (a1, l1), (a2, l2) = w[spot], w[spot + 1]
         # [L_{-a1,l1}, L_{-a2,l2}] = ((l2+1) a1 - (l1+1) a2) L_{-(a1+a2), l1+l2}
         cbr = (l2 + 1) * a1 - (l1 + 1) * a2
         if cbr and l1 + l2 <= n:
             corrected = w[:spot] + ((a1 + a2, l1 + l2),) + w[spot + 2 :]
-            s = pending.get(corrected, ZERO) + coeff * cbr
-            if s:
-                pending[corrected] = s
-            else:
-                pending.pop(corrected, None)
+            accumulate(pending, ((corrected, coeff),), cbr)
     return done
 
 
@@ -166,15 +154,6 @@ class VermaAction:
         if cached is not None:
             return cached
         out: dict[Monomial, Fraction] = {}
-
-        def accumulate(target: dict, vec: dict, scale: Fraction) -> None:
-            for w, c in vec.items():
-                s = target.get(w, ZERO) + scale * c
-                if s:
-                    target[w] = s
-                else:
-                    target.pop(w, None)
-
         if not word:
             if alpha > 0:
                 pass  # positive part annihilates the cyclic vector
@@ -183,19 +162,19 @@ class VermaAction:
             else:
                 out = {((-alpha, level),): Fraction(1)}
         elif alpha < 0:
-            accumulate(out, normal_order(((-alpha, level),) + word, self.n), Fraction(1))
+            accumulate(out, normal_order(((-alpha, level),) + word, self.n).items())
         else:
             head, rest = word[0], word[1:]
             # move the generator past the leading factor
             through = self.act_generator(alpha, level, rest)
             for w, c in through.items():
-                accumulate(out, normal_order((head,) + w, self.n), c)
+                accumulate(out, normal_order((head,) + w, self.n).items(), c)
             fa, fl = head
             terms, central_coeff = bracket_terms(self.variant, BasisKey(alpha, level), BasisKey(-fa, fl))
             for bkey, bc in terms.items():
-                accumulate(out, self.act_generator(bkey.alpha, bkey.level, rest), bc)
+                accumulate(out, self.act_generator(bkey.alpha, bkey.level, rest).items(), bc)
             if central_coeff:
-                accumulate(out, {rest: Fraction(1)}, central_coeff * self.lam.c)
+                accumulate(out, ((rest, central_coeff * self.lam.c),))
         self._cache[key] = out
         return out
 
@@ -207,23 +186,8 @@ class VermaAction:
             else:
                 g = BasisKey(*generator)
                 image = self.act_generator(g.alpha, g.level, word)
-            for w, c in image.items():
-                s = out.get(w, ZERO) + coeff * c
-                if s:
-                    out[w] = s
-                else:
-                    out.pop(w, None)
+            accumulate(out, image.items(), coeff)
         return out
-
-
-def act_verma(
-    generator: BasisKey | str,
-    vector: dict[Monomial, Fraction],
-    lam: WeightFunctional,
-    n: int,
-) -> dict[Monomial, Fraction]:
-    """One-shot wrapper around VermaAction for a single application."""
-    return VermaAction(lam, n).act(generator, vector)
 
 
 def positive_generators(n: int) -> list[BasisKey]:
@@ -256,17 +220,16 @@ def singular_vectors(lam: WeightFunctional, n: int, depth: int) -> list[dict[Mon
         return [{(): Fraction(1)}]
     action = VermaAction(lam, n)
     basis = verma_basis(n, depth)
-    col_index = {w: i for i, w in enumerate(basis)}
-    blocks = []
+    rows: list[dict[int, Fraction]] = []
     for g in positive_generators(n):
         target = verma_basis(n, depth - g.alpha) if depth - g.alpha >= 0 else []
         row_index = {w: i for i, w in enumerate(target)}
-        entries = {}
+        block: list[dict[int, Fraction]] = [{} for _ in target]
         for col, word in enumerate(basis):
             for w, c in action.act_generator(g.alpha, g.level, word).items():
-                entries[(row_index[w], col)] = c
-        blocks.append(RationalMatrix(len(target), len(basis), entries))
-    kernel = row_reduce(stack_rows(blocks)).kernel
+                block[row_index[w]][col] = c
+        rows += block
+    kernel = row_reduce(RationalMatrix.from_sparse_rows(rows, len(basis))).kernel
 
     vectors = []
     for vec in kernel:

@@ -251,6 +251,17 @@ def test_spanning_and_extension_commands(capsys):
     assert "dimension: 0" in out
 
 
+def test_extension_without_equations_is_a_usage_error(capsys):
+    # a one-index window gives no equation: reporting it would pass vacuously
+    code, out, err = run(
+        capsys, "module", "--family", "Aab", "--a", "1/2", "--b", "2", "--range", "0:0",
+        "--level-cap", "1", "extension",
+    )
+    assert code == 2
+    assert out == ""
+    assert "range 0:0" in err and "level cap 1" in err
+
+
 def test_intertwiner_command(capsys):
     code, out, _ = run(
         capsys, "module", "--family", "Aab", "--a", "1/2", "--b", "1", "--to-b", "0",

@@ -19,7 +19,7 @@ from blocklie.linalg import (
     solve,
     stack_rows,
 )
-from blocklie.rationals import ZERO, format_rational, parse_rational
+from blocklie.rationals import ZERO, accumulate, format_rational, parse_rational
 
 
 def test_identity_full_rank():
@@ -132,6 +132,31 @@ def test_matrix_json_roundtrip():
     assert RationalMatrix.from_json(m.to_json()) == m
 
 
+def test_accumulate_drops_an_entry_that_cancels():
+    target = {"x": Fraction(1, 2), "y": 3}
+    assert accumulate(target, [("x", Fraction(-1, 2))]) is target
+    assert target == {"y": 3}
+
+
+def test_accumulate_tolerates_zero_for_an_absent_key():
+    assert accumulate({}, [("x", 0), ("y", Fraction(0))]) == {}
+    assert accumulate({"y": 1}, [("x", ZERO)], Fraction(2, 3)) == {"y": 1}
+
+
+def test_accumulate_keeps_ints_and_fractions():
+    out = accumulate({}, [("i", 2), ("i", 3), ("f", Fraction(3, 2)), ("g", Fraction(4, 2))])
+    assert out == {"i": 5, "f": Fraction(3, 2), "g": 2}
+    assert type(out["i"]) is int
+    assert type(out["f"]) is Fraction and type(out["g"]) is Fraction
+
+
+def test_accumulate_uses_scale():
+    out = accumulate({"x": 1, "z": 6}, [("x", 2), ("y", Fraction(1, 3)), ("z", 2)], -3)
+    assert out == {"x": -5, "y": -1}
+    assert type(out["x"]) is int and type(out["y"]) is Fraction
+    assert accumulate({}, [("x", 4)], Fraction(1, 2)) == {"x": 2}
+
+
 def test_rational_wire_format():
     assert format_rational(Fraction(3)) == "3"
     assert format_rational(Fraction(-1, 2)) == "-1/2"
@@ -190,6 +215,71 @@ def _reference_eliminate(rows):
         reduced.append((pivot, row))
     reduced.sort(key=lambda pr: pr[0])
     return reduced
+
+
+def _reference_reduce_vec(span, vec):
+    """Reduction against a fully reduced Fraction span, frozen from ``generation_closure``."""
+    vec = dict(vec)
+    for pivot, row in span:
+        coeff = vec.get(pivot)
+        if coeff:
+            for c, v in row.items():
+                s = vec.get(c, ZERO) - coeff * v
+                if s:
+                    vec[c] = s
+                else:
+                    vec.pop(c, None)
+    return vec
+
+
+def _reference_closure_insert(span, vec):
+    """Insertion with back-elimination, frozen from ``generation_closure``."""
+    vec = _reference_reduce_vec(span, vec)
+    if not vec:
+        return False
+    pivot = min(vec)
+    inv = 1 / vec[pivot]
+    vec = {c: v * inv for c, v in vec.items()}
+    for idx, (p, row) in enumerate(span):
+        coeff = row.get(pivot)
+        if coeff:
+            new = dict(row)
+            for c, v in vec.items():
+                s = new.get(c, ZERO) - coeff * v
+                if s:
+                    new[c] = s
+                else:
+                    new.pop(c, None)
+            span[idx] = (p, new)
+    span.append((pivot, vec))
+    span.sort(key=lambda pr: pr[0])
+    return True
+
+
+def _reference_forward_insert(span, dense):
+    """Forward-only insertion of a dense vector, frozen from ``submodule_closure``.
+
+    ``not _reference_forward_insert(list(span), dense)`` tests membership
+    without changing ``span``.
+    """
+    vec = {i: Fraction(v) for i, v in enumerate(dense) if v}
+    for pivot, row in span:
+        coeff = vec.get(pivot)
+        if coeff:
+            for c, v in row.items():
+                s = vec.get(c, ZERO) - coeff * v
+                if s:
+                    vec[c] = s
+                else:
+                    vec.pop(c, None)
+    if not vec:
+        return False
+    pivot = min(vec)
+    inv = 1 / vec[pivot]
+    vec = {c: v * inv for c, v in vec.items()}
+    span.append((pivot, vec))
+    span.sort(key=lambda pr: pr[0])
+    return True
 
 
 def _reference_row_reduce(m):

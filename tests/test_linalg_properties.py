@@ -1,4 +1,4 @@
-"""Property test: row_reduce against the frozen Fraction Gauss-Jordan reference."""
+"""Property tests: the integer elimination kernel against frozen Fraction references."""
 
 from fractions import Fraction
 
@@ -7,9 +7,15 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
-from test_linalg import _reference_row_reduce  # noqa: E402
+from test_linalg import (  # noqa: E402
+    _reference_closure_insert,
+    _reference_eliminate,
+    _reference_forward_insert,
+    _reference_reduce_vec,
+    _reference_row_reduce,
+)
 
-from blocklie.linalg import RationalMatrix, row_reduce  # noqa: E402
+from blocklie.linalg import Echelon, RationalMatrix, row_reduce  # noqa: E402
 
 _entries = st.one_of(
     st.just(Fraction(0)),
@@ -39,3 +45,41 @@ def test_row_reduce_matches_reference_and_kernel_annihilates(m):
     assert got.rank + len(got.kernel) == m.cols
     for vec in got.kernel:
         assert m.apply(vec) == [0] * m.rows
+
+
+_nonzero = st.fractions(min_value=-12, max_value=12, max_denominator=9).filter(bool)
+
+
+@st.composite
+def _sparse_rows(draw):
+    """Column count, sparse p/q rows and probe rows; combinations make dependent rows common."""
+    cols = draw(st.integers(1, 6))
+    row = st.dictionaries(st.integers(0, cols - 1), _nonzero, max_size=cols)
+    rows = draw(st.lists(row, max_size=6))
+    probes = draw(st.lists(row, max_size=3))
+    for target in (rows, probes):
+        for _ in range(draw(st.integers(0, 3)) if rows else 0):
+            i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
+            s, t = draw(_nonzero), draw(_nonzero)
+            combo = {c: s * rows[i].get(c, 0) + t * rows[j].get(c, 0) for c in range(cols)}
+            target.append({c: v for c, v in combo.items() if v})
+    return cols, rows, probes
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(_sparse_rows())
+def test_echelon_matches_both_closure_references(data):
+    cols, rows, probes = data
+
+    def dense(row):
+        return [row.get(c, Fraction(0)) for c in range(cols)]
+
+    span, closure, forward = Echelon(), [], []
+    for row in rows:
+        assert span.insert(row) == _reference_closure_insert(closure, row) == _reference_forward_insert(forward, dense(row))
+        assert len(span) == len(closure) == len(forward)
+    for probe in rows + probes:
+        member = not span.reduce(probe)
+        assert member == (not _reference_reduce_vec(closure, probe))
+        assert member == (not _reference_forward_insert(list(forward), dense(probe)))
+    assert span.rref() == _reference_eliminate(rows) == closure

@@ -10,7 +10,6 @@ from blocklie.modules import check_module_axioms
 from blocklie.verma import (
     VermaAction,
     WeightFunctional,
-    act_verma,
     normal_order,
     partition_dimensions,
     positive_generators,
@@ -83,7 +82,7 @@ def test_action_examples():
     assert action.act_generator(0, 1, ()) == {(): lam[1]}
     vec = {((1, 1), (1, 0)): F(2)}
     assert action.act("C", vec) == {((1, 1), (1, 0)): 2 * lam.c}
-    assert act_verma(BasisKey(0, 0), {(): F(1)}, lam, 1) == {(): lam[0]}
+    assert VermaAction(lam, 1).act(BasisKey(0, 0), {(): F(1)}) == {(): lam[0]}
 
 
 def test_action_respects_brackets():
