@@ -20,6 +20,10 @@ Brackets:
           + delta_{a+b,0} (-1)^i i! j! binom(a+i, i+j+1) C,
           expanded by the binomial theorem in the commuting symbol D
 
+``bracket_terms`` is the only place these structure constants live and
+``_bilinear`` the one bilinear extension of them; every other bracket in
+the package but the independent Laurent model reads one of the two.
+
 The quotient fixes the base algebra B; its level band [m, n] is closed
 under the projected bracket because the discarded levels span an ideal.
 The central element is kept only in quotients with m = 0 (a bracket can
@@ -28,6 +32,7 @@ produce C only at level 0).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -78,6 +83,7 @@ W_1INF = AlgebraVariant("w1inf")
 W_INF = AlgebraVariant("winf")
 
 
+@functools.cache  # one frozen value per band, so the Verma straightening builds none per call
 def quotient(m: int, n: int) -> AlgebraVariant:
     """The quotient of the level-m part of B by levels above n."""
     return AlgebraVariant("quotient", m, n)
@@ -122,10 +128,6 @@ def key_valid(variant: AlgebraVariant, key: BasisKey) -> bool:
     return variant.m <= i <= variant.n
 
 
-def central_allowed(variant: AlgebraVariant) -> bool:
-    return variant.kind != "quotient" or variant.m == 0
-
-
 def _w_cocycle(a: int, i: int, j: int) -> int:
     """Central pairing of x^a D^i with x^-a D^j in the W algebras.
 
@@ -148,38 +150,21 @@ def _w_cocycle(a: int, i: int, j: int) -> int:
 def bracket_terms(variant: AlgebraVariant, x: BasisKey, y: BasisKey) -> tuple[dict[BasisKey, int], int | Fraction]:
     """Structure constants: the bracket of two basis generators.
 
-    Returns the generator terms and the coefficient of C.  Keys falling
-    outside a quotient's level band are discarded (quotient projection).
-    Every coefficient is an int except the Virasoro central term
-    (a^3-a)/12, an exact Fraction; (a^3-a)/6 is integral because
-    (a-1)a(a+1) is divisible by 6.
+    The only place the structure constants live (see the module
+    docstring).  Returns the generator terms and the coefficient of C.
+    Keys falling outside a quotient's level band are discarded (quotient
+    projection).  Every coefficient is an int except the Virasoro
+    central term (a^3-a)/12, an exact Fraction; (a^3-a)/6 is integral
+    because (a-1)a(a+1) is divisible by 6.  The degrees and levels may
+    be any ring elements (``identities`` passes polynomials); a central
+    term is then reached only when a + b == 0 holds.
     """
     a, i = x
     b, j = y
     kind = variant.kind
     terms: dict[BasisKey, int] = {}
     central = 0
-    if kind == "virasoro":
-        c = b - a
-        if c:
-            terms[BasisKey(a + b, 0)] = c
-        if a + b == 0:
-            central = Fraction(a**3 - a, 12)
-    elif kind in ("block", "quotient"):
-        c = (i + 1) * b - (j + 1) * a
-        if c:
-            key = BasisKey(a + b, i + j)
-            if kind != "quotient" or key.level <= variant.n:
-                terms[key] = c
-        if a + b == 0 and i + j == 0:
-            central = (a**3 - a) // 6
-    elif kind == "blockbar":
-        c = (i + 1) * b - (j + 1) * a
-        if c:
-            terms[BasisKey(a + b, i + j)] = c
-        if a + b == 0 and i + j == -2:
-            central = a
-    else:  # w1inf / winf: expand (D+b)^i D^j - D^i (D+a)^j
+    if kind in ("w1inf", "winf"):  # expand (D+b)^i D^j - D^i (D+a)^j
         for r in range(i + 1):
             coeff = math.comb(i, r) * b ** (i - r)
             if coeff:
@@ -193,6 +178,18 @@ def bracket_terms(variant: AlgebraVariant, x: BasisKey, y: BasisKey) -> tuple[di
         terms = {k: v for k, v in terms.items() if v}
         if a + b == 0:
             central = _w_cocycle(a, i, j)
+        return terms, central
+    # Block's constants; Vir is the level-0 case, where they read b - a
+    c = (i + 1) * b - (j + 1) * a
+    if c and (kind != "quotient" or i + j <= variant.n):
+        terms[BasisKey(a + b, i + j)] = c
+    if a + b == 0:
+        if kind == "virasoro":
+            central = Fraction(a**3 - a, 12)
+        elif kind == "blockbar":
+            central = a if i + j == -2 else 0
+        elif i + j == 0:
+            central = (a**3 - a) // 6
     return terms, central
 
 
@@ -218,7 +215,7 @@ class AlgebraElement:
                 if coeff != 0:
                     self.terms[key] = coeff
         self.central = Fraction(central)
-        if self.central and not central_allowed(variant):
+        if self.central and variant.kind == "quotient" and variant.m:  # C only when the band has level 0
             raise ValueError(f"variant {variant} has no central element")
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
@@ -517,37 +514,24 @@ def vir_consistency(degree_bound: int) -> dict:
     if degree_bound < 2:
         raise ValueError("need degree_bound >= 2 to see a central term")
     c0 = None
-    ok = True
-    pairs = 0
+    ok = quotient_ok = True
     q00 = quotient(0, 0)
-    quotient_ok = True
     for a in range(-degree_bound, degree_bound + 1):
         for b in range(-degree_bound, degree_bound + 1):
-            pairs += 1
-            lhs = bracket(gen(BLOCK_B, a, 0), gen(BLOCK_B, b, 0))
-            rhs = bracket(gen(VIRASORO, a), gen(VIRASORO, b))
-            lhs_terms = {k.alpha: v for k, v in lhs.terms.items()}
-            rhs_terms = {k.alpha: v for k, v in rhs.terms.items()}
-            if lhs_terms != rhs_terms:
-                ok = False
-            if lhs.central == 0:
-                if rhs.central != 0:
-                    ok = False
-            else:
-                ratio = rhs.central / lhs.central
+            x, y = BasisKey(a, 0), BasisKey(b, 0)
+            (lhs, lhs_c), (rhs, rhs_c), (qlhs, qlhs_c) = (bracket_terms(v, x, y) for v in (BLOCK_B, VIRASORO, q00))
+            if lhs_c:
+                ratio = Fraction(rhs_c) / lhs_c
                 if c0 is None:
                     c0 = ratio
-                elif ratio != c0:
-                    ok = False
-            qlhs = bracket(gen(q00, a, 0), gen(q00, b, 0))
-            if {k.alpha: v for k, v in qlhs.terms.items()} != rhs_terms:
-                quotient_ok = False
-            if (c0 is not None and qlhs.central * c0 != rhs.central) or (c0 is None and qlhs.central != 0 != rhs.central):
-                quotient_ok = False
+                ok = ok and ratio == c0
+            ok = ok and lhs == rhs and (lhs_c != 0 or rhs_c == 0)
+            quotient_ok = quotient_ok and qlhs == rhs
+            quotient_ok = quotient_ok and (qlhs_c * c0 == rhs_c if c0 is not None else qlhs_c == 0 or rhs_c == 0)
     return {
         "homomorphism": ok and c0 is not None,
         "c0": format_rational(c0) if c0 is not None else None,
-        "pairs": pairs,
+        "pairs": (2 * degree_bound + 1) ** 2,
         "quotient_matches": quotient_ok,
     }
 
@@ -557,19 +541,20 @@ def associated_graded_check(degree_bound: int, level_cap: int) -> list[dict]:
 
     For each pair (a,i), (b,j) in the window the bracket of x^a D^{i+1}
     and x^b D^{j+1} is computed in Winf; the coefficient of D^{i+j+1}
-    must equal ((i+1)b - (j+1)a) and no higher power of D may survive.
+    must equal the B structure constant of L_{a,i} and L_{b,j} and no
+    higher power of D may survive.
     """
     violations = []
     for a in range(-degree_bound, degree_bound + 1):
         for i in range(level_cap + 1):
             for b in range(-degree_bound, degree_bound + 1):
                 for j in range(level_cap + 1):
-                    result = bracket(gen(W_INF, a, i + 1), gen(W_INF, b, j + 1))
+                    result, _ = bracket_terms(W_INF, BasisKey(a, i + 1), BasisKey(b, j + 1))
                     top = i + j + 1
-                    expected = Fraction((i + 1) * b - (j + 1) * a)
-                    seen = ZERO
+                    expected = bracket_terms(BLOCK_B, BasisKey(a, i), BasisKey(b, j))[0].get(BasisKey(a + b, i + j), 0)
+                    seen = 0
                     overflow = False
-                    for key, coeff in result.terms.items():
+                    for key, coeff in result.items():
                         if key.level == top:
                             seen = coeff
                         elif key.level > top:
@@ -618,44 +603,30 @@ def generation_closure(
     unit vector lies in the final span.
     """
     keys = window.keys(variant)
-    index = {k: i for i, k in enumerate(keys)}
-    ncols = len(keys) + 1  # final coordinate holds the C component
-    basis_elements = [gen(variant, k.alpha, k.level) for k in keys]
+    index = {k: i for i, k in enumerate(keys)}  # column len(keys) holds the C component
 
-    def to_vec(elem: AlgebraElement) -> dict[int, Fraction]:
-        vec = {}
-        for key, coeff in elem.terms.items():
-            col = index.get(key)
-            if col is not None:
-                vec[col] = coeff
-        if elem.central:
-            vec[ncols - 1] = elem.central
+    def to_vec(terms: dict, central_coeff) -> dict[int, Fraction]:
+        vec = {index[k]: v for k, v in terms.items() if k in index}
+        if central_coeff:
+            vec[len(keys)] = central_coeff
         return vec
-
-    def elem_of_vec(vec: dict[int, Fraction]) -> AlgebraElement:
-        terms = {keys[c]: v for c, v in vec.items() if c < ncols - 1}
-        central_part = vec.get(ncols - 1, ZERO)
-        if not central_allowed(variant):
-            central_part = ZERO
-        return AlgebraElement(variant, terms, central_part)
 
     span = Echelon()
     frontier: list[dict[int, Fraction]] = []
     for seed in seeds:
-        vec = to_vec(gen(variant, seed.alpha, seed.level))
+        vec = to_vec(gen(variant, seed.alpha, seed.level).terms, 0)
         if span.insert(vec):
             frontier.append(vec)
 
+    units = [((k, 1),) for k in keys]
     while frontier:
         new_frontier = []
         for vec in frontier:
-            elem = elem_of_vec(vec)
-            for basis_elem in basis_elements:
-                produced = bracket(basis_elem, elem)
-                if produced.is_zero():
-                    continue
-                pvec = to_vec(produced)
-                if span.insert(pvec):
+            # C brackets to zero, so only the generator coordinates are read
+            yterms = [(keys[c], v) for c, v in vec.items() if c < len(keys)]
+            for unit in units:
+                pvec = to_vec(*_bilinear(bracket_terms, variant, unit, yterms))
+                if pvec and span.insert(pvec):
                     new_frontier.append(pvec)
         frontier = new_frontier
 

@@ -206,10 +206,13 @@ def _cmd_module(args: argparse.Namespace, config: dict) -> int:
     spec = grid[0]
     window = modules.build_window(spec, lo, hi)
     if action == "check":
-        violations = modules.check_module_axioms(window, int(args.pair_degree))
+        pair_degree = int(args.pair_degree)
+        if pair_degree < 0:
+            raise UsageError(f"need --pair-degree >= 0, got {pair_degree}")
+        violations = modules.check_module_axioms(window, pair_degree)
         extended = modules.extend_trivially(window, int(args.level_cap))
         extra = [BasisKey(1, i) for i in range(1, int(args.level_cap) + 1)]
-        violations += modules.check_module_axioms(extended, int(args.pair_degree), extra_keys=extra)
+        violations += modules.check_module_axioms(extended, pair_degree, extra_keys=extra)
         payload = {"command": "module.check", "violations": violations, "passed": not violations}
         rows = [{"check": "module-axioms", "result": "ok" if not violations else "failed"}]
         _finish(args, payload, render_table(rows, ["check", "result"]))

@@ -33,6 +33,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add
 from typing import Sequence
 
 from . import algebra
@@ -95,38 +96,39 @@ def _deg_poly(deg: tuple[int, int, int]) -> MultiPoly:
     return ALPHA.scale(ca) + BETA.scale(cb) + _const(const)
 
 
-def _lev_plus_one(lev: tuple[int, int]) -> MultiPoly:
+def _lev_poly(lev: tuple[int, int]) -> MultiPoly:
     ci, const = lev
-    return I_SYM.scale(ci) + _const(const + 1)
+    return I_SYM.scale(ci) + _const(const)
 
 
 def sym_gen(deg: tuple[int, int, int], lev: tuple[int, int]) -> SymbolicElement:
     return {(deg, lev): _const(1)}
 
 
-def sym_bracket(x: SymbolicElement, y: SymbolicElement) -> SymbolicElement:
-    """Bilinear bracket with generic symbolic degrees.
+def _sym_terms(variant: algebra.AlgebraVariant, x: SymKey, y: SymKey) -> tuple[SymbolicElement, int]:
+    """``bracket_terms`` on symbolic keys, whose degree and level become polynomials."""
+    (d1, l1), (d2, l2) = x, y
+    key = (tuple(map(add, d1, d2)), tuple(map(add, l1, l2)))
+    if not any(key[0] + key[1]):
+        raise ValueError(f"[{x}, {y}] may carry a central term, which a symbolic element has no slot for")
+    terms, _ = algebra.bracket_terms(variant, BasisKey(_deg_poly(d1), _lev_poly(l1)), BasisKey(_deg_poly(d2), _lev_poly(l2)))
+    return {key: c for c in terms.values()}, 0
 
-    Central contributions are delta-supported at degree sum zero and
-    vanish identically for generic symbolic degrees, so they do not
-    appear here; numeric spot checks go through the full engine.
+
+def sym_bracket(x: SymbolicElement, y: SymbolicElement) -> SymbolicElement:
+    """Bilinear bracket in B with generic symbolic degrees, through ``algebra._bilinear``.
+
+    Central contributions are delta-supported at degree and level sum
+    zero and vanish identically for generic symbolic degrees, so they do
+    not appear here; a pair of keys whose degrees and levels both sum to
+    the zero polynomial raises ValueError.  Numeric spot checks go
+    through the full engine.
     """
-    out: SymbolicElement = {}
-    for (d1, l1), c1 in x.items():
-        for (d2, l2), c2 in y.items():
-            coeff = _lev_plus_one(l1) * _deg_poly(d2) - _lev_plus_one(l2) * _deg_poly(d1)
-            key = (tuple(a + b for a, b in zip(d1, d2)), tuple(a + b for a, b in zip(l1, l2)))
-            accumulate(out, ((key, coeff * c1 * c2),))
-    return out
+    return algebra._bilinear(_sym_terms, algebra.BLOCK_B, x.items(), y.items())[0]
 
 
 def sym_scale(x: SymbolicElement, factor: MultiPoly) -> SymbolicElement:
-    out = {}
-    for key, coeff in x.items():
-        p = coeff * factor
-        if not p.is_zero():
-            out[key] = p
-    return out
+    return accumulate({}, x.items(), factor)
 
 
 def _prefactors() -> tuple[MultiPoly, MultiPoly]:

@@ -89,10 +89,6 @@ class RationalMatrix:
         """The len(rows) x cols matrix whose row r has the entries rows[r] (column -> value)."""
         return cls(len(rows), cols, {(r, c): v for r, row in enumerate(rows) for c, v in row.items()})
 
-    @classmethod
-    def column(cls, data: Sequence[Fraction | int]) -> "RationalMatrix":
-        return cls(len(data), 1, {(r, 0): Fraction(v) for r, v in enumerate(data) if v})
-
     # -- access ------------------------------------------------------------
 
     def entry(self, r: int, c: int) -> Fraction:
@@ -390,23 +386,6 @@ def solve(m: RationalMatrix, rhs: Sequence[Fraction]) -> Optional[list[Fraction]
             return None  # row 0 = 1: inconsistent
         solution[pivot] = row.get(aug, ZERO)
     return solution
-
-
-def stack_rows(blocks: Iterable[RationalMatrix]) -> RationalMatrix:
-    """Vertical concatenation of matrices with equal column counts."""
-    blocks = list(blocks)
-    if not blocks:
-        return RationalMatrix(0, 0)
-    cols = blocks[0].cols
-    entries = {}
-    offset = 0
-    for b in blocks:
-        if b.cols != cols:
-            raise ValueError("column count mismatch in stack")
-        for (r, c), v in b.entries.items():
-            entries[(offset + r, c)] = v
-        offset += b.rows
-    return RationalMatrix(offset, cols, entries)
 
 
 def char_poly(m: RationalMatrix) -> list[Fraction]:

@@ -93,7 +93,6 @@ class WindowedModule:
         actions: dict[tuple[BasisKey, int], RationalMatrix],
         central_scalar: Fraction = ZERO,
         col_margins: dict[int, list[int]] | None = None,
-        labels: dict[int, list] | None = None,
     ):
         if lo > hi:
             raise ValueError("empty window range")
@@ -106,7 +105,6 @@ class WindowedModule:
         self.actions = actions
         self.central_scalar = Fraction(central_scalar)
         self.col_margins = col_margins
-        self.labels = labels
         self._validate()
 
     def _validate(self) -> None:
@@ -163,7 +161,6 @@ class WindowedModule:
             dict(self.actions),
             self.central_scalar,
             None if self.col_margins is None else {k: list(v) for k, v in self.col_margins.items()},
-            None if self.labels is None else {k: list(v) for k, v in self.labels.items()},
         )
 
     def total_dim(self) -> int:
@@ -349,21 +346,24 @@ def extension_space(
     Bracketing against the known level-0 actions yields the linear
     relations
 
-        rho(L_b) U^{(a,i)} - U^{(a,i)} rho(L_b) = (a - (i+1) b) U^{(a+b,i)},
+        rho(L_b) U^{(a,i)} - U^{(a,i)} rho(L_b) = c U^{(a+b,i)},
 
+    with c the coefficient of L_{a+b,i} in [L_{b,0}, L_{a,i}] in B,
     imposed wherever every touched index stays in range.  The linear
     kernel is then cut down by the exact quadratic constraints coming
     from brackets of two unknowns,
 
-        [U^{(a,i)}, U^{(b,j)}] = ((i+1) b - (j+1) a) U^{(a+b,i+j)},
+        [U^{(a,i)}, U^{(b,j)}] = c U^{(a+b,i+j)},
 
-    with levels above level_cap acting as zero (the level-band quotient
-    reading).  Restricted to the kernel the constraints are polynomials
-    of degree two in the kernel coordinates; when their monomial
-    linearization forces every coordinate monomial to vanish the
-    solution set is exactly the zero action, when every constraint
-    vanishes identically the whole kernel survives, and anything in
-    between is reported undecided with the kernel attached.
+    with c the coefficient of L_{a+b,i+j} in [L_{a,i}, L_{b,j}] in B
+    (both read from ``bracket_terms``) and with levels above level_cap
+    acting as zero (the level-band quotient reading).  Restricted to
+    the kernel the constraints are polynomials of degree two in the
+    kernel coordinates; when their monomial linearization forces every
+    coordinate monomial to vanish the solution set is exactly the zero
+    action, when every constraint vanishes identically the whole kernel
+    survives, and anything in between is reported undecided with the
+    kernel attached.
 
     A zero-dimensional answer here certifies that the whole level->=1
     part acts by zero: those generators span an ideal generated by the
@@ -394,7 +394,7 @@ def extension_space(
             for b in degrees:
                 if not band_lo <= a + b <= band_hi:
                     continue
-                coeff = Fraction(a - (level + 1) * b)
+                coeff = Fraction(bracket_terms(BLOCK_B, BasisKey(b, 0), BasisKey(a, level))[0].get(BasisKey(a + b, level), 0))
                 for k in range(lo, hi + 1):
                     touched = (k, k + a, k + b, k + a + b)
                     if not all(lo <= t <= hi for t in touched):
@@ -477,7 +477,7 @@ def extension_space(
     for ai in range(len(keys)):
         for bi in range(ai + 1, len(keys)):
             (a, i), (b, j) = keys[ai], keys[bi]
-            coeff = Fraction((i + 1) * b - (j + 1) * a)
+            coeff = Fraction(bracket_terms(BLOCK_B, BasisKey(a, i), BasisKey(b, j))[0].get(BasisKey(a + b, i + j), 0))
             target_in_band = band_lo <= a + b <= band_hi
             if coeff and i + j <= level_cap and not target_in_band:
                 continue  # bracket lands outside the modeled band
@@ -589,9 +589,13 @@ def irreducible_verdict(spec: IntermediateSpec, lo: int, hi: int) -> dict:
     The family criterion: irreducible iff a is not an integer, or a is
     an integer and b is neither 0 nor 1.  The brute-force verdict holds
     when the closure from every single basis vector fills the window.
+    A one-index window, on which every verdict would be vacuous, raises
+    ValueError.
     """
     if spec.family != "Aab":
         raise ValueError("irreducible_verdict applies to the Aab family")
+    if lo == hi:
+        raise ValueError(f"range {lo}:{hi} has one index, where no generator acts; irreducible needs two, such as {lo}:{lo + 1}")
     a = Fraction(spec.a)
     b = Fraction(spec.b)
     criterion = a.denominator != 1 or b not in (0, 1)
@@ -811,7 +815,7 @@ def adjoint_window(m: int, n: int, lo: int, hi: int, gen_degree: int = 2) -> Win
                 if central_coeff:
                     entries[(position[t][("c",)], col)] = central_coeff
             actions[(g, k)] = RationalMatrix(dims[t], dims[k], entries)
-    return WindowedModule(variant, ZERO, lo, hi, dims, generators, actions, ZERO, labels=labels)
+    return WindowedModule(variant, ZERO, lo, hi, dims, generators, actions, ZERO)
 
 
 def classify_window(mod: WindowedModule) -> dict:

@@ -159,6 +159,11 @@ class MultiPoly:
             return NotImplemented
         return self.alphabet == other.alphabet and self.terms == other.terms
 
+    def __hash__(self) -> int:
+        # a constant equals its scalar (see __eq__), so it hashes like it
+        zero = (0,) * len(self.alphabet)
+        return hash(self.terms.get(zero, 0)) if set(self.terms) <= {zero} else hash(frozenset(self.terms.items()))
+
     def degree_in(self, name: str) -> int:
         """Highest power of one symbol; -1 for the zero polynomial."""
         idx = self.alphabet.index(name)

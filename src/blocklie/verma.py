@@ -108,15 +108,16 @@ def monomial_repr(word: Monomial) -> str:
 def normal_order(word: Sequence[tuple[int, int]], n: int) -> dict[Monomial, Fraction]:
     """Rewrite a product of negative generators into canonical monomials.
 
-    Adjacent out-of-order factors are swapped; the bracket correction
-    replaces the two factors by one of level sum (dropped above the
-    band), so the rewriting terminates.  The result is independent of
-    the straightening strategy because it equals the same element of
-    the module.
+    Adjacent out-of-order factors are swapped; the bracket correction,
+    read from ``bracket_terms`` over Q:0:n, replaces the two factors by
+    one of level sum (dropped above the band), so the rewriting
+    terminates.  The result is independent of the straightening
+    strategy because it equals the same element of the module.
     """
     for alpha, level in word:
         if alpha < 1 or not (0 <= level <= n):
             raise ValueError(f"factor ({alpha},{level}) is not a negative generator of Q:0:{n}")
+    variant = algebra.quotient(0, n)
     pending: dict[Monomial, Fraction] = {tuple(word): Fraction(1)}
     done: dict[Monomial, Fraction] = {}
     while pending:
@@ -128,10 +129,10 @@ def normal_order(word: Sequence[tuple[int, int]], n: int) -> dict[Monomial, Frac
         swapped = w[:spot] + (w[spot + 1], w[spot]) + w[spot + 2 :]
         accumulate(pending, ((swapped, coeff),))
         (a1, l1), (a2, l2) = w[spot], w[spot + 1]
-        # [L_{-a1,l1}, L_{-a2,l2}] = ((l2+1) a1 - (l1+1) a2) L_{-(a1+a2), l1+l2}
-        cbr = (l2 + 1) * a1 - (l1 + 1) * a2
-        if cbr and l1 + l2 <= n:
-            corrected = w[:spot] + ((a1 + a2, l1 + l2),) + w[spot + 2 :]
+        # two negative degrees never sum to zero, so there is no C term
+        terms, _ = bracket_terms(variant, BasisKey(-a1, l1), BasisKey(-a2, l2))
+        for key, cbr in terms.items():
+            corrected = w[:spot] + ((-key.alpha, key.level),) + w[spot + 2 :]
             accumulate(pending, ((corrected, coeff),), cbr)
     return done
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from blocklie import algebra
 from blocklie.algebra import (
     BLOCK_B,
     BLOCK_BBAR,
@@ -29,6 +30,8 @@ from blocklie.algebra import (
     vir_consistency,
     window_keys,
 )
+from blocklie.linalg import Echelon
+from blocklie.rationals import ZERO, format_rational
 
 
 def test_block_bracket_examples():
@@ -383,3 +386,159 @@ def test_element_repr():
     assert repr(bracket(gen(BLOCK_B, 2, 0), gen(BLOCK_B, -2, 0))) == "-4*L_{0,0} + C"
     assert repr(gen(VIRASORO, 3)) == "L_{3}"
     assert repr(gen(W_1INF, 2, 1)) == "x^2*D^1"
+
+
+def _reference_vir_consistency(degree_bound):
+    """``vir_consistency`` frozen from before it compared ``bracket_terms`` results: element brackets."""
+    if degree_bound < 2:
+        raise ValueError("need degree_bound >= 2 to see a central term")
+    c0 = None
+    ok = True
+    pairs = 0
+    q00 = quotient(0, 0)
+    quotient_ok = True
+    for a in range(-degree_bound, degree_bound + 1):
+        for b in range(-degree_bound, degree_bound + 1):
+            pairs += 1
+            lhs = bracket(gen(BLOCK_B, a, 0), gen(BLOCK_B, b, 0))
+            rhs = bracket(gen(VIRASORO, a), gen(VIRASORO, b))
+            lhs_terms = {k.alpha: v for k, v in lhs.terms.items()}
+            rhs_terms = {k.alpha: v for k, v in rhs.terms.items()}
+            if lhs_terms != rhs_terms:
+                ok = False
+            if lhs.central == 0:
+                if rhs.central != 0:
+                    ok = False
+            else:
+                ratio = rhs.central / lhs.central
+                if c0 is None:
+                    c0 = ratio
+                elif ratio != c0:
+                    ok = False
+            qlhs = bracket(gen(q00, a, 0), gen(q00, b, 0))
+            if {k.alpha: v for k, v in qlhs.terms.items()} != rhs_terms:
+                quotient_ok = False
+            if (c0 is not None and qlhs.central * c0 != rhs.central) or (c0 is None and qlhs.central != 0 != rhs.central):
+                quotient_ok = False
+    return {
+        "homomorphism": ok and c0 is not None,
+        "c0": format_rational(c0) if c0 is not None else None,
+        "pairs": pairs,
+        "quotient_matches": quotient_ok,
+    }
+
+
+def _reference_generation_closure(seeds, variant, window):
+    """``generation_closure`` frozen from before it bracketed key dicts: one element bracket per pair."""
+    keys = window.keys(variant)
+    index = {k: i for i, k in enumerate(keys)}
+    ncols = len(keys) + 1  # final coordinate holds the C component
+    basis_elements = [gen(variant, k.alpha, k.level) for k in keys]
+
+    def to_vec(elem):
+        vec = {}
+        for key, coeff in elem.terms.items():
+            col = index.get(key)
+            if col is not None:
+                vec[col] = coeff
+        if elem.central:
+            vec[ncols - 1] = elem.central
+        return vec
+
+    def elem_of_vec(vec):
+        terms = {keys[c]: v for c, v in vec.items() if c < ncols - 1}
+        central_part = vec.get(ncols - 1, ZERO)
+        if variant.kind == "quotient" and variant.m:  # central_allowed(variant), inlined
+            central_part = ZERO
+        return AlgebraElement(variant, terms, central_part)
+
+    span = Echelon()
+    frontier = []
+    for seed in seeds:
+        vec = to_vec(gen(variant, seed.alpha, seed.level))
+        if span.insert(vec):
+            frontier.append(vec)
+    while frontier:
+        new_frontier = []
+        for vec in frontier:
+            elem = elem_of_vec(vec)
+            for basis_elem in basis_elements:
+                produced = bracket(basis_elem, elem)
+                if produced.is_zero():
+                    continue
+                pvec = to_vec(produced)
+                if span.insert(pvec):
+                    new_frontier.append(pvec)
+        frontier = new_frontier
+    return {key for key, col in index.items() if not span.reduce({col: 1})}
+
+
+def corrupted_vir_constants(rng: random.Random, degree_bound: int):
+    """``bracket_terms`` with level-0 coefficients or central terms bumped on seeded degree pairs."""
+    degrees = range(-degree_bound, degree_bound + 1)
+    hits = {(kind, a, b): rng.choice(("term", "central", "half")) for kind in ("block", "virasoro", "quotient")
+            for a in degrees for b in degrees if rng.random() < 0.05}
+    real = algebra.bracket_terms
+
+    def fn(variant, x, y):
+        terms, c = real(variant, x, y)
+        how = hits.get((variant.kind, x.alpha, y.alpha))
+        if how == "term":
+            key = BasisKey(x.alpha + y.alpha, 0)
+            terms = {**terms, key: terms.get(key, 0) + 1}
+        elif how == "central":
+            c += 1
+        elif how == "half":
+            c *= Fraction(1, 2)
+        return terms, c
+
+    return fn
+
+
+def test_vir_consistency_matches_reference(monkeypatch):
+    for degree_bound in range(0, 10):
+        if degree_bound < 2:
+            with pytest.raises(ValueError, match="degree_bound >= 2"):
+                vir_consistency(degree_bound)
+            continue
+        assert vir_consistency(degree_bound) == _reference_vir_consistency(degree_bound)
+    rng = random.Random(8)
+    for trial in range(40):
+        degree_bound = rng.randint(2, 5)
+        monkeypatch.setattr(algebra, "bracket_terms", corrupted_vir_constants(rng, degree_bound))
+        assert vir_consistency(degree_bound) == _reference_vir_consistency(degree_bound)
+        monkeypatch.undo()
+
+
+ALL_VARIANTS = [VIRASORO, BLOCK_B, BLOCK_BBAR, W_1INF, W_INF, quotient(0, 0), quotient(0, 2), quotient(1, 3)]
+
+
+def outcome(fn, *args):
+    """``fn(*args)``, or the message of the ValueError it raises."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def test_generation_closure_matches_reference():
+    rng = random.Random(81)
+    for variant in ALL_VARIANTS:
+        for _ in range(8):
+            lo, hi = sorted(rng.randint(-3, 3) for _ in range(2))
+            level_lo = rng.randint(-1, 2)
+            window = KeyWindow(lo, hi, level_lo, level_lo + rng.randint(0, 2))
+            # mostly window keys; now and then any key near it, which may be invalid or outside it
+            keys = window.keys(variant)
+            seeds = [
+                rng.choice(keys) if keys and rng.random() < 0.9 else BasisKey(rng.randint(-3, 3), rng.randint(-1, 3))
+                for _ in range(rng.randint(1, 3))
+            ]
+            got = outcome(generation_closure, seeds, variant, window)
+            assert got == outcome(_reference_generation_closure, seeds, variant, window)
+
+
+def test_generation_closure_rejects_an_invalid_seed():
+    window = KeyWindow(-2, 2, 0, 2)
+    with pytest.raises(ValueError, match="not valid"):
+        generation_closure([BasisKey(1, 2)], quotient(0, 1), window)

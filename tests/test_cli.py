@@ -274,3 +274,22 @@ def test_unwritable_report_path(capsys):
     code, _, err = run(capsys, "verma", "--n", "1", "--depth", "2", "dims", "--out", "/no-such-dir/report.json")
     assert code == 1
     assert "cannot write report" in err
+
+
+def test_negative_pair_degree_is_a_usage_error(capsys):
+    # no pair has a negative degree bound, so the check would pass vacuously
+    code, out, err = run(
+        capsys, "module", "--range", "-8:8", "--pair-degree", "-1", "--level-cap", "0", "check"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "--pair-degree >= 0" in err
+
+
+@pytest.mark.parametrize("a", ["1/2", "0"])
+def test_one_index_irreducible_is_a_usage_error(capsys, a):
+    # a one-index window holds no bracket, so either verdict would be vacuous
+    code, out, err = run(capsys, "module", "--a", a, "--b", "1", "--range", "3:3", "irreducible")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "range 3:3" in err and "3:4" in err

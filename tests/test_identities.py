@@ -2,9 +2,12 @@
 
 from fractions import Fraction
 
+import pytest
+
 from blocklie import identities as ident
 from blocklie.algebra import BLOCK_B, bracket, gen
 from blocklie.modules import IntermediateSpec, adjoint_window, build_window, extend_trivially
+from blocklie.rationals import accumulate
 
 F = Fraction
 
@@ -14,6 +17,41 @@ def test_nested_bracket_identity_symbolic():
     assert report.status == ident.STATUS_EXACT
     assert report.passed
     assert all(s["equal"] for s in report.details["spot_checks"])
+
+
+def _reference_sym_bracket(x, y):
+    """``sym_bracket`` frozen from before it read ``bracket_terms``: the coefficient written out."""
+
+    def lev_plus_one(lev):
+        ci, const = lev
+        return ident.I_SYM.scale(ci) + ident._const(const + 1)
+
+    out = {}
+    for (d1, l1), c1 in x.items():
+        for (d2, l2), c2 in y.items():
+            coeff = lev_plus_one(l1) * ident._deg_poly(d2) - lev_plus_one(l2) * ident._deg_poly(d1)
+            key = (tuple(a + b for a, b in zip(d1, d2)), tuple(a + b for a, b in zip(l1, l2)))
+            accumulate(out, ((key, coeff * c1 * c2),))
+    return out
+
+
+def test_sym_bracket_matches_reference_on_the_lemma_operands():
+    l_a = ident.sym_gen((1, 0, 0), (0, 0))
+    l_b = ident.sym_gen((0, 1, 0), (0, 0))
+    l_1i = ident.sym_gen((0, 0, 1), (1, 0))
+    inner = ident.sym_bracket(l_b, l_1i)
+    assert inner == _reference_sym_bracket(l_b, l_1i)
+    mixed = {**l_a, **ident.sym_scale(l_1i, ident.KT + 2)}
+    for x, y in ((l_a, inner), (inner, l_a), (mixed, inner), (mixed, mixed)):
+        assert list(ident.sym_bracket(x, y).items()) == list(_reference_sym_bracket(x, y).items())
+
+
+def test_sym_bracket_rejects_a_central_pair():
+    # degrees and levels both sum to zero, where B has a central term
+    with pytest.raises(ValueError, match="central term"):
+        ident.sym_bracket(ident.sym_gen((1, 0, 0), (0, 0)), ident.sym_gen((-1, 0, 0), (0, 0)))
+    # a zero degree sum at a nonzero level sum has no central term
+    assert ident.sym_bracket(ident.sym_gen((1, 0, 0), (0, 0)), ident.sym_gen((-1, 0, 0), (1, 0)))
 
 
 def test_nested_bracket_numeric_values():

@@ -1,5 +1,6 @@
 """Truncated highest-weight modules: bases, straightening, actions, kernels."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 
 from blocklie.algebra import BasisKey, bracket_terms, quotient
 from blocklie.modules import check_module_axioms
+from blocklie.rationals import accumulate
 from blocklie.verma import (
     VermaAction,
     WeightFunctional,
@@ -53,6 +55,39 @@ def test_normal_order_swap_correction():
     # already canonical words pass through, including repeated factors
     assert normal_order(((1, 1), (1, 0)), 1) == {((1, 1), (1, 0)): F(1)}
     assert normal_order(((1, 0), (1, 0)), 1) == {((1, 0), (1, 0)): F(1)}
+
+
+def _reference_normal_order(word, n):
+    """``normal_order`` frozen from before it read ``bracket_terms``: the bracket correction written out."""
+    for alpha, level in word:
+        if alpha < 1 or not (0 <= level <= n):
+            raise ValueError(f"factor ({alpha},{level}) is not a negative generator of Q:0:{n}")
+    pending = {tuple(word): Fraction(1)}
+    done = {}
+    while pending:
+        w, coeff = pending.popitem()
+        spot = next((t for t in range(len(w) - 1) if w[t] < w[t + 1]), None)
+        if spot is None:
+            accumulate(done, ((w, coeff),))
+            continue
+        swapped = w[:spot] + (w[spot + 1], w[spot]) + w[spot + 2 :]
+        accumulate(pending, ((swapped, coeff),))
+        (a1, l1), (a2, l2) = w[spot], w[spot + 1]
+        # [L_{-a1,l1}, L_{-a2,l2}] = ((l2+1) a1 - (l1+1) a2) L_{-(a1+a2), l1+l2}
+        cbr = (l2 + 1) * a1 - (l1 + 1) * a2
+        if cbr and l1 + l2 <= n:
+            corrected = w[:spot] + ((a1 + a2, l1 + l2),) + w[spot + 2 :]
+            accumulate(pending, ((corrected, coeff),), cbr)
+    return done
+
+
+def test_normal_order_matches_reference_on_every_short_word():
+    for n in range(4):
+        factors = [(alpha, level) for alpha in (1, 2) for level in range(n + 1)]
+        for length in range(4):
+            for word in itertools.product(factors, repeat=length):
+                got = normal_order(word, n)
+                assert list(got.items()) == list(_reference_normal_order(word, n).items())
 
 
 def test_normal_order_is_confluent():
