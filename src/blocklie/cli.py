@@ -207,8 +207,8 @@ def _cmd_module(args: argparse.Namespace, config: dict) -> int:
     window = modules.build_window(spec, lo, hi)
     if action == "check":
         pair_degree = int(args.pair_degree)
-        if pair_degree < 0:
-            raise UsageError(f"need --pair-degree >= 0, got {pair_degree}")
+        if pair_degree < 1:
+            raise UsageError(f"need --pair-degree >= 1, got {pair_degree}: a lower degree compares no two distinct generators")
         violations = modules.check_module_axioms(window, pair_degree)
         extended = modules.extend_trivially(window, int(args.level_cap))
         extra = [BasisKey(1, i) for i in range(1, int(args.level_cap) + 1)]

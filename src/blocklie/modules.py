@@ -6,8 +6,8 @@ equal to offset + k, and an exact rational matrix for each (generator,
 source index) pair whose target index stays inside the window.  Absent
 action entries mean the target leaves the window; relations are only
 ever asserted where every intermediate index stays inside (interior
-checking), so windows approximate infinite modules without false
-negatives.
+checking, defined once by ``interior``), so windows approximate
+infinite modules without false negatives.
 
 The intermediate-series families over the Virasoro algebra are the
 basic suppliers of windows (C acts by zero on all of them):
@@ -23,7 +23,7 @@ from the factor boundaries for every touched index to be exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -31,6 +31,24 @@ from . import algebra
 from .algebra import VIRASORO, BLOCK_B, AlgebraVariant, BasisKey, bracket_terms, parse_variant
 from .linalg import Echelon, RationalMatrix, row_reduce
 from .rationals import ZERO, accumulate, format_rational, parse_rational
+
+# extension_space: degrees of the in-band unknowns, and of the level-0
+# actions they are bracketed against
+EXTENSION_BAND = range(-2, 4)
+EXTENSION_DEGREES = (-3, -2, -1, 1, 2, 3)
+
+# adjoint_window: generators have degrees -2..2
+ADJOINT_DEGREE = 2
+
+
+def interior(lo: int, hi: int, *shifts: int) -> range:
+    """The indices k of [lo, hi], ascending, with k + s inside [lo, hi] for every shift s.
+
+    This is the one definition of interior checking: a relation touching
+    the indices k + s is asserted exactly at these k.  With no shift it
+    is the whole window; shifts wider than the window give an empty range.
+    """
+    return range(lo - min((0, *shifts)), hi - max((0, *shifts)) + 1)
 
 
 @dataclass(frozen=True)
@@ -113,10 +131,8 @@ class WindowedModule:
             if d < 0:
                 raise ValueError(f"weight space {k} has negative dimension {d}")
         for g in self.generators:
-            for k in self.indices():
+            for k in interior(self.lo, self.hi, g.alpha):
                 t = k + g.alpha
-                if not self.in_range(t):
-                    continue
                 m = self.actions.get((g, k))
                 if m is None:
                     raise ValueError(f"no action stored for {g} at index {k}")
@@ -215,19 +231,20 @@ class WindowedModule:
         return cls(variant, offset, lo, hi, dims, generators, actions, central, col_margins)
 
 
-def build_window(spec: IntermediateSpec, lo: int, hi: int, max_degree: int | None = None) -> WindowedModule:
-    """Materialize an intermediate-series member on [lo, hi] as 1x1 matrices."""
-    if max_degree is None:
-        max_degree = hi - lo
+def build_window(spec: IntermediateSpec, lo: int, hi: int) -> WindowedModule:
+    """Materialize an intermediate-series member on [lo, hi] as 1x1 matrices.
+
+    The generators are L_i for |i| <= hi - lo, every degree that acts
+    somewhere inside the window.
+    """
     dims = {k: 1 for k in range(lo, hi + 1)}
-    generators = [BasisKey(i, 0) for i in range(-max_degree, max_degree + 1)]
+    generators = [BasisKey(i, 0) for i in range(lo - hi, hi - lo + 1)]
     actions: dict[tuple[BasisKey, int], RationalMatrix] = {}
     for g in generators:
-        for k in range(lo, hi + 1):
-            if lo <= k + g.alpha <= hi:
-                coeff, _ = act_intermediate(spec, g, k)
-                entries = {(0, 0): coeff} if coeff else None
-                actions[(g, k)] = RationalMatrix(1, 1, entries)
+        for k in interior(lo, hi, g.alpha):
+            coeff, _ = act_intermediate(spec, g, k)
+            entries = {(0, 0): coeff} if coeff else None
+            actions[(g, k)] = RationalMatrix(1, 1, entries)
     return WindowedModule(VIRASORO, spec.weight_offset(), lo, hi, dims, generators, actions)
 
 
@@ -235,34 +252,34 @@ def check_module_axioms(
     mod: WindowedModule,
     max_degree: int,
     extra_keys: Sequence[BasisKey] = (),
-    pairs: Sequence[tuple[BasisKey, BasisKey]] | None = None,
 ) -> list[dict]:
     """Exact check of rho([x,y]) = rho(x) rho(y) - rho(y) rho(x) on the interior.
 
-    Pairs default to all unordered pairs of level-0 generators with
+    The pairs are all unordered pairs of level-0 generators with
     |degree| <= max_degree together with extra_keys.  A pair is checked
     at every source index where all composite targets stay inside the
     window; for modules carrying column margins, equality is asserted
     only on columns whose edge distance covers the total degree moved.
-    Returns one record per failing (pair, index).
+    Returns one record per failing (pair, index).  Raises ValueError
+    when no pair x != y is compared at any index: a pair (x, x) always
+    commutes, so such a check could not fail.
     """
-    if pairs is None:
-        keys = [g for g in mod.generators if g.level == 0 and abs(g.alpha) <= max_degree]
-        keys += [BasisKey(*k) for k in extra_keys]
-        pairs = [(keys[i], keys[j]) for i in range(len(keys)) for j in range(i, len(keys))]
+    keys = [g for g in mod.generators if g.level == 0 and abs(g.alpha) <= max_degree]
+    keys += [BasisKey(*k) for k in extra_keys]
     gen_set = set(mod.generators)
     violations: list[dict] = []
-    for x, y in pairs:
+    compared = 0
+    for x, y in ((x, y) for i, x in enumerate(keys) for y in keys[i:]):
         if x not in gen_set or y not in gen_set:
             raise ValueError(f"pair ({x}, {y}) uses a generator without stored actions")
         terms, central_coeff = bracket_terms(mod.variant, x, y)
         if any(z not in gen_set for z in terms):
             continue  # bracket leaves the declared generator set
         margin_needed = abs(x.alpha) + abs(y.alpha)
-        for k in mod.indices():
-            targets = (k + x.alpha, k + y.alpha, k + x.alpha + y.alpha)
-            if not all(mod.in_range(t) for t in targets):
-                continue
+        window = interior(mod.lo, mod.hi, x.alpha, y.alpha, x.alpha + y.alpha)
+        if x != y:
+            compared += len(window)
+        for k in window:
             xy = mod.act(x, k + y.alpha) @ mod.act(y, k)
             yx = mod.act(y, k + x.alpha) @ mod.act(x, k)
             diff = xy - yx
@@ -278,6 +295,11 @@ def check_module_axioms(
                 diff = RationalMatrix(diff.rows, diff.cols, kept)
             if not diff.is_zero():
                 violations.append({"pair": [list(x), list(y)], "index": k})
+    if not compared:
+        raise ValueError(
+            f"module check up to degree {max_degree} compares no two distinct generators "
+            f"at any index of [{mod.lo}, {mod.hi}], so it could not fail"
+        )
     return violations
 
 
@@ -303,9 +325,8 @@ def extend_trivially(vir_mod: WindowedModule, level_cap: int = 2) -> WindowedMod
         for a in degrees:
             g = BasisKey(a, level)
             generators.append(g)
-            for k in vir_mod.indices():
-                if vir_mod.in_range(k + a):
-                    actions[(g, k)] = RationalMatrix.zero(vir_mod.dims[k + a], vir_mod.dims[k])
+            for k in interior(vir_mod.lo, vir_mod.hi, a):
+                actions[(g, k)] = RationalMatrix.zero(vir_mod.dims[k + a], vir_mod.dims[k])
     return WindowedModule(
         BLOCK_B,
         vir_mod.offset,
@@ -329,22 +350,15 @@ class ExtensionReport:
     unknowns: int
     linear_kernel: int = 0
     quadratic_decided: bool = True
-    basis: list[dict[tuple[int, int, int], RationalMatrix]] = field(default_factory=list)
-    # basis entries map (level, degree, source index) to candidate matrices
 
 
-def extension_space(
-    vir_mod: WindowedModule,
-    level_cap: int,
-    degree_bound: int = 3,
-    band: tuple[int, int] = (-2, 3),
-) -> ExtensionReport:
+def extension_space(vir_mod: WindowedModule, level_cap: int) -> ExtensionReport:
     """Solve for all level->=1 actions compatible with a given Virasoro window.
 
     Unknowns are the matrices of the level-i degree-a generators
-    (1 <= i <= level_cap, a inside the band) on every weight space.
-    Bracketing against the known level-0 actions yields the linear
-    relations
+    (1 <= i <= level_cap, a in EXTENSION_BAND) on every weight space.
+    Bracketing against the known level-0 actions of the degrees
+    b in EXTENSION_DEGREES yields the linear relations
 
         rho(L_b) U^{(a,i)} - U^{(a,i)} rho(L_b) = c U^{(a+b,i)},
 
@@ -362,8 +376,7 @@ def extension_space(
     kernel coordinates; when their monomial linearization forces every
     coordinate monomial to vanish the solution set is exactly the zero
     action, when every constraint vanishes identically the whole kernel
-    survives, and anything in between is reported undecided with the
-    kernel attached.
+    survives, and anything in between is reported undecided.
 
     A zero-dimensional answer here certifies that the whole level->=1
     part acts by zero: those generators span an ideal generated by the
@@ -373,32 +386,24 @@ def extension_space(
         raise ValueError("extension_space expects a Virasoro-variant window")
     lo, hi = vir_mod.lo, vir_mod.hi
     dims = vir_mod.dims
-    band_lo, band_hi = band
 
-    # unknown layout: (level, degree, k, row, col) -> flat index
+    # unknown layout: blocks (level, degree, k); (level, degree, k, row, col) -> flat index
+    blocks = [(level, a, k) for level in range(1, level_cap + 1) for a in EXTENSION_BAND for k in interior(lo, hi, a)]
     index: dict[tuple[int, int, int, int, int], int] = {}
-    for level in range(1, level_cap + 1):
-        for a in range(band_lo, band_hi + 1):
-            for k in range(lo, hi + 1):
-                if not lo <= k + a <= hi:
-                    continue
-                for r in range(dims[k + a]):
-                    for c in range(dims[k]):
-                        index[(level, a, k, r, c)] = len(index)
+    for level, a, k in blocks:
+        for r in range(dims[k + a]):
+            for c in range(dims[k]):
+                index[(level, a, k, r, c)] = len(index)
     n_unknowns = len(index)
 
     rows: list[dict[int, Fraction]] = []
-    degrees = [d for d in range(-degree_bound, degree_bound + 1) if d != 0]
     for level in range(1, level_cap + 1):
-        for a in range(band_lo, band_hi + 1):
-            for b in degrees:
-                if not band_lo <= a + b <= band_hi:
+        for a in EXTENSION_BAND:
+            for b in EXTENSION_DEGREES:
+                if a + b not in EXTENSION_BAND:
                     continue
                 coeff = Fraction(bracket_terms(BLOCK_B, BasisKey(b, 0), BasisKey(a, level))[0].get(BasisKey(a + b, level), 0))
-                for k in range(lo, hi + 1):
-                    touched = (k, k + a, k + b, k + a + b)
-                    if not all(lo <= t <= hi for t in touched):
-                        continue
+                for k in interior(lo, hi, a, b, a + b):
                     rho_src = vir_mod.act(BasisKey(b, 0), k)
                     rho_tgt = vir_mod.act(BasisKey(b, 0), k + a)
                     if vir_mod.col_margins is not None:
@@ -431,18 +436,14 @@ def extension_space(
 
     def decode(vec: list[Fraction]) -> dict[tuple[int, int, int], RationalMatrix]:
         assignment = {}
-        for level in range(1, level_cap + 1):
-            for a in range(band_lo, band_hi + 1):
-                for k in range(lo, hi + 1):
-                    if not lo <= k + a <= hi:
-                        continue
-                    ent = {}
-                    for r in range(dims[k + a]):
-                        for c in range(dims[k]):
-                            v = vec[index[(level, a, k, r, c)]]
-                            if v:
-                                ent[(r, c)] = v
-                    assignment[(level, a, k)] = RationalMatrix(dims[k + a], dims[k], ent)
+        for level, a, k in blocks:
+            ent = {}
+            for r in range(dims[k + a]):
+                for c in range(dims[k]):
+                    v = vec[index[(level, a, k, r, c)]]
+                    if v:
+                        ent[(r, c)] = v
+            assignment[(level, a, k)] = RationalMatrix(dims[k + a], dims[k], ent)
         return assignment
 
     if kdim == 0:
@@ -469,22 +470,14 @@ def extension_space(
         return left - right
 
     quad_rows: list[dict[int, Fraction]] = []
-    keys = [
-        (a, i)
-        for i in range(1, level_cap + 1)
-        for a in range(band_lo, band_hi + 1)
-    ]
+    keys = [(a, i) for i in range(1, level_cap + 1) for a in EXTENSION_BAND]
     for ai in range(len(keys)):
         for bi in range(ai + 1, len(keys)):
             (a, i), (b, j) = keys[ai], keys[bi]
             coeff = Fraction(bracket_terms(BLOCK_B, BasisKey(a, i), BasisKey(b, j))[0].get(BasisKey(a + b, i + j), 0))
-            target_in_band = band_lo <= a + b <= band_hi
-            if coeff and i + j <= level_cap and not target_in_band:
+            if coeff and i + j <= level_cap and a + b not in EXTENSION_BAND:
                 continue  # bracket lands outside the modeled band
-            for k in range(lo, hi + 1):
-                touched = (k, k + a, k + b, k + a + b)
-                if not all(lo <= t <= hi for t in touched):
-                    continue
+            for k in interior(lo, hi, a, b, a + b):
                 residual_by_mono: dict[int, RationalMatrix] = {}
                 for m in range(kdim):
                     for l in range(m, kdim):
@@ -512,9 +505,7 @@ def extension_space(
                             quad_rows.append(cell)
 
     if not quad_rows:
-        return ExtensionReport(
-            kdim, False, len(rows), n_unknowns, linear_kernel=kdim, basis=decoded
-        )
+        return ExtensionReport(kdim, False, len(rows), n_unknowns, linear_kernel=kdim)
     qreduction = row_reduce(RationalMatrix.from_sparse_rows(quad_rows, len(mono_index)))
     # any solution s embeds as the monomial vector (s (x) s, s); coordinate m
     # dies whenever the monomial kernel forces either s_m or its square z_mm
@@ -529,22 +520,10 @@ def extension_space(
     if all_dead:
         return ExtensionReport(0, False, len(rows), n_unknowns, linear_kernel=kdim)
     # monomials not fully pinned: undecided in general
-    return ExtensionReport(
-        kdim,
-        False,
-        len(rows),
-        n_unknowns,
-        linear_kernel=kdim,
-        quadratic_decided=False,
-        basis=decoded,
-    )
+    return ExtensionReport(kdim, False, len(rows), n_unknowns, linear_kernel=kdim, quadratic_decided=False)
 
 
-def submodule_closure(
-    mod: WindowedModule,
-    seeds: dict[int, list[Sequence[Fraction]]],
-    generators: Sequence[BasisKey] | None = None,
-) -> dict[int, int]:
+def submodule_closure(mod: WindowedModule, seeds: dict[int, list[Sequence[Fraction]]]) -> dict[int, int]:
     """Dimensions of the subspace generated from seed vectors under the stored actions.
 
     Iterates generator application until the per-index spans stabilize;
@@ -552,7 +531,6 @@ def submodule_closure(
     whose span is already the whole weight space contains every image,
     so generators into it are skipped.
     """
-    gens = [BasisKey(*g) for g in (generators if generators is not None else mod.generators)]
     spans = {k: Echelon() for k in mod.indices()}
 
     def insert(k: int, dense: Sequence[Fraction]) -> bool:
@@ -572,7 +550,7 @@ def submodule_closure(
     while frontier:
         new_frontier = []
         for k, dense in frontier:
-            for g in gens:
+            for g in mod.generators:
                 t = k + g.alpha
                 if not mod.in_range(t) or len(spans[t]) == mod.dims[t]:
                     continue
@@ -610,11 +588,7 @@ def irreducible_verdict(spec: IntermediateSpec, lo: int, hi: int) -> dict:
     return {"bruteforce": bruteforce, "criterion": criterion, "agree": bruteforce == criterion}
 
 
-def find_intertwiner(
-    ma: WindowedModule,
-    mb: WindowedModule,
-    max_degree: int | None = None,
-) -> Optional[dict[int, RationalMatrix]]:
+def find_intertwiner(ma: WindowedModule, mb: WindowedModule) -> Optional[dict[int, RationalMatrix]]:
     """A degree-preserving invertible map phi with phi . rho_A = rho_B . phi, if one exists.
 
     Solves the homogeneous linear system phi_{k+i} rho_A(L_i)_k =
@@ -624,11 +598,7 @@ def find_intertwiner(
     """
     if (ma.lo, ma.hi) != (mb.lo, mb.hi) or ma.offset != mb.offset:
         raise ValueError("intertwiner search needs equal ranges and weight offsets")
-    if max_degree is None:
-        max_degree = ma.hi - ma.lo
-    shared = sorted(
-        g for g in set(ma.generators) & set(mb.generators) if g.level == 0 and abs(g.alpha) <= max_degree
-    )
+    shared = sorted(g for g in set(ma.generators) & set(mb.generators) if g.level == 0)
     index: dict[tuple[int, int, int], int] = {}
     for k in ma.indices():
         for r in range(mb.dims[k]):
@@ -639,10 +609,8 @@ def find_intertwiner(
 
     rows: list[dict[int, Fraction]] = []
     for g in shared:
-        for k in ma.indices():
+        for k in interior(ma.lo, ma.hi, g.alpha):
             t = k + g.alpha
-            if not ma.in_range(t):
-                continue
             ra = ma.act(g, k)
             rb = mb.act(g, k)
             for u in range(mb.dims[t]):
@@ -729,9 +697,7 @@ def tensor(ma: WindowedModule, mb: WindowedModule) -> WindowedModule:
     actions: dict[tuple[BasisKey, int], RationalMatrix] = {}
     for g in shared:
         d = g.alpha
-        for k in range(lo, hi + 1):
-            if not (lo <= k + d <= hi):
-                continue
+        for k in interior(lo, hi, d):
             entries: dict[tuple[int, int], Fraction] = {}
             for col, (p, ia, q, ib) in enumerate(pairs[k]):
                 if ma.in_range(p + d):
@@ -766,10 +732,8 @@ def direct_sum(ma: WindowedModule, mb: WindowedModule) -> WindowedModule:
     shared = sorted(set(ma.generators) & set(mb.generators))
     actions: dict[tuple[BasisKey, int], RationalMatrix] = {}
     for g in shared:
-        for k in ma.indices():
+        for k in interior(ma.lo, ma.hi, g.alpha):
             t = k + g.alpha
-            if not ma.in_range(t):
-                continue
             a = ma.act(g, k)
             b = mb.act(g, k)
             entries = dict(a.entries)
@@ -779,11 +743,12 @@ def direct_sum(ma: WindowedModule, mb: WindowedModule) -> WindowedModule:
     return WindowedModule(ma.variant, ma.offset, ma.lo, ma.hi, dims, shared, actions, ma.central_scalar)
 
 
-def adjoint_window(m: int, n: int, lo: int, hi: int, gen_degree: int = 2) -> WindowedModule:
+def adjoint_window(m: int, n: int, lo: int, hi: int) -> WindowedModule:
     """The adjoint action on the level-band quotient, windowed by degree.
 
     The weight-k space has basis {L_{k,i} : m <= i <= n}, plus the
-    central element at degree 0 when m = 0.  Level->=1 generators act
+    central element at degree 0 when m = 0.  The generators are L_{g,j}
+    for |g| <= ADJOINT_DEGREE and m <= j <= n.  Level->=1 generators act
     nontrivially here, in contrast with the intermediate series.
     """
     variant = algebra.quotient(m, n)
@@ -796,14 +761,12 @@ def adjoint_window(m: int, n: int, lo: int, hi: int, gen_degree: int = 2) -> Win
     dims = {k: len(labels[k]) for k in labels}
     position = {k: {lab: i for i, lab in enumerate(labels[k])} for k in labels}
     generators = [
-        BasisKey(g, j) for g in range(-gen_degree, gen_degree + 1) for j in range(m, n + 1)
+        BasisKey(g, j) for g in range(-ADJOINT_DEGREE, ADJOINT_DEGREE + 1) for j in range(m, n + 1)
     ]
     actions: dict[tuple[BasisKey, int], RationalMatrix] = {}
     for g in generators:
-        for k in range(lo, hi + 1):
+        for k in interior(lo, hi, g.alpha):
             t = k + g.alpha
-            if not (lo <= t <= hi):
-                continue
             entries: dict[tuple[int, int], Fraction] = {}
             for col, lab in enumerate(labels[k]):
                 if lab == ("c",):

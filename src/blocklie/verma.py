@@ -29,7 +29,7 @@ from typing import Sequence
 from . import algebra
 from .algebra import BasisKey, bracket_terms
 from .linalg import RationalMatrix, row_reduce
-from .modules import WindowedModule
+from .modules import WindowedModule, interior
 from .rationals import accumulate, format_rational, parse_rational
 
 Monomial = tuple[tuple[int, int], ...]
@@ -259,35 +259,26 @@ def quasifinite_report(n: int, depth_cap: int) -> dict:
     }
 
 
-def verma_window(
-    lam: WeightFunctional,
-    n: int,
-    depth_cap: int,
-    top_pad: int = 2,
-    max_degree: int | None = None,
-) -> WindowedModule:
-    """Materialize the truncated module as a windowed module on [-depth_cap, top_pad].
+def verma_window(lam: WeightFunctional, n: int, depth_cap: int) -> WindowedModule:
+    """Materialize the truncated module as a windowed module on [-depth_cap, 2].
 
-    Index -d holds the depth-d space; indices above zero are visibly
-    empty, which is what window classification keys on.  The weight
-    offset is the level-0 value of the functional.
+    Index -d holds the depth-d space; indices 1 and 2 are visibly empty,
+    which is what window classification keys on.  The generators are
+    L_{a,i} for |a| <= depth_cap.  The weight offset is the level-0
+    value of the functional.
     """
-    lo, hi = -depth_cap, top_pad
-    if max_degree is None:
-        max_degree = depth_cap
+    lo, hi = -depth_cap, 2
     action = VermaAction(lam, n)
     bases = {k: (verma_basis(n, -k) if k <= 0 else []) for k in range(lo, hi + 1)}
     dims = {k: len(bases[k]) for k in bases}
     positions = {k: {w: i for i, w in enumerate(bases[k])} for k in bases}
     generators = [
-        BasisKey(a, i) for a in range(-max_degree, max_degree + 1) for i in range(n + 1)
+        BasisKey(a, i) for a in range(-depth_cap, depth_cap + 1) for i in range(n + 1)
     ]
     actions: dict[tuple[BasisKey, int], RationalMatrix] = {}
     for g in generators:
-        for k in range(lo, hi + 1):
+        for k in interior(lo, hi, g.alpha):
             t = k + g.alpha
-            if not (lo <= t <= hi):
-                continue
             entries = {}
             for col, word in enumerate(bases[k]):
                 for w, c in action.act_generator(g.alpha, g.level, word).items():

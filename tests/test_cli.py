@@ -283,7 +283,27 @@ def test_negative_pair_degree_is_a_usage_error(capsys):
     )
     assert code == 2
     assert out == ""
-    assert err.startswith("error: ") and "--pair-degree >= 0" in err
+    assert err.startswith("error: ") and "--pair-degree >= 1" in err
+
+
+def test_zero_pair_degree_is_a_usage_error(capsys):
+    # degree 0 compares only (L_0, L_0), which commutes on every window
+    for level_cap in ("0", "1"):
+        code, out, err = run(
+            capsys, "module", "--a", "1/2", "--b", "1", "--range", "-8:8",
+            "--pair-degree", "0", "--level-cap", level_cap, "check",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "--pair-degree >= 1" in err
+
+
+def test_one_index_check_is_a_usage_error(capsys):
+    # no generator but L_0 acts on a one-index window, so no pair can be compared
+    code, out, err = run(capsys, "module", "--a", "1/2", "--b", "1", "--range", "3:3", "check")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "[3, 3]" in err
 
 
 @pytest.mark.parametrize("a", ["1/2", "0"])

@@ -74,6 +74,22 @@ def test_module_axioms_detect_corruption():
     assert any(v["index"] in range(-3, 3) for v in violations)
 
 
+def test_module_axioms_reject_a_check_that_cannot_fail():
+    # below degree 1 only (L_0, L_0) is compared, and it commutes on every window
+    window = build_window(IntermediateSpec("Aab", F(1, 2), F(1)), -8, 8)
+    window.actions[(BasisKey(1, 0), 0)] = RationalMatrix.from_rows([[F(77)]])
+    for degree in (-1, 0):
+        with pytest.raises(ValueError, match="compares no two distinct generators"):
+            check_module_axioms(window, degree)
+    assert check_module_axioms(window, 1)
+    # on a one-index window no pair of distinct generators acts anywhere
+    point = build_window(IntermediateSpec("Aab", F(1, 2), F(1)), 3, 3)
+    with pytest.raises(ValueError, match=r"\[3, 3\]"):
+        check_module_axioms(point, 4)
+    # a pair of distinct generators counts even at degree 0
+    assert check_module_axioms(extend_trivially(point, 1), 0, [BasisKey(0, 1)]) == []
+
+
 def test_extend_trivially_passes_block_pairs():
     window = build_window(IntermediateSpec("Aab", F(1, 2), F(2)), -10, 10)
     extended = extend_trivially(window, 2)
@@ -183,7 +199,9 @@ def test_adjoint_window_shape_and_axioms():
     assert move.entry(1, 0) == 1 and move.entry(0, 0) == 0  # lands on the level-1 line
     assert check_module_axioms(window, 2) == []
     assert check_module_axioms(adjoint_window(0, 2, -4, 4), 2) == []
-    assert check_module_axioms(adjoint_window(1, 2, -3, 3), 2) == []
+    # Q:1:2 has no level-0 generator, so its pairs come from the extra keys
+    band = adjoint_window(1, 2, -3, 3)
+    assert check_module_axioms(band, 2, band.generators) == []
 
 
 def test_classification_verdicts():
