@@ -15,6 +15,12 @@ entry.  Rationals appear only in the emitted reduced row-echelon form,
 where each row is divided by its pivot entry; that form is unique, so
 it equals the one rational Gauss-Jordan elimination gives.
 
+``row_reduce`` and ``solve`` eliminate the rows sparsest first (a
+stable sort by entry count), which limits fill-in (Markowitz 1957).
+The order changes no result: the reduced row-echelon form is unique,
+so its rref, pivots, kernel and solution are the same for every order,
+and so is the rank mod p below.
+
 Row reduction returns the reduced row-echelon form together with the
 rank and a basis of the right kernel.  The kernel basis follows the
 standard free-variable construction: for each non-pivot column f the
@@ -62,6 +68,13 @@ class RationalMatrix:
                     self.entries[(r, c)] = v
 
     # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def _make(cls, rows: int, cols: int, entries: dict[tuple[int, int], Fraction]) -> "RationalMatrix":
+        """Wrap entries that are already valid: in bounds, nonzero Fractions."""
+        m = object.__new__(cls)
+        m.rows, m.cols, m.entries = rows, cols, entries
+        return m
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "RationalMatrix":
@@ -121,7 +134,7 @@ class RationalMatrix:
 
     def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
         self._require_same_shape(other)
-        return RationalMatrix(self.rows, self.cols, accumulate(dict(self.entries), other.entries.items()))
+        return RationalMatrix._make(self.rows, self.cols, accumulate(dict(self.entries), other.entries.items()))
 
     def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
         return self + other.scale(Fraction(-1))
@@ -133,7 +146,7 @@ class RationalMatrix:
         factor = Fraction(factor)
         if factor == 0:
             return RationalMatrix(self.rows, self.cols)
-        return RationalMatrix(self.rows, self.cols, {k: v * factor for k, v in self.entries.items()})
+        return RationalMatrix._make(self.rows, self.cols, {k: v * factor for k, v in self.entries.items()})
 
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.rows:
@@ -145,7 +158,7 @@ class RationalMatrix:
         for (r, k), v in self.entries.items():
             if k in by_row:
                 accumulate(acc.setdefault(r, {}), by_row[k].items(), v)
-        return RationalMatrix(self.rows, other.cols, {(r, c): s for r, row in acc.items() for c, s in row.items()})
+        return RationalMatrix._make(self.rows, other.cols, {(r, c): s for r, row in acc.items() for c, s in row.items()})
 
     def apply(self, vector: Sequence[Fraction]) -> list[Fraction]:
         if len(vector) != self.cols:
@@ -205,7 +218,10 @@ class Echelon(dict):
     its pivot (its first column) and zero in every other pivot column,
     and ``len`` is the dimension.  An insertion reduces the row against
     the span, combining b/g * row - a/g * prow with g = gcd(a, b), then
-    eliminates the new pivot from the earlier rows.
+    eliminates the new pivot from the earlier rows.  The span is kept
+    fully reduced, not only forward-reduced, because most rows the
+    callers insert are dependent, and against a fully reduced span a
+    row reduces in one step per pivot it holds.
     """
 
     def reduce(self, row: dict[int, Fraction | int]) -> dict[int, int]:
@@ -356,7 +372,7 @@ def row_reduce(m: RationalMatrix) -> RowReduction:
     rank (see the module docstring); the result is identical to
     eliminating every row over Q.
     """
-    rows = m.sparse_rows()
+    rows = sorted(m.sparse_rows(), key=len)
     if _rank_mod_p(rows, m.cols) == m.cols:
         return RowReduction(
             rref=RationalMatrix(m.rows, m.cols, {(i, i): Fraction(1) for i in range(m.cols)}),
@@ -381,7 +397,7 @@ def solve(m: RationalMatrix, rhs: Sequence[Fraction]) -> Optional[list[Fraction]
         if v:
             row[aug] = Fraction(v)
     solution = [ZERO] * m.cols
-    for pivot, row in _eliminate(rows):
+    for pivot, row in _eliminate(sorted(rows, key=len)):
         if pivot == aug:
             return None  # row 0 = 1: inconsistent
         solution[pivot] = row.get(aug, ZERO)

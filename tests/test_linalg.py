@@ -110,6 +110,32 @@ def test_matmul():
     assert (a @ b).to_rows() == [[Fraction(7), Fraction(2)], [Fraction(3), Fraction(1)]]
 
 
+def _entries_are_nonzero_fractions(m):
+    return all(type(v) is Fraction and v != 0 for v in m.entries.values())
+
+
+def test_arithmetic_results_hold_only_nonzero_fractions():
+    # int entries through the validating constructors, and sums that cancel
+    a = RationalMatrix(2, 2, {(0, 0): 1, (0, 1): 2, (1, 1): -1, (1, 0): 0})
+    b = RationalMatrix.from_sparse_rows([{0: 2, 1: 1}, {0: 4, 1: 2}], 2)
+    assert _entries_are_nonzero_fractions(a) and _entries_are_nonzero_fractions(b)
+    results = [a @ b, b @ a, a + b, a - a, a.scale(3), a.scale(Fraction(-1, 2)), a.scale(0), -b]
+    assert all(_entries_are_nonzero_fractions(m) for m in results)
+    assert (a - a).is_zero() and a.scale(0).is_zero()
+    # row 0 of a @ b is 1*(2, 1) + 2*(4, 2); row 1 is -(4, 2)
+    assert (a @ b).to_rows() == [[10, 5], [-4, -2]]
+    # (2, 1) and (4, 2) are proportional, so b @ k(-1, 2) vanishes for any k
+    c = RationalMatrix.from_rows([[-1, 0], [2, 0]])
+    assert (b @ c).is_zero() and (b @ c).entries == {}
+
+
+def test_constructor_still_validates():
+    with pytest.raises(ValueError):
+        RationalMatrix(1, 1, {(1, 0): 1})
+    with pytest.raises(ValueError):
+        RationalMatrix.from_sparse_rows([{2: 1}], 2)
+
+
 def test_char_poly_cayley_hamilton():
     rng = random.Random(14)
     for _ in range(15):
@@ -521,3 +547,16 @@ def test_integer_kernel_on_real_systems(build, kernel_dim):
     assert len(red.kernel) == kernel_dim
     for vec in red.kernel:
         assert not any(m.apply(vec))
+
+
+def test_shuffled_real_system_matches_reference():
+    """Row order changes nothing: a shuffled Verma n=1, depth 10 system against the reference."""
+    m = _verma_system(("2/3", 0), "-5/2", 1, 10)
+    want = _reference_eliminate(_rows(m))
+    rows = _rows(m)
+    random.Random(37).shuffle(rows)
+    assert rows != _rows(m)
+    assert _eliminate(rows) == want
+    shuffled = RationalMatrix.from_sparse_rows(rows, m.cols)
+    _assert_same(row_reduce(shuffled), _reduction(want, m.rows, m.cols))
+    assert _rank_mod_p(rows, m.cols) == _rank_mod_p(_rows(m), m.cols) == len(want)

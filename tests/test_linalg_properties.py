@@ -13,9 +13,10 @@ from test_linalg import (  # noqa: E402
     _reference_forward_insert,
     _reference_reduce_vec,
     _reference_row_reduce,
+    _reference_solve,
 )
 
-from blocklie.linalg import Echelon, RationalMatrix, row_reduce  # noqa: E402
+from blocklie.linalg import Echelon, RationalMatrix, _rank_mod_p, row_reduce, solve  # noqa: E402
 
 _entries = st.one_of(
     st.just(Fraction(0)),
@@ -83,3 +84,45 @@ def test_echelon_matches_both_closure_references(data):
         assert member == (not _reference_reduce_vec(closure, probe))
         assert member == (not _reference_forward_insert(list(forward), dense(probe)))
     assert span.rref() == _reference_eliminate(rows) == closure
+
+
+@st.composite
+def _mixed_length_rows(draw):
+    """Sparse rows of at least two different lengths, a permutation of them and a right-hand side.
+
+    ``row_reduce`` and ``solve`` eliminate sparsest first, so mixed
+    lengths make the sort reorder the rows.  A combination of two rows
+    now and then makes rank-deficient matrices common.
+    """
+    cols = draw(st.integers(1, 6))
+    lengths = draw(st.lists(st.integers(0, cols), min_size=2, max_size=7).filter(lambda ls: len(set(ls)) > 1))
+    rows = []
+    for k in lengths:
+        support = draw(st.lists(st.integers(0, cols - 1), min_size=k, max_size=k, unique=True))
+        rows.append({c: draw(_nonzero) for c in support})
+    for _ in range(draw(st.integers(0, 2))):
+        i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
+        s, t = draw(_nonzero), draw(_nonzero)
+        combo = {c: s * rows[i].get(c, 0) + t * rows[j].get(c, 0) for c in range(cols)}
+        rows.append({c: v for c, v in combo.items() if v})
+    order = draw(st.permutations(range(len(rows))))
+    rhs = draw(st.lists(_entries, min_size=len(rows), max_size=len(rows)))
+    return cols, rows, order, rhs
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(_mixed_length_rows())
+def test_row_order_changes_no_result(data):
+    cols, rows, order, rhs = data
+    m = RationalMatrix.from_sparse_rows(rows, cols)
+    permuted = RationalMatrix.from_sparse_rows([rows[i] for i in order], cols)
+    want = _reference_row_reduce(m)
+    for got in (row_reduce(m), row_reduce(permuted)):
+        assert got.rref.to_json() == want.rref.to_json()
+        assert got.rank == want.rank
+        assert got.pivots == want.pivots
+        assert got.kernel == want.kernel
+    assert solve(permuted, [rhs[i] for i in order]) == solve(m, rhs) == _reference_solve(m, rhs)
+    rank_p = _rank_mod_p(permuted.sparse_rows(), cols)
+    assert rank_p == _rank_mod_p(m.sparse_rows(), cols)
+    assert rank_p <= want.rank
