@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .linalg import Echelon
+from . import linalg
 from .rationals import ZERO, accumulate, format_rational, parse_rational
 
 
@@ -611,7 +611,7 @@ def generation_closure(
             vec[len(keys)] = central_coeff
         return vec
 
-    span = Echelon()
+    span = linalg.Echelon()
     frontier: list[dict[int, Fraction]] = []
     for seed in seeds:
         vec = to_vec(gen(variant, seed.alpha, seed.level).terms, 0)

@@ -8,17 +8,18 @@ flags win over the file.  Reports are emitted as canonical JSON
 
 Exit codes: 0 when every requested check passes, 1 when a check fails
 or (under --strict) a lemma report records a discrepancy, 2 for usage
-errors and malformed inputs.
+errors, malformed inputs and a stdout closed by its reader before the
+report was written (an error line, no traceback).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import algebra, identities, modules, verma
-from .algebra import AlgebraElement, BasisKey, parse_variant
 from .rationals import format_rational, parse_rational
 from .reporting import dumps_report, render_table, write_report
 
@@ -37,20 +38,20 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _parse_operand(text: str, variant) -> AlgebraElement:
+def _parse_operand(text: str, variant) -> algebra.AlgebraElement:
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise UsageError(f"operand is not valid JSON: {exc}") from exc
     if isinstance(data, dict) and "terms" in data:
-        return AlgebraElement.from_json(data)
+        return algebra.AlgebraElement.from_json(data)
     if isinstance(data, dict) and "alpha" in data:
-        try:
-            key = BasisKey(int(data["alpha"]), int(data.get("level", 0)))
-        except (TypeError, ValueError) as exc:
-            raise UsageError(f"malformed operand field: {exc}") from exc
+        alpha, level = data["alpha"], data.get("level", 0)
+        for name, value in (("alpha", alpha), ("level", level)):
+            if type(value) is not int:
+                raise UsageError(f"operand field {name!r} must be an integer, got {value!r}")
         coeff = parse_rational(data.get("coeff", "1"))
-        return AlgebraElement(variant, {key: coeff})
+        return algebra.AlgebraElement(variant, {algebra.BasisKey(alpha, level): coeff})
     raise UsageError("operand JSON needs either an 'alpha' field or full element form with 'terms'")
 
 
@@ -107,7 +108,7 @@ def _finish(args: argparse.Namespace, payload: dict, human: str) -> None:
 
 def _cmd_bracket(args: argparse.Namespace, config: dict) -> int:
     _fill(args, config, ["variant"])
-    variant = parse_variant(args.variant)
+    variant = algebra.parse_variant(args.variant)
     x = _parse_operand(args.x, variant)
     y = _parse_operand(args.y, variant)
     result = algebra.bracket(x, y)
@@ -118,7 +119,7 @@ def _cmd_bracket(args: argparse.Namespace, config: dict) -> int:
 
 def _cmd_axioms(args: argparse.Namespace, config: dict) -> int:
     _fill(args, config, ["variant", "degree", "level", "vir_degree"])
-    variant = parse_variant(args.variant)
+    variant = algebra.parse_variant(args.variant)
     degree, level = int(args.degree), int(args.level)
     violations = algebra.verify_algebra_axioms(variant, degree, level)
     consistency = algebra.vir_consistency(int(args.vir_degree))
@@ -211,7 +212,7 @@ def _cmd_module(args: argparse.Namespace, config: dict) -> int:
             raise UsageError(f"need --pair-degree >= 1, got {pair_degree}: a lower degree compares no two distinct generators")
         violations = modules.check_module_axioms(window, pair_degree)
         extended = modules.extend_trivially(window, int(args.level_cap))
-        extra = [BasisKey(1, i) for i in range(1, int(args.level_cap) + 1)]
+        extra = [algebra.BasisKey(1, i) for i in range(1, int(args.level_cap) + 1)]
         violations += modules.check_module_axioms(extended, pair_degree, extra_keys=extra)
         payload = {"command": "module.check", "violations": violations, "passed": not violations}
         rows = [{"check": "module-axioms", "result": "ok" if not violations else "failed"}]
@@ -400,10 +401,16 @@ def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = parser.parse_args(_normalize_argv(list(argv)))
-    config = {}
+    del parser
     try:
-        config = _load_config(args.config)
-        return HANDLERS[args.command](args, config)
+        code = HANDLERS[args.command](args, _load_config(args.config))
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout; the interpreter's final flush goes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout was closed before the report was written", file=sys.stderr)
+        return 2
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -339,10 +339,19 @@ def _monomial_ratio(computed: MultiPoly, stated: MultiPoly) -> MultiPoly | None:
     return mono if stated * mono == computed else None
 
 
-STATED_LEADING = (
-    _const(1)
-    + (ALPHA + KT).scale(2)
-    - (ALPHA ** 2).scale(4) * (BP + BP ** 2 + BQ - BQ ** 2)
+# 1 + 2*(alpha + kt) - 4*alpha^2*(bp + bp^2 + bq - bq^2), written out term
+# by term over ALPHABET so that importing this module multiplies nothing
+STATED_LEADING = MultiPoly(
+    ALPHABET,
+    {
+        (0, 0, 0, 0, 0, 0): 1,
+        (1, 0, 0, 0, 0, 0): 2,
+        (0, 0, 0, 1, 0, 0): 2,
+        (2, 0, 0, 0, 1, 0): -4,
+        (2, 0, 0, 0, 2, 0): -4,
+        (2, 0, 0, 0, 0, 1): -4,
+        (2, 0, 0, 0, 0, 2): 4,
+    },
 )
 
 PARAMETER_SAMPLES = (

@@ -29,7 +29,14 @@ def format_rational(x: Fraction | int) -> str:
 
 
 def parse_rational(text: str | int) -> Fraction:
-    """Parse "p" or "p/q" (JSON integers are accepted too)."""
+    """Parse "p" or "p/q"; JSON integers are accepted too, JSON booleans are not.
+
+    Any other exact string ``fractions.Fraction`` reads is accepted as
+    well: decimals ("0.5"), exponents ("1e3") and digit underscores
+    ("1_000").
+    """
+    if isinstance(text, bool):
+        raise ValueError(f"rational must be a string or integer, got {text!r}")
     if isinstance(text, int):
         return Fraction(text)
     if not isinstance(text, str):

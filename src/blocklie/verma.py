@@ -26,10 +26,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from . import algebra
+from . import algebra, modules
 from .algebra import BasisKey, bracket_terms
 from .linalg import RationalMatrix, row_reduce
-from .modules import WindowedModule, interior
 from .rationals import accumulate, format_rational, parse_rational
 
 Monomial = tuple[tuple[int, int], ...]
@@ -259,7 +258,7 @@ def quasifinite_report(n: int, depth_cap: int) -> dict:
     }
 
 
-def verma_window(lam: WeightFunctional, n: int, depth_cap: int) -> WindowedModule:
+def verma_window(lam: WeightFunctional, n: int, depth_cap: int) -> modules.WindowedModule:
     """Materialize the truncated module as a windowed module on [-depth_cap, 2].
 
     Index -d holds the depth-d space; indices 1 and 2 are visibly empty,
@@ -277,14 +276,14 @@ def verma_window(lam: WeightFunctional, n: int, depth_cap: int) -> WindowedModul
     ]
     actions: dict[tuple[BasisKey, int], RationalMatrix] = {}
     for g in generators:
-        for k in interior(lo, hi, g.alpha):
+        for k in modules.interior(lo, hi, g.alpha):
             t = k + g.alpha
             entries = {}
             for col, word in enumerate(bases[k]):
                 for w, c in action.act_generator(g.alpha, g.level, word).items():
                     entries[(positions[t][w], col)] = c
             actions[(g, k)] = RationalMatrix(dims[t], dims[k], entries)
-    return WindowedModule(
+    return modules.WindowedModule(
         algebra.quotient(0, n),
         lam[0],
         lo,

@@ -1,7 +1,11 @@
 """Command-line front end: outputs, exit codes, determinism, diagnostics."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -31,6 +35,30 @@ def test_bracket_rejects_bad_operand(capsys):
     code, _, err = run(capsys, "bracket", "--variant", "B", "--x", '{"nope": 1}', "--y", '{"alpha":1}')
     assert code == 2
     assert "alpha" in err
+
+
+@pytest.mark.parametrize("operand", ['{"alpha":2.5,"level":0}', '{"alpha":true,"level":0}'])
+def test_bracket_operand_alpha_must_be_an_integer(capsys, operand):
+    # int() used to truncate 2.5 to 2 and read true as 1, and exit 0
+    code, out, err = run(capsys, "bracket", "--variant", "B", "--x", operand, "--y", '{"alpha":-2,"level":0}')
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "'alpha'" in err
+
+
+def test_closed_stdout_exits_two_without_a_traceback():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # closed before any read: every write fails with EPIPE
+    argv = ["axioms", "--variant", "Q:0:1", "--degree", "2", "--level", "0", "--format", "json"]
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "blocklie.cli", *argv], stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr.decode().splitlines() == ["error: stdout was closed before the report was written"]
 
 
 def test_module_irreducible_exit_zero_on_agreement(capsys):

@@ -180,6 +180,14 @@ def test_accumulate_uses_scale():
     assert accumulate({}, [("x", 4)], Fraction(1, 2)) == {"x": 2}
 
 
+def test_parse_rational_rejects_booleans_and_keeps_exact_strings():
+    for flag in (True, False):
+        with pytest.raises(ValueError):
+            parse_rational(flag)
+    assert parse_rational("0.5") == Fraction(1, 2)
+    assert parse_rational("1e3") == parse_rational("1_000") == Fraction(1000)
+
+
 def test_rational_wire_format():
     assert format_rational(Fraction(3)) == "3"
     assert format_rational(Fraction(-1, 2)) == "-1/2"
