@@ -39,7 +39,7 @@ def test_bracket_rejects_bad_operand(capsys):
 
 @pytest.mark.parametrize("operand", ['{"alpha":2.5,"level":0}', '{"alpha":true,"level":0}'])
 def test_bracket_operand_alpha_must_be_an_integer(capsys, operand):
-    # int() used to truncate 2.5 to 2 and read true as 1, and exit 0
+    # a float or a boolean must not be read as a nearby integer
     code, out, err = run(capsys, "bracket", "--variant", "B", "--x", operand, "--y", '{"alpha":-2,"level":0}')
     assert code == 2
     assert out == ""
