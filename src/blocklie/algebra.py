@@ -39,7 +39,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from . import linalg
-from .rationals import ZERO, accumulate, format_rational, parse_rational
+from .rationals import ZERO, accumulate, format_rational, parse_rational, read_int
 
 
 class BasisKey(NamedTuple):
@@ -51,6 +51,10 @@ class BasisKey(NamedTuple):
 
     alpha: int
     level: int
+
+    @classmethod
+    def from_json(cls, data: dict) -> "BasisKey":
+        return cls(read_int(data["alpha"], "'alpha'"), read_int(data["level"], "'level'"))
 
 
 @dataclass(frozen=True)
@@ -290,12 +294,9 @@ class AlgebraElement:
     def from_json(cls, data: dict) -> "AlgebraElement":
         try:
             variant = parse_variant(data["variant"])
-            terms = {
-                BasisKey(int(t["alpha"]), int(t["level"])): parse_rational(t["coeff"])
-                for t in data.get("terms", [])
-            }
+            terms = {BasisKey.from_json(t): parse_rational(t["coeff"]) for t in data.get("terms", [])}
             central = parse_rational(data.get("central", "0"))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed element JSON: {exc}") from exc
         return cls(variant, terms, central)
 

@@ -2,9 +2,14 @@
 
 Subcommands: bracket, axioms, module, verma, lemmas, classify.  Every
 path is a thin composition of library calls; no computation lives only
-here.  A JSON config file can predefine option values and explicit
-flags win over the file.  Reports are emitted as canonical JSON
-(byte-identical across reruns of the same configuration) and as text.
+here.  A JSON config file (--config) can predefine option values: its
+keys are the subcommand's option names with "_" for "-" (vir_degree,
+pair_degree, level_cap, to_b, lambda_file, ...), its values JSON
+strings or integers, each read exactly like the same flag typed on the
+command line, and explicit flags win over the file.  An unknown key, a
+boolean or a float exits 2, so --strict cannot be set from a file.
+Reports are emitted as canonical JSON (byte-identical across reruns of
+the same configuration) and as text.
 
 Exit codes: 0 when every requested check passes, 1 when a check fails
 or (under --strict) a lemma report records a discrepancy, 2 for usage
@@ -20,7 +25,7 @@ import os
 import sys
 
 from . import algebra, identities, modules, verma
-from .rationals import format_rational, parse_rational
+from .rationals import format_rational, parse_rational, read_int
 from .reporting import dumps_report, render_table, write_report
 
 
@@ -46,68 +51,49 @@ def _parse_operand(text: str, variant) -> algebra.AlgebraElement:
     if isinstance(data, dict) and "terms" in data:
         return algebra.AlgebraElement.from_json(data)
     if isinstance(data, dict) and "alpha" in data:
-        alpha, level = data["alpha"], data.get("level", 0)
-        for name, value in (("alpha", alpha), ("level", level)):
-            if type(value) is not int:
-                raise UsageError(f"operand field {name!r} must be an integer, got {value!r}")
+        alpha = read_int(data["alpha"], "operand field 'alpha'")
+        level = read_int(data.get("level", 0), "operand field 'level'")
         coeff = parse_rational(data.get("coeff", "1"))
         return algebra.AlgebraElement(variant, {algebra.BasisKey(alpha, level): coeff})
     raise UsageError("operand JSON needs either an 'alpha' field or full element form with 'terms'")
 
 
-def _load_config(path: str | None) -> dict:
-    if not path:
-        return {}
+def _read_json(path: str, what: str):
     try:
         with open(path, encoding="utf-8") as handle:
-            data = json.load(handle)
+            return json.load(handle)
     except OSError as exc:
-        raise UsageError(f"cannot read config file: {exc}") from exc
+        raise UsageError(f"cannot read {what}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise UsageError(f"config file is not valid JSON: {exc}") from exc
+        raise UsageError(f"{what} is not valid JSON: {exc}") from exc
+
+
+def _config_flags(args: argparse.Namespace) -> list[str]:
+    """The --config file's values as "--flag=value" tokens, for the subcommand's own parser to read."""
+    data = _read_json(args.config, "config file")
     if not isinstance(data, dict):
         raise UsageError("config file must hold a JSON object")
-    return data
-
-
-def _fill(args: argparse.Namespace, config: dict, names: list[str]) -> None:
-    # flags win over config values; config wins over built-in defaults
-    defaults = {
-        "variant": "B",
-        "degree": 5,
-        "level": 3,
-        "vir_degree": 10,
-        "family": "Aab",
-        "a": "0",
-        "b": "0",
-        "to_b": None,
-        "range": "-8:8",
-        "pair_degree": 4,
-        "level_cap": 2,
-        "n": 1,
-        "depth": 3,
-        "c": "0",
-    }
-    for name in names:
-        if getattr(args, name, None) is None:
-            if name in config:
-                setattr(args, name, config[name])
-            elif name in defaults:
-                setattr(args, name, defaults[name])
+    flags = []
+    for key, value in data.items():
+        if key not in vars(args):
+            raise UsageError(f"config key {key!r} is not an option of {args.command}")
+        if type(value) not in (int, str):
+            raise UsageError(f"config value of {key!r} must be a JSON string or integer, got {json.dumps(value)}")
+        flags.append(f"--{key.replace('_', '-')}={value}")
+    return flags
 
 
 def _finish(args: argparse.Namespace, payload: dict, human: str) -> None:
     # one JSON document on stdout under --format json, one summary otherwise
-    if getattr(args, "out", None):
+    if args.out:
         write_report(payload, args.out)
-    if getattr(args, "format", "table") == "json":
+    if args.format == "json":
         sys.stdout.write(dumps_report(payload))
     else:
         print(human)
 
 
-def _cmd_bracket(args: argparse.Namespace, config: dict) -> int:
-    _fill(args, config, ["variant"])
+def _cmd_bracket(args: argparse.Namespace) -> int:
     variant = algebra.parse_variant(args.variant)
     x = _parse_operand(args.x, variant)
     y = _parse_operand(args.y, variant)
@@ -117,12 +103,11 @@ def _cmd_bracket(args: argparse.Namespace, config: dict) -> int:
     return 0
 
 
-def _cmd_axioms(args: argparse.Namespace, config: dict) -> int:
-    _fill(args, config, ["variant", "degree", "level", "vir_degree"])
+def _cmd_axioms(args: argparse.Namespace) -> int:
     variant = algebra.parse_variant(args.variant)
-    degree, level = int(args.degree), int(args.level)
+    degree, level = args.degree, args.level
     violations = algebra.verify_algebra_axioms(variant, degree, level)
-    consistency = algebra.vir_consistency(int(args.vir_degree))
+    consistency = algebra.vir_consistency(args.vir_degree)
     passed = not violations and consistency["homomorphism"] and consistency["quotient_matches"]
     # the sweep checks every pair x <= y and every triple x <= y <= z of the window
     n = len(algebra.window_keys(variant, degree, level))
@@ -145,7 +130,7 @@ def _cmd_axioms(args: argparse.Namespace, config: dict) -> int:
 
 
 def _parameter_grid(text: str) -> list:
-    values = [parse_rational(part) for part in str(text).split(",") if part.strip()]
+    values = [parse_rational(part) for part in text.split(",") if part.strip()]
     if not values:
         raise UsageError(f"empty parameter grid {text!r}")
     return values
@@ -159,9 +144,8 @@ def _spec_grid(args: argparse.Namespace) -> list[modules.IntermediateSpec]:
     return [modules.IntermediateSpec(args.family, a) for a in grid_a]
 
 
-def _cmd_module(args: argparse.Namespace, config: dict) -> int:
-    _fill(args, config, ["family", "a", "b", "to_b", "range", "pair_degree", "level_cap"])
-    lo, hi = _parse_range(str(args.range))
+def _cmd_module(args: argparse.Namespace) -> int:
+    lo, hi = _parse_range(args.range)
     action = args.action
     grid = _spec_grid(args)
     if action == "irreducible":
@@ -183,7 +167,7 @@ def _cmd_module(args: argparse.Namespace, config: dict) -> int:
         results = []
         lines = []
         for spec in grid:
-            report = modules.extension_space(modules.build_window(spec, lo, hi), int(args.level_cap))
+            report = modules.extension_space(modules.build_window(spec, lo, hi), args.level_cap)
             if report.equations == 0:
                 raise UsageError(f"range {lo}:{hi} at level cap {args.level_cap} gives no extension equations")
             results.append(
@@ -207,12 +191,12 @@ def _cmd_module(args: argparse.Namespace, config: dict) -> int:
     spec = grid[0]
     window = modules.build_window(spec, lo, hi)
     if action == "check":
-        pair_degree = int(args.pair_degree)
+        pair_degree = args.pair_degree
         if pair_degree < 1:
             raise UsageError(f"need --pair-degree >= 1, got {pair_degree}: a lower degree compares no two distinct generators")
         violations = modules.check_module_axioms(window, pair_degree)
-        extended = modules.extend_trivially(window, int(args.level_cap))
-        extra = [algebra.BasisKey(1, i) for i in range(1, int(args.level_cap) + 1)]
+        extended = modules.extend_trivially(window, args.level_cap)
+        extra = [algebra.BasisKey(1, i) for i in range(1, args.level_cap + 1)]
         violations += modules.check_module_axioms(extended, pair_degree, extra_keys=extra)
         payload = {"command": "module.check", "violations": violations, "passed": not violations}
         rows = [{"check": "module-axioms", "result": "ok" if not violations else "failed"}]
@@ -222,7 +206,7 @@ def _cmd_module(args: argparse.Namespace, config: dict) -> int:
         if args.to_b is None:
             raise UsageError("intertwiner needs --to-b for the target family member")
         other = modules.build_window(
-            modules.IntermediateSpec("Aab", parse_rational(str(args.a)), parse_rational(str(args.to_b))), lo, hi
+            modules.IntermediateSpec("Aab", parse_rational(args.a), parse_rational(args.to_b)), lo, hi
         )
         found = modules.find_intertwiner(window, other)
         payload = {
@@ -238,7 +222,7 @@ def _cmd_module(args: argparse.Namespace, config: dict) -> int:
         _finish(args, payload, "core spans window" if ok else "core does not span window")
         return 0 if ok else 1
     if action == "classify":
-        extended = modules.extend_trivially(window, int(args.level_cap))
+        extended = modules.extend_trivially(window, args.level_cap)
         verdict = modules.classify_window(extended)
         payload = {"command": "module.classify", "verdict": verdict}
         _finish(args, payload, verdict["verdict"])
@@ -246,10 +230,8 @@ def _cmd_module(args: argparse.Namespace, config: dict) -> int:
     raise UsageError(f"unknown module action {action!r}")
 
 
-def _cmd_verma(args: argparse.Namespace, config: dict) -> int:
-    _fill(args, config, ["n", "depth", "c"])
-    n = int(args.n)
-    depth = int(args.depth)
+def _cmd_verma(args: argparse.Namespace) -> int:
+    n, depth = args.n, args.depth
     if n < 0 or depth < 0:
         raise UsageError(f"need n >= 0 and depth >= 0, got n={n} and depth={depth}")
     if args.action == "dims":
@@ -261,16 +243,10 @@ def _cmd_verma(args: argparse.Namespace, config: dict) -> int:
         if depth < 1:
             raise UsageError("singular vectors need depth >= 1, got depth=0")
         if args.lambda_file:
-            try:
-                with open(args.lambda_file, encoding="utf-8") as handle:
-                    lam = verma.WeightFunctional.from_json(json.load(handle))
-            except OSError as exc:
-                raise UsageError(f"cannot read lambda file: {exc}") from exc
-            except (json.JSONDecodeError, ValueError) as exc:
-                raise UsageError(f"malformed lambda file: {exc}") from exc
+            lam = verma.WeightFunctional.from_json(_read_json(args.lambda_file, "lambda file"))
         else:
             values = tuple(parse_rational(v) for v in (args.lam or "0," * n + "0").split(","))
-            lam = verma.WeightFunctional(values, parse_rational(str(args.c)))
+            lam = verma.WeightFunctional(values, parse_rational(args.c))
         if lam.n != n:
             raise UsageError(f"lambda table has {lam.n + 1} entries but n={n} needs {n + 1}")
         found = []
@@ -290,7 +266,7 @@ def _cmd_verma(args: argparse.Namespace, config: dict) -> int:
     raise UsageError(f"unknown verma action {args.action!r}")
 
 
-def _cmd_lemmas(args: argparse.Namespace, config: dict) -> int:
+def _cmd_lemmas(args: argparse.Namespace) -> int:
     reports = identities.run_standard_suite()
     payload = {
         "command": "lemmas",
@@ -305,15 +281,8 @@ def _cmd_lemmas(args: argparse.Namespace, config: dict) -> int:
     return 0 if ok else 1
 
 
-def _cmd_classify(args: argparse.Namespace, config: dict) -> int:
-    try:
-        with open(args.module_file, encoding="utf-8") as handle:
-            data = json.load(handle)
-    except OSError as exc:
-        raise UsageError(f"cannot read module file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"module file is not valid JSON: {exc}") from exc
-    window = modules.WindowedModule.from_json(data)
+def _cmd_classify(args: argparse.Namespace) -> int:
+    window = modules.WindowedModule.from_json(_read_json(args.module_file, "module file"))
     verdict = modules.classify_window(window)
     payload = {"command": "classify", "verdict": verdict}
     _finish(args, payload, verdict["verdict"])
@@ -349,32 +318,32 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("bracket", parents=[common], help="evaluate one bracket from JSON operands")
-    p.add_argument("--variant")
+    p.add_argument("--variant", default="B")
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
 
     p = sub.add_parser("axioms", parents=[common], help="antisymmetry/Jacobi sweep and Virasoro consistency")
-    p.add_argument("--variant")
-    p.add_argument("--degree", type=int)
-    p.add_argument("--level", type=int)
-    p.add_argument("--vir-degree", dest="vir_degree", type=int)
+    p.add_argument("--variant", default="B")
+    p.add_argument("--degree", type=int, default=5)
+    p.add_argument("--level", type=int, default=3)
+    p.add_argument("--vir-degree", dest="vir_degree", type=int, default=10)
 
     p = sub.add_parser("module", parents=[common], help="build and analyze intermediate-series windows")
-    p.add_argument("--family", choices=["Aab", "Aa", "Ba"])
-    p.add_argument("--a")
-    p.add_argument("--b")
+    p.add_argument("--family", choices=["Aab", "Aa", "Ba"], default="Aab")
+    p.add_argument("--a", default="0")
+    p.add_argument("--b", default="0")
     p.add_argument("--to-b", dest="to_b")
-    p.add_argument("--range")
-    p.add_argument("--pair-degree", dest="pair_degree", type=int)
-    p.add_argument("--level-cap", dest="level_cap", type=int)
+    p.add_argument("--range", default="-8:8")
+    p.add_argument("--pair-degree", dest="pair_degree", type=int, default=4)
+    p.add_argument("--level-cap", dest="level_cap", type=int, default=2)
     p.add_argument("action", choices=["check", "irreducible", "intertwiner", "extension", "spanning", "classify"])
 
     p = sub.add_parser("verma", parents=[common], help="truncated highest-weight module data")
-    p.add_argument("--n", type=int)
-    p.add_argument("--depth", type=int)
+    p.add_argument("--n", type=int, default=1)
+    p.add_argument("--depth", type=int, default=3)
     p.add_argument("--lambda-file", dest="lambda_file")
     p.add_argument("--lam", help="comma-separated rational values for the degree-zero levels")
-    p.add_argument("--c")
+    p.add_argument("--c", default="0")
     p.add_argument("action", choices=["dims", "singular"])
 
     p = sub.add_parser("lemmas", parents=[common], help="run the identity-verification suite")
@@ -398,12 +367,15 @@ HANDLERS = {
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
-    args = parser.parse_args(_normalize_argv(list(argv)))
-    del parser
+    argv = _normalize_argv(sys.argv[1:] if argv is None else list(argv))
+    args = parser.parse_args(argv)
     try:
-        code = HANDLERS[args.command](args, _load_config(args.config))
+        if args.config:
+            # config values go through the same parser as flags; the user's flags come last and win
+            pos = argv.index(args.command) + 1
+            args = parser.parse_args([*argv[:pos], *_config_flags(args), *argv[pos:]])
+        del parser
+        code = HANDLERS[args.command](args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

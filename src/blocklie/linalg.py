@@ -47,7 +47,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
-from .rationals import ZERO, accumulate, format_rational, parse_rational
+from .rationals import ZERO, accumulate, format_rational, parse_rational, read_int, read_int_key
 
 
 class RationalMatrix:
@@ -189,12 +189,12 @@ class RationalMatrix:
     @classmethod
     def from_json(cls, data: dict) -> "RationalMatrix":
         try:
-            rows, cols = int(data["rows"]), int(data["cols"])
+            rows, cols = read_int(data["rows"], "'rows'"), read_int(data["cols"], "'cols'")
             entries = {}
             for key, val in data.get("entries", {}).items():
-                r, c = (int(p) for p in key.split(","))
+                r, c = (read_int_key(p, f"entry {key!r} index") for p in key.split(","))
                 entries[(r, c)] = parse_rational(val)
-        except (KeyError, ValueError, TypeError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed matrix JSON: {exc}") from exc
         return cls(rows, cols, entries)
 

@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 from . import algebra
 from .algebra import VIRASORO, BLOCK_B, AlgebraVariant, BasisKey, bracket_terms, parse_variant
 from .linalg import Echelon, RationalMatrix, row_reduce
-from .rationals import ZERO, accumulate, format_rational, parse_rational
+from .rationals import ZERO, accumulate, format_rational, parse_rational, read_int, read_int_key
 
 # extension_space: degrees of the in-band unknowns, and of the level-0
 # actions they are bracketed against
@@ -95,6 +95,9 @@ def act_intermediate(spec: IntermediateSpec, generator: BasisKey | str, k: int) 
     if k == -i:
         return Fraction(-i) * (i + a), 0
     return Fraction(k), target
+
+
+_MODULE_KEYS = {"variant", "offset", "range", "central", "dims", "generators", "actions", "col_margins"}
 
 
 class WindowedModule:
@@ -214,19 +217,24 @@ class WindowedModule:
     @classmethod
     def from_json(cls, data: dict) -> "WindowedModule":
         try:
+            unknown = data.keys() - _MODULE_KEYS
+            if unknown:
+                raise ValueError(f"unknown keys {sorted(unknown)}")
             variant = parse_variant(data["variant"])
             offset = parse_rational(data["offset"])
-            lo, hi = (int(v) for v in data["range"])
+            lo, hi = (read_int(v, "'range' entry") for v in data["range"])
             central = parse_rational(data.get("central", "0"))
-            dims = {int(k): int(v) for k, v in data["dims"].items()}
-            generators = [BasisKey(int(g["alpha"]), int(g["level"])) for g in data["generators"]]
+            dims = {read_int_key(k, "'dims' key"): read_int(v, "'dims' value") for k, v in data["dims"].items()}
+            generators = [BasisKey.from_json(g) for g in data["generators"]]
             actions = {}
             for item in data.get("actions", []):
-                key = (BasisKey(int(item["alpha"]), int(item["level"])), int(item["source"]))
+                key = (BasisKey.from_json(item), read_int(item["source"], "'source'"))
                 actions[key] = RationalMatrix.from_json(item["matrix"])
             margins = data.get("col_margins")
-            col_margins = None if margins is None else {int(k): [int(x) for x in v] for k, v in margins.items()}
-        except (KeyError, TypeError, ValueError) as exc:
+            col_margins = None if margins is None else {
+                read_int_key(k, "'col_margins' key"): [read_int(x, "'col_margins' entry") for x in v] for k, v in margins.items()
+            }
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed module JSON: {exc}") from exc
         return cls(variant, offset, lo, hi, dims, generators, actions, central, col_margins)
 

@@ -5,7 +5,9 @@ Every scalar stored in an element or matrix is a
 algebras and the integral coefficients of polynomials are plain ints;
 a polynomial keeps a ``Fraction`` only for a non-integral coefficient.
 The wire format is the compact string ``"p/q"``, shortened to ``"p"``
-when the denominator is one, for an int and a Fraction alike.
+when the denominator is one, for an int and a Fraction alike.  An
+integer field of a JSON document is read with ``read_int`` and an
+integer object key with ``read_int_key``.
 
 Sparse vectors are dicts from keys to nonzero coefficients, and every
 sum into one goes through ``accumulate``, which adds scaled values and
@@ -45,6 +47,20 @@ def parse_rational(text: str | int) -> Fraction:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed rational {text!r}") from exc
+
+
+def read_int(value: int, what: str) -> int:
+    """Return ``value`` if it is a JSON integer; a bool, float or string raises ValueError."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def read_int_key(key: str, what: str) -> int:
+    """Read a JSON object key that spells an integer in canonical decimal: "-3", not "+3", "03" or " 3"."""
+    if isinstance(key, str) and key.removeprefix("-").isdecimal() and str(int(key)) == key:
+        return int(key)
+    raise ValueError(f"{what} {key!r} is not an integer in canonical decimal")
 
 
 def accumulate(target: dict, pairs: Iterable[tuple], scale=1) -> dict:

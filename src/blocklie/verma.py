@@ -26,9 +26,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from . import algebra, modules
+from . import algebra, linalg, modules
 from .algebra import BasisKey, bracket_terms
-from .linalg import RationalMatrix, row_reduce
 from .rationals import accumulate, format_rational, parse_rational
 
 Monomial = tuple[tuple[int, int], ...]
@@ -229,7 +228,7 @@ def singular_vectors(lam: WeightFunctional, n: int, depth: int) -> list[dict[Mon
             for w, c in action.act_generator(g.alpha, g.level, word).items():
                 block[row_index[w]][col] = c
         rows += block
-    kernel = row_reduce(RationalMatrix.from_sparse_rows(rows, len(basis))).kernel
+    kernel = linalg.row_reduce(linalg.RationalMatrix.from_sparse_rows(rows, len(basis))).kernel
 
     vectors = []
     for vec in kernel:
@@ -274,7 +273,7 @@ def verma_window(lam: WeightFunctional, n: int, depth_cap: int) -> modules.Windo
     generators = [
         BasisKey(a, i) for a in range(-depth_cap, depth_cap + 1) for i in range(n + 1)
     ]
-    actions: dict[tuple[BasisKey, int], RationalMatrix] = {}
+    actions: dict[tuple[BasisKey, int], linalg.RationalMatrix] = {}
     for g in generators:
         for k in modules.interior(lo, hi, g.alpha):
             t = k + g.alpha
@@ -282,7 +281,7 @@ def verma_window(lam: WeightFunctional, n: int, depth_cap: int) -> modules.Windo
             for col, word in enumerate(bases[k]):
                 for w, c in action.act_generator(g.alpha, g.level, word).items():
                     entries[(positions[t][w], col)] = c
-            actions[(g, k)] = RationalMatrix(dims[t], dims[k], entries)
+            actions[(g, k)] = linalg.RationalMatrix(dims[t], dims[k], entries)
     return modules.WindowedModule(
         algebra.quotient(0, n),
         lam[0],

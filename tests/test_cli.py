@@ -37,7 +37,14 @@ def test_bracket_rejects_bad_operand(capsys):
     assert "alpha" in err
 
 
-@pytest.mark.parametrize("operand", ['{"alpha":2.5,"level":0}', '{"alpha":true,"level":0}'])
+@pytest.mark.parametrize(
+    "operand",
+    [
+        '{"alpha":2.5,"level":0}',
+        '{"alpha":true,"level":0}',
+        '{"variant":"B","terms":[{"alpha":true,"level":0,"coeff":"1"}]}',
+    ],
+)
 def test_bracket_operand_alpha_must_be_an_integer(capsys, operand):
     # a float or a boolean must not be read as a nearby integer
     code, out, err = run(capsys, "bracket", "--variant", "B", "--x", operand, "--y", '{"alpha":-2,"level":0}')
@@ -224,6 +231,18 @@ def _break_margins(data):
     data["col_margins"] = {k: [0, 0] for k in data["dims"]}
 
 
+def _set(*path):
+    """A corruption that stores the last item of ``path`` under the keys before it."""
+    *keys, last, value = path
+
+    def corrupt(data):
+        for key in keys:
+            data = data[key]
+        data[last] = value
+
+    return corrupt
+
+
 @pytest.mark.parametrize(
     "corrupt, message",
     [
@@ -231,8 +250,19 @@ def _break_margins(data):
         (_break_shape, "is 2x2, expected 1x1"),
         (_break_dims, "negative dimension -3"),
         (_break_margins, "column margins"),
+        (_set("range", [-3.7, 3.2]), "'range' entry must be an integer, got -3.7"),
+        (_set("dims", "0", 1.9), "'dims' value must be an integer, got 1.9"),
+        (_set("dims", []), "no attribute 'items'"),
+        (_set("generators", 0, "alpha", True), "'alpha' must be an integer, got True"),
+        (_set("generators", 0, "alpha", "-6"), "'alpha' must be an integer, got '-6'"),
+        (_set("nonsense", 5), "unknown keys ['nonsense']"),
+        (_set("actions", 0, "matrix", "rows", 1.0), "'rows' must be an integer, got 1.0"),
+        (_set("actions", 0, "matrix", "entries", "0, 0", "5"), "entry '0, 0' index ' 0' is not an integer"),
     ],
-    ids=["deleted-actions", "wrong-shape", "negative-dim", "margins-length"],
+    ids=[
+        "deleted-actions", "wrong-shape", "negative-dim", "margins-length", "float-range", "float-dim",
+        "dims-not-object", "bool-alpha", "string-alpha", "unknown-key", "float-rows", "spaced-entry-key",
+    ],
 )
 def test_classify_rejects_inconsistent_module(tmp_path, capsys, corrupt, message):
     data = extend_trivially(build_window(IntermediateSpec("Aab", Fraction(1, 2), Fraction(2)), -4, 4), 1).to_json()
@@ -242,7 +272,7 @@ def test_classify_rejects_inconsistent_module(tmp_path, capsys, corrupt, message
     code, out, err = run(capsys, "classify", "--module-file", str(path))
     assert code == 2
     assert out == ""
-    assert message in err
+    assert err.startswith("error:") and message in err
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):
@@ -255,6 +285,40 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["config"]["degree"] == 3  # from the config file
     assert payload["vir_consistency"]["pairs"] == 81  # flag value 4 wins
+
+
+@pytest.mark.parametrize(
+    "argv, config, message",
+    [
+        (("axioms", "--variant", "Q:0:1"), {"degree": 2.9}, "'degree'"),
+        (("axioms", "--variant", "Q:0:1"), {"level": True}, "'level'"),
+        (("axioms", "--variant", "Q:0:1"), {"nonsense": 5}, "'nonsense'"),
+        (("module", "check"), {"a": 0.5}, "'a'"),
+        (("verma", "dims"), {"n": "x"}, "--n"),
+        (("axioms", "--variant", "Q:0:1"), {"deg": 2}, "'deg'"),
+        (("axioms", "--variant", "Q:0:1"), [{"degree": 2}], "JSON object"),
+    ],
+    ids=["float", "bool", "unknown-key", "float-rational", "int-flag-text", "abbreviated-key", "list"],
+)
+def test_config_values_are_read_like_flags(tmp_path, capsys, argv, config, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    try:
+        code = main([*argv, "--config", str(cfg)])
+    except SystemExit as exc:  # argparse rejects a config value as it rejects the same flag
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert message in captured.err and "Traceback" not in captured.err
+
+
+def test_config_value_may_start_with_a_dash(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"range": "-4:4", "a": "1/2", "b": "2"}')
+    typed = run(capsys, "module", "--range", "-4:4", "--a", "1/2", "--b", "2", "check", "--format", "json")
+    assert typed[0] == 0
+    assert run(capsys, "module", "--config", str(cfg), "check", "--format", "json") == typed
 
 
 def test_out_of_variant_key_diagnostic(capsys):

@@ -64,6 +64,14 @@ def test_axioms_executes_no_elimination_module_polynomial_or_window_code():
     assert executed_library(result) == {"algebra", "rationals", "reporting"}
 
 
+def test_verma_dims_executes_no_elimination_or_window_code():
+    result = probe(
+        "from blocklie.cli import main",
+        "assert main(['verma', '--n', '1', '--depth', '3', 'dims']) == 0",
+    )
+    assert executed_library(result) == {"algebra", "rationals", "reporting", "verma"}
+
+
 def test_verma_singular_does_not_execute_modules():
     result = probe(
         "from blocklie.cli import main",
