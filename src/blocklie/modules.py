@@ -232,7 +232,8 @@ class WindowedModule:
                 actions[key] = RationalMatrix.from_json(item["matrix"])
             margins = data.get("col_margins")
             col_margins = None if margins is None else {
-                read_int_key(k, "'col_margins' key"): [read_int(x, "'col_margins' entry") for x in v] for k, v in margins.items()
+                read_int_key(k, "'col_margins' key"): [read_int(x, "'col_margins' entry") for x in v]
+                for k, v in margins.items()
             }
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed module JSON: {exc}") from exc

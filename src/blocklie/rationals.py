@@ -49,14 +49,14 @@ def parse_rational(text: str | int) -> Fraction:
         raise ValueError(f"malformed rational {text!r}") from exc
 
 
-def read_int(value: int, what: str) -> int:
+def read_int(value: object, what: str) -> int:
     """Return ``value`` if it is a JSON integer; a bool, float or string raises ValueError."""
     if type(value) is not int:
         raise ValueError(f"{what} must be an integer, got {value!r}")
     return value
 
 
-def read_int_key(key: str, what: str) -> int:
+def read_int_key(key: object, what: str) -> int:
     """Read a JSON object key that spells an integer in canonical decimal: "-3", not "+3", "03" or " 3"."""
     if isinstance(key, str) and key.removeprefix("-").isdecimal() and str(int(key)) == key:
         return int(key)
