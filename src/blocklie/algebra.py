@@ -39,7 +39,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from . import linalg
-from .rationals import ZERO, accumulate, format_rational, parse_rational, read_int
+from .rationals import ZERO, accumulate, format_rational, parse_rational, read_int, read_int_key
 
 
 class BasisKey(NamedTuple):
@@ -100,7 +100,7 @@ def parse_variant(text: str) -> AlgebraVariant:
     if text.startswith("Q:"):
         try:
             _, m, n = text.split(":")
-            return quotient(int(m), int(n))
+            return quotient(read_int_key(m, "quotient level"), read_int_key(n, "quotient level"))
         except ValueError as exc:
             raise ValueError(f"malformed quotient variant {text!r}") from exc
     raise ValueError(f"unknown algebra variant {text!r}")

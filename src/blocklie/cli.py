@@ -25,7 +25,7 @@ import os
 import sys
 
 from . import algebra, identities, modules, verma
-from .rationals import format_rational, parse_rational, read_int
+from .rationals import format_rational, parse_rational, read_int, read_int_key
 from .reporting import dumps_report, render_table, write_report
 
 
@@ -35,7 +35,7 @@ class UsageError(Exception):
 
 def _parse_range(text: str) -> tuple[int, int]:
     try:
-        lo, hi = (int(p) for p in text.split(":"))
+        lo, hi = (read_int_key(p, "range bound") for p in text.split(":"))
     except ValueError as exc:
         raise UsageError(f"malformed range {text!r}, expected lo:hi") from exc
     if lo > hi:
@@ -139,8 +139,10 @@ def _parameter_grid(text: str) -> list:
 def _spec_grid(args: argparse.Namespace) -> list[modules.IntermediateSpec]:
     grid_a = _parameter_grid(args.a)
     if args.family == "Aab":
-        grid_b = _parameter_grid(args.b)
+        grid_b = _parameter_grid("0" if args.b is None else args.b)
         return [modules.IntermediateSpec("Aab", a, b) for a in grid_a for b in grid_b]
+    if args.b is not None or args.to_b is not None:
+        raise UsageError(f"--b and --to-b are parameters of family Aab, not {args.family}")
     return [modules.IntermediateSpec(args.family, a) for a in grid_a]
 
 
@@ -331,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("module", parents=[common], help="build and analyze intermediate-series windows")
     p.add_argument("--family", choices=["Aab", "Aa", "Ba"], default="Aab")
     p.add_argument("--a", default="0")
-    p.add_argument("--b", default="0")
+    p.add_argument("--b")
     p.add_argument("--to-b", dest="to_b")
     p.add_argument("--range", default="-8:8")
     p.add_argument("--pair-degree", dest="pair_degree", type=int, default=4)

@@ -7,7 +7,10 @@ source index) pair whose target index stays inside the window.  Absent
 action entries mean the target leaves the window; relations are only
 ever asserted where every intermediate index stays inside (interior
 checking, defined once by ``interior``), so windows approximate
-infinite modules without false negatives.
+infinite modules without false negatives.  Every window built here and
+by ``verma.verma_window`` is made by ``windowed``, the one loop that
+stores an action matrix at each interior index; each constructor
+supplies only the matrix entries.
 
 The intermediate-series families over the Virasoro algebra are the
 basic suppliers of windows (C acts by zero on all of them):
@@ -17,15 +20,16 @@ basic suppliers of windows (C acts by zero on all of them):
 * ``Ba``   L_i x_k = k x_{i+k} for k != -i,       L_i x_{-i} = -i (i + a) x_0
 
 Modules built from factor windows (tensor products) carry per-column
-edge distances; checks then assert equality only on columns far enough
-from the factor boundaries for every touched index to be exact.
+edge distances; ``check_module_axioms`` then asserts equality only on
+columns far enough from the factor boundaries for every touched index
+to be exact, and ``direct_sum`` and ``extension_space`` refuse them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import algebra
 from .algebra import VIRASORO, BLOCK_B, AlgebraVariant, BasisKey, bracket_terms, parse_variant
@@ -240,6 +244,32 @@ class WindowedModule:
         return cls(variant, offset, lo, hi, dims, generators, actions, central, col_margins)
 
 
+def windowed(
+    variant: AlgebraVariant,
+    offset: Fraction,
+    lo: int,
+    hi: int,
+    dims: dict[int, int],
+    generators: Sequence[BasisKey],
+    entries: Callable[[BasisKey, int], Optional[dict[tuple[int, int], Fraction]]],
+    central_scalar: Fraction = ZERO,
+    col_margins: dict[int, list[int]] | None = None,
+) -> WindowedModule:
+    """The window whose generator g maps V_k to V_{k+g.alpha} by the matrix with entries(g, k).
+
+    This is the one action loop: a matrix of shape dims[k + g.alpha] x
+    dims[k] is stored for every generator g at every k of
+    ``interior(lo, hi, g.alpha)``.  ``entries`` returns the (row, col) ->
+    value map, zeros allowed, or None for the zero matrix.
+    """
+    actions = {
+        (g, k): RationalMatrix(dims[k + g.alpha], dims[k], entries(g, k))
+        for g in generators
+        for k in interior(lo, hi, g.alpha)
+    }
+    return WindowedModule(variant, offset, lo, hi, dims, generators, actions, central_scalar, col_margins)
+
+
 def build_window(spec: IntermediateSpec, lo: int, hi: int) -> WindowedModule:
     """Materialize an intermediate-series member on [lo, hi] as 1x1 matrices.
 
@@ -248,13 +278,10 @@ def build_window(spec: IntermediateSpec, lo: int, hi: int) -> WindowedModule:
     """
     dims = {k: 1 for k in range(lo, hi + 1)}
     generators = [BasisKey(i, 0) for i in range(lo - hi, hi - lo + 1)]
-    actions: dict[tuple[BasisKey, int], RationalMatrix] = {}
-    for g in generators:
-        for k in interior(lo, hi, g.alpha):
-            coeff, _ = act_intermediate(spec, g, k)
-            entries = {(0, 0): coeff} if coeff else None
-            actions[(g, k)] = RationalMatrix(1, 1, entries)
-    return WindowedModule(VIRASORO, spec.weight_offset(), lo, hi, dims, generators, actions)
+    return windowed(
+        VIRASORO, spec.weight_offset(), lo, hi, dims, generators,
+        lambda g, k: {(0, 0): act_intermediate(spec, g, k)[0]},
+    )
 
 
 def check_module_axioms(
@@ -323,30 +350,31 @@ def extend_trivially(vir_mod: WindowedModule, level_cap: int = 2) -> WindowedMod
     if vir_mod.variant != VIRASORO:
         raise ValueError("extend_trivially expects a Virasoro-variant window")
     degrees = sorted({g.alpha for g in vir_mod.generators if g.level == 0})
-    generators = [BasisKey(a, 0) for a in degrees]
-    actions: dict[tuple[BasisKey, int], RationalMatrix] = {}
-    for a in degrees:
-        for k in vir_mod.indices():
-            m = vir_mod.actions.get((BasisKey(a, 0), k))
-            if m is not None:
-                actions[(BasisKey(a, 0), k)] = m
-    for level in range(1, 2 * level_cap + 1):
-        for a in degrees:
-            g = BasisKey(a, level)
-            generators.append(g)
-            for k in interior(vir_mod.lo, vir_mod.hi, a):
-                actions[(g, k)] = RationalMatrix.zero(vir_mod.dims[k + a], vir_mod.dims[k])
-    return WindowedModule(
-        BLOCK_B,
-        vir_mod.offset,
-        vir_mod.lo,
-        vir_mod.hi,
-        dict(vir_mod.dims),
-        generators,
-        actions,
-        vir_mod.central_scalar / 2,
-        None if vir_mod.col_margins is None else {k: list(v) for k, v in vir_mod.col_margins.items()},
+    generators = [BasisKey(a, level) for level in range(2 * level_cap + 1) for a in degrees]
+    margins = None if vir_mod.col_margins is None else {k: list(v) for k, v in vir_mod.col_margins.items()}
+    return windowed(
+        BLOCK_B, vir_mod.offset, vir_mod.lo, vir_mod.hi, dict(vir_mod.dims), generators,
+        lambda g, k: None if g.level else vir_mod.act(g, k).entries,
+        vir_mod.central_scalar / 2, margins,
     )
+
+
+def unknown_columns(shapes: dict) -> dict[tuple, int]:
+    """The column of each unknown entry (block, r, c) of a linear system over matrix unknowns.
+
+    ``shapes`` maps each block to its (rows, cols); the blocks take
+    consecutive columns in the map's order, each in row-major order.
+    """
+    cells = ((block, r, c) for block, (rows, cols) in shapes.items() for r in range(rows) for c in range(cols))
+    return {cell: column for column, cell in enumerate(cells)}
+
+
+def decode_unknowns(shapes: dict, index: dict[tuple, int], vec: Sequence[Fraction]) -> dict:
+    """The matrix of each block that the solution vector ``vec`` assigns, laid out by ``unknown_columns``."""
+    return {
+        block: RationalMatrix(rows, cols, {(r, c): vec[index[(block, r, c)]] for r in range(rows) for c in range(cols)})
+        for block, (rows, cols) in shapes.items()
+    }
 
 
 @dataclass
@@ -389,20 +417,25 @@ def extension_space(vir_mod: WindowedModule, level_cap: int) -> ExtensionReport:
 
     A zero-dimensional answer here certifies that the whole level->=1
     part acts by zero: those generators span an ideal generated by the
-    in-band ones under level-0 brackets.
+    in-band ones under level-0 brackets.  A window with column margins
+    (a tensor product) raises ValueError: the equations need every
+    column exact.
     """
     if vir_mod.variant != VIRASORO:
         raise ValueError("extension_space expects a Virasoro-variant window")
+    if vir_mod.col_margins is not None:
+        raise ValueError("extension_space expects an exact (unmasked) window")
     lo, hi = vir_mod.lo, vir_mod.hi
     dims = vir_mod.dims
 
-    # unknown layout: blocks (level, degree, k); (level, degree, k, row, col) -> flat index
-    blocks = [(level, a, k) for level in range(1, level_cap + 1) for a in EXTENSION_BAND for k in interior(lo, hi, a)]
-    index: dict[tuple[int, int, int, int, int], int] = {}
-    for level, a, k in blocks:
-        for r in range(dims[k + a]):
-            for c in range(dims[k]):
-                index[(level, a, k, r, c)] = len(index)
+    # the unknown U^{(a,level)} at source k is the block (level, a, k)
+    shapes = {
+        (level, a, k): (dims[k + a], dims[k])
+        for level in range(1, level_cap + 1)
+        for a in EXTENSION_BAND
+        for k in interior(lo, hi, a)
+    }
+    index = unknown_columns(shapes)
     n_unknowns = len(index)
 
     rows: list[dict[int, Fraction]] = []
@@ -415,16 +448,11 @@ def extension_space(vir_mod: WindowedModule, level_cap: int) -> ExtensionReport:
                 for k in interior(lo, hi, a, b, a + b):
                     rho_src = vir_mod.act(BasisKey(b, 0), k)
                     rho_tgt = vir_mod.act(BasisKey(b, 0), k + a)
-                    if vir_mod.col_margins is not None:
-                        need = abs(a) + abs(b)
-                        kept = [c for c in range(dims[k]) if vir_mod.col_margins[k][c] >= need]
-                    else:
-                        kept = range(dims[k])
                     for u in range(dims[k + a + b]):
-                        for v in kept:
-                            left = [(index[(level, a, k, r, v)], rho_tgt.entry(u, r)) for r in range(dims[k + a])]
-                            right = [(index[(level, a, k + b, u, s)], rho_src.entry(s, v)) for s in range(dims[k + b])]
-                            right.append((index[(level, a + b, k, u, v)], coeff))
+                        for v in range(dims[k]):
+                            left = [(index[((level, a, k), r, v)], rho_tgt.entry(u, r)) for r in range(dims[k + a])]
+                            right = [(index[((level, a, k + b), u, s)], rho_src.entry(s, v)) for s in range(dims[k + b])]
+                            right.append((index[((level, a + b, k), u, v)], coeff))
                             cell = accumulate(accumulate({}, left), right, -1)
                             if cell:
                                 rows.append(cell)
@@ -442,23 +470,10 @@ def extension_space(vir_mod: WindowedModule, level_cap: int) -> ExtensionReport:
     reduction = row_reduce(RationalMatrix.from_sparse_rows(rows, n_unknowns))
     kernel = reduction.kernel
     kdim = len(kernel)
-
-    def decode(vec: list[Fraction]) -> dict[tuple[int, int, int], RationalMatrix]:
-        assignment = {}
-        for level, a, k in blocks:
-            ent = {}
-            for r in range(dims[k + a]):
-                for c in range(dims[k]):
-                    v = vec[index[(level, a, k, r, c)]]
-                    if v:
-                        ent[(r, c)] = v
-            assignment[(level, a, k)] = RationalMatrix(dims[k + a], dims[k], ent)
-        return assignment
-
     if kdim == 0:
         return ExtensionReport(0, False, len(rows), n_unknowns, linear_kernel=0)
 
-    decoded = [decode(vec) for vec in kernel]
+    decoded = [decode_unknowns(shapes, index, vec) for vec in kernel]
 
     # Quadratic commutation constraints restricted to the kernel: each
     # scalar residual entry is sum_{m<=l} z_{ml} Bil(v_m, v_l) - sum_m s_m Lin(v_m)
@@ -608,11 +623,8 @@ def find_intertwiner(ma: WindowedModule, mb: WindowedModule) -> Optional[dict[in
     if (ma.lo, ma.hi) != (mb.lo, mb.hi) or ma.offset != mb.offset:
         raise ValueError("intertwiner search needs equal ranges and weight offsets")
     shared = sorted(g for g in set(ma.generators) & set(mb.generators) if g.level == 0)
-    index: dict[tuple[int, int, int], int] = {}
-    for k in ma.indices():
-        for r in range(mb.dims[k]):
-            for c in range(ma.dims[k]):
-                index[(k, r, c)] = len(index)
+    shapes = {k: (mb.dims[k], ma.dims[k]) for k in ma.indices()}
+    index = unknown_columns(shapes)
     if not index:
         return None
 
@@ -633,18 +645,6 @@ def find_intertwiner(ma: WindowedModule, mb: WindowedModule) -> Optional[dict[in
     if not kernel:
         return None
 
-    def decode(vec: list[Fraction]) -> dict[int, RationalMatrix]:
-        blocks = {}
-        for k in ma.indices():
-            ent = {}
-            for r in range(mb.dims[k]):
-                for c in range(ma.dims[k]):
-                    v = vec[index[(k, r, c)]]
-                    if v:
-                        ent[(r, c)] = v
-            blocks[k] = RationalMatrix(mb.dims[k], ma.dims[k], ent)
-        return blocks
-
     def invertible(blocks: dict[int, RationalMatrix]) -> bool:
         for k in ma.indices():
             m = blocks[k]
@@ -663,7 +663,7 @@ def find_intertwiner(ma: WindowedModule, mb: WindowedModule) -> Optional[dict[in
                 combo[i] += w * v
         candidates.append(combo)
     for vec in candidates:
-        blocks = decode(vec)
+        blocks = decode_unknowns(shapes, index, vec)
         if invertible(blocks):
             return blocks
     return None
@@ -702,30 +702,21 @@ def tensor(ma: WindowedModule, mb: WindowedModule) -> WindowedModule:
             min(p - ma.lo, ma.hi - p, q - mb.lo, mb.hi - q) for (p, _, q, _) in plist
         ]
 
-    shared = sorted(set(ma.generators) & set(mb.generators))
-    actions: dict[tuple[BasisKey, int], RationalMatrix] = {}
-    for g in shared:
+    def entries(g: BasisKey, k: int) -> dict[tuple[int, int], Fraction]:
         d = g.alpha
-        for k in interior(lo, hi, d):
-            entries: dict[tuple[int, int], Fraction] = {}
-            for col, (p, ia, q, ib) in enumerate(pairs[k]):
-                if ma.in_range(p + d):
-                    image = enumerate(ma.act(g, p).column_vector(ia))
-                    accumulate(entries, (((position[(p + d, r, q, ib)], col), v) for r, v in image))
-                if mb.in_range(q + d):
-                    image = enumerate(mb.act(g, q).column_vector(ib))
-                    accumulate(entries, (((position[(p, ia, q + d, r)], col), v) for r, v in image))
-            actions[(g, k)] = RationalMatrix(dims[k + d], dims[k], entries)
-    return WindowedModule(
-        ma.variant,
-        ma.offset + mb.offset,
-        lo,
-        hi,
-        dims,
-        shared,
-        actions,
-        ma.central_scalar + mb.central_scalar,
-        col_margins=margins,
+        out: dict[tuple[int, int], Fraction] = {}
+        for col, (p, ia, q, ib) in enumerate(pairs[k]):
+            if ma.in_range(p + d):
+                image = enumerate(ma.act(g, p).column_vector(ia))
+                accumulate(out, (((position[(p + d, r, q, ib)], col), v) for r, v in image))
+            if mb.in_range(q + d):
+                image = enumerate(mb.act(g, q).column_vector(ib))
+                accumulate(out, (((position[(p, ia, q + d, r)], col), v) for r, v in image))
+        return out
+
+    shared = sorted(set(ma.generators) & set(mb.generators))
+    return windowed(
+        ma.variant, ma.offset + mb.offset, lo, hi, dims, shared, entries, ma.central_scalar + mb.central_scalar, margins
     )
 
 
@@ -737,19 +728,16 @@ def direct_sum(ma: WindowedModule, mb: WindowedModule) -> WindowedModule:
         raise ValueError("direct sum needs matching central scalars")
     if ma.col_margins is not None or mb.col_margins is not None:
         raise ValueError("direct sum expects exact (unmasked) windows")
+
+    def entries(g: BasisKey, k: int) -> dict[tuple[int, int], Fraction]:
+        out = dict(ma.act(g, k).entries)
+        for (r, c), v in mb.act(g, k).entries.items():
+            out[(r + ma.dims[k + g.alpha], c + ma.dims[k])] = v
+        return out
+
     dims = {k: ma.dims[k] + mb.dims[k] for k in ma.indices()}
     shared = sorted(set(ma.generators) & set(mb.generators))
-    actions: dict[tuple[BasisKey, int], RationalMatrix] = {}
-    for g in shared:
-        for k in interior(ma.lo, ma.hi, g.alpha):
-            t = k + g.alpha
-            a = ma.act(g, k)
-            b = mb.act(g, k)
-            entries = dict(a.entries)
-            for (r, c), v in b.entries.items():
-                entries[(r + ma.dims[t], c + ma.dims[k])] = v
-            actions[(g, k)] = RationalMatrix(dims[t], dims[k], entries)
-    return WindowedModule(ma.variant, ma.offset, ma.lo, ma.hi, dims, shared, actions, ma.central_scalar)
+    return windowed(ma.variant, ma.offset, ma.lo, ma.hi, dims, shared, entries, ma.central_scalar)
 
 
 def adjoint_window(m: int, n: int, lo: int, hi: int) -> WindowedModule:
@@ -772,22 +760,21 @@ def adjoint_window(m: int, n: int, lo: int, hi: int) -> WindowedModule:
     generators = [
         BasisKey(g, j) for g in range(-ADJOINT_DEGREE, ADJOINT_DEGREE + 1) for j in range(m, n + 1)
     ]
-    actions: dict[tuple[BasisKey, int], RationalMatrix] = {}
-    for g in generators:
-        for k in interior(lo, hi, g.alpha):
-            t = k + g.alpha
-            entries: dict[tuple[int, int], Fraction] = {}
-            for col, lab in enumerate(labels[k]):
-                if lab == ("c",):
-                    continue  # C is central: ad(x) C = 0
-                level = lab[1]
-                terms, central_coeff = bracket_terms(variant, g, BasisKey(k, level))
-                for key, coeff in terms.items():
-                    entries[(position[t][("g", key.level)], col)] = coeff
-                if central_coeff:
-                    entries[(position[t][("c",)], col)] = central_coeff
-            actions[(g, k)] = RationalMatrix(dims[t], dims[k], entries)
-    return WindowedModule(variant, ZERO, lo, hi, dims, generators, actions, ZERO)
+
+    def entries(g: BasisKey, k: int) -> dict[tuple[int, int], Fraction]:
+        t = k + g.alpha
+        out: dict[tuple[int, int], Fraction] = {}
+        for col, lab in enumerate(labels[k]):
+            if lab == ("c",):
+                continue  # C is central: ad(x) C = 0
+            terms, central_coeff = bracket_terms(variant, g, BasisKey(k, lab[1]))
+            for key, coeff in terms.items():
+                out[(position[t][("g", key.level)], col)] = coeff
+            if central_coeff:
+                out[(position[t][("c",)], col)] = central_coeff
+        return out
+
+    return windowed(variant, ZERO, lo, hi, dims, generators, entries)
 
 
 def classify_window(mod: WindowedModule) -> dict:
@@ -846,16 +833,16 @@ def classify_window(mod: WindowedModule) -> dict:
                         verdict["canonical"] = ["0", format_rational(b)]
                     return verdict
 
-    k_top = max(nonzero)
-    if k_top < mod.hi:
-        seeds = {k_top: [[Fraction(1) if i == j else ZERO for i in range(dims[k_top])] for j in range(dims[k_top])]}
-        if submodule_closure(mod, seeds) == dims:
-            return {"verdict": "highest-weight", "top": k_top}
-    k_bot = min(nonzero)
-    if k_bot > mod.lo:
-        seeds = {k_bot: [[Fraction(1) if i == j else ZERO for i in range(dims[k_bot])] for j in range(dims[k_bot])]}
-        if submodule_closure(mod, seeds) == dims:
-            return {"verdict": "lowest-weight", "bottom": k_bot}
+    def generates(k: int) -> bool:
+        # does the whole weight space V_k generate the window?
+        basis = [[Fraction(1) if i == j else ZERO for i in range(dims[k])] for j in range(dims[k])]
+        return submodule_closure(mod, {k: basis}) == dims
+
+    k_top, k_bot = max(nonzero), min(nonzero)
+    if k_top < mod.hi and generates(k_top):
+        return {"verdict": "highest-weight", "top": k_top}
+    if k_bot > mod.lo and generates(k_bot):
+        return {"verdict": "lowest-weight", "bottom": k_bot}
     return {"verdict": "unknown"}
 
 

@@ -53,9 +53,14 @@ class WeightFunctional:
     @classmethod
     def from_json(cls, data: dict) -> "WeightFunctional":
         try:
+            unknown = data.keys() - {"lambda", "c"}
+            if unknown:
+                raise ValueError(f"unknown keys {sorted(unknown)}")
+            if type(data["lambda"]) is not list:
+                raise ValueError(f"'lambda' must be a list, got {data['lambda']!r}")
             values = tuple(parse_rational(v) for v in data["lambda"])
             c = parse_rational(data.get("c", "0"))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed weight functional JSON: {exc}") from exc
         if not values:
             raise ValueError("weight functional needs at least the level-0 value")
@@ -273,22 +278,13 @@ def verma_window(lam: WeightFunctional, n: int, depth_cap: int) -> modules.Windo
     generators = [
         BasisKey(a, i) for a in range(-depth_cap, depth_cap + 1) for i in range(n + 1)
     ]
-    actions: dict[tuple[BasisKey, int], linalg.RationalMatrix] = {}
-    for g in generators:
-        for k in modules.interior(lo, hi, g.alpha):
-            t = k + g.alpha
-            entries = {}
-            for col, word in enumerate(bases[k]):
-                for w, c in action.act_generator(g.alpha, g.level, word).items():
-                    entries[(positions[t][w], col)] = c
-            actions[(g, k)] = linalg.RationalMatrix(dims[t], dims[k], entries)
-    return modules.WindowedModule(
-        algebra.quotient(0, n),
-        lam[0],
-        lo,
-        hi,
-        dims,
-        generators,
-        actions,
-        lam.c,
-    )
+
+    def entries(g: BasisKey, k: int) -> dict[tuple[int, int], Fraction]:
+        target = positions[k + g.alpha]
+        return {
+            (target[w], col): c
+            for col, word in enumerate(bases[k])
+            for w, c in action.act_generator(g.alpha, g.level, word).items()
+        }
+
+    return modules.windowed(algebra.quotient(0, n), lam[0], lo, hi, dims, generators, entries, lam.c)

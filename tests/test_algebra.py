@@ -382,6 +382,13 @@ def test_element_json_roundtrip():
     assert parse_variant(str(quotient(1, 2))) == quotient(1, 2)
 
 
+@pytest.mark.parametrize("text", ["Q:0:1_0", "Q:+0:1", "Q:0: 1", "Q:00:1", "Q:0:1.0"])
+def test_quotient_levels_are_canonical_integers(text):
+    # int() would read each of these as a nearby quotient
+    with pytest.raises(ValueError, match="malformed quotient variant"):
+        parse_variant(text)
+
+
 def test_element_repr():
     assert repr(bracket(gen(BLOCK_B, 2, 0), gen(BLOCK_B, -2, 0))) == "-4*L_{0,0} + C"
     assert repr(gen(VIRASORO, 3)) == "L_{3}"

@@ -275,6 +275,59 @@ def test_classify_rejects_inconsistent_module(tmp_path, capsys, corrupt, message
     assert err.startswith("error:") and message in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("axioms", "--variant", "Q:0:1_0", "--degree", "1", "--level", "0"), "malformed quotient variant 'Q:0:1_0'"),
+        (("module", "--range", " -4:0_4", "--a", "1/2", "--b", "2", "check"), "malformed range ' -4:0_4'"),
+        (("module", "--range", "-4:+4", "--a", "1/2", "--b", "2", "check"), "malformed range '-4:+4'"),
+    ],
+    ids=["variant-underscore", "range-space-underscore", "range-plus"],
+)
+def test_integers_in_variant_and_range_are_canonical(capsys, argv, message):
+    # int() read these as Q:0:10 and -4:4
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and message in err
+
+
+@pytest.mark.parametrize(
+    "document, message",
+    [
+        ({"lambda": ["1/2", "2/3"], "c": "0", "junk": 5, "n": 9}, "unknown keys ['junk', 'n']"),
+        ({"lambda": "12", "c": "0"}, "'lambda' must be a list"),
+        ({"lambda": {"1": 0, "2": 0}}, "'lambda' must be a list"),
+    ],
+    ids=["unknown-keys", "string-lambda", "object-lambda"],
+)
+def test_lambda_file_is_read_strictly(tmp_path, capsys, document, message):
+    path = tmp_path / "lambda.json"
+    path.write_text(json.dumps(document))
+    code, out, err = run(capsys, "verma", "--n", "1", "--depth", "2", "singular", "--lambda-file", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and message in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("module", "--family", "Ba", "--a", "1/2", "--b", "7", "check"),
+        ("module", "--family", "Aa", "--a", "1/2", "--b", "0", "check"),
+        ("module", "--family", "Ba", "--a", "0", "--to-b", "5", "intertwiner"),
+        ("module", "--family", "Aa", "--a", "0", "--to-b", "5", "intertwiner"),
+    ],
+    ids=["Ba-b", "Aa-b", "Ba-to-b", "Aa-to-b"],
+)
+def test_b_parameters_belong_to_family_aab(capsys, argv):
+    # --b was ignored and --to-b built an Aab target whatever the family
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "family Aab" in err
+
+
 def test_config_file_with_flag_override(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"degree": 3, "vir_degree": 2}')

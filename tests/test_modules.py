@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from blocklie.algebra import VIRASORO, BasisKey
-from blocklie.linalg import RationalMatrix
+from blocklie.linalg import RationalMatrix, row_reduce
 from blocklie.modules import (
     IntermediateSpec,
     WindowedModule,
@@ -20,6 +20,7 @@ from blocklie.modules import (
     extend_trivially,
     extension_space,
     find_intertwiner,
+    interior,
     irreducible_verdict,
     submodule_closure,
     tensor,
@@ -164,6 +165,20 @@ def test_intertwiner_existence():
     )
 
 
+def test_intertwiner_swaps_direct_sum_blocks():
+    first = build_window(IntermediateSpec("Aab", F(1, 2), F(2)), -4, 4)
+    second = build_window(IntermediateSpec("Aab", F(1, 2), F(0)), -4, 4)
+    source, target = direct_sum(first, second), direct_sum(second, first)
+    found = find_intertwiner(source, target)
+    assert found is not None
+    for k in source.indices():
+        assert (found[k].rows, found[k].cols) == (2, 2)
+        assert row_reduce(found[k]).rank == 2
+    for g in source.generators:
+        for k in interior(source.lo, source.hi, g.alpha):
+            assert found[k + g.alpha] @ source.act(g, k) == target.act(g, k) @ found[k]
+
+
 def test_intertwiner_self_is_invertible():
     for spec in (IntermediateSpec("Aab", F(1, 2), F(2)), IntermediateSpec("Aab", F(0), F(0))):
         window = build_window(spec, -6, 6)
@@ -281,6 +296,33 @@ def test_extension_space_rank_two_window():
     second = build_window(IntermediateSpec("Aab", F(1, 2), F(1, 2)), -12, 12)
     report = extension_space(direct_sum(first, second), 2)
     assert report.dimension == 0 and report.quadratic_decided
+
+
+def test_extension_space_refuses_column_margins():
+    # a margin window's equations never finished; the refusal comes before any is built
+    product = tensor(
+        build_window(IntermediateSpec("Aab", F(0), F(0)), -1, 1),
+        build_window(IntermediateSpec("Aab", F(1, 2), F(1)), -1, 1),
+    )
+    assert product.col_margins is not None
+    with pytest.raises(ValueError, match="exact"):
+        extension_space(product, 1)
+
+
+def test_every_window_constructor_stores_exactly_the_interior_actions():
+    spec = IntermediateSpec("Aab", F(1, 2), F(2))
+    window = build_window(spec, -3, 3)
+    built = [
+        window,
+        extend_trivially(window, 1),
+        tensor(build_window(spec, -1, 1), window),
+        direct_sum(window, build_window(IntermediateSpec("Aab", F(1, 2), F(0)), -3, 3)),
+        adjoint_window(0, 1, -3, 3),
+        verma_window(WeightFunctional((F(3, 7), F(2, 5)), F(1, 3)), 1, 3),
+    ]
+    for mod in built:
+        expected = {(g, k) for g in mod.generators for k in interior(mod.lo, mod.hi, g.alpha)}
+        assert set(mod.actions) == expected
 
 
 def test_extension_space_inconclusive_on_tiny_window():

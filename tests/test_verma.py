@@ -199,3 +199,20 @@ def test_weight_table_validation():
     assert WeightFunctional.from_json(lam.to_json()) == lam
     with pytest.raises(ValueError):
         VermaAction(lam, 2)
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"lambda": ["1/2", "2/3"], "c": "0", "junk": 5}, "unknown keys ['junk']"),
+        ({"lambda": "12", "c": "0"}, "'lambda' must be a list, got '12'"),
+        ({"lambda": {"1": 0, "2": 0}}, "'lambda' must be a list"),
+        (["1/2", "2/3"], "malformed weight functional JSON"),
+    ],
+    ids=["unknown-key", "string", "object", "top-level-list"],
+)
+def test_weight_table_document_is_strict(data, message):
+    # a string or object lambda was read one character or one key per level
+    with pytest.raises(ValueError) as info:
+        WeightFunctional.from_json(data)
+    assert message in str(info.value)
