@@ -39,7 +39,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from . import linalg
-from .rationals import ZERO, accumulate, format_rational, parse_rational, read_int, read_int_key
+from .rationals import ZERO, accumulate, check_keys, format_rational, parse_rational, read_int, read_int_key
 
 
 class BasisKey(NamedTuple):
@@ -53,7 +53,9 @@ class BasisKey(NamedTuple):
     level: int
 
     @classmethod
-    def from_json(cls, data: dict) -> "BasisKey":
+    def from_json(cls, data: dict, *fields: str) -> "BasisKey":
+        """Read ``alpha`` and ``level``; ``fields`` names the other keys the caller reads from the same object."""
+        check_keys(data, ("alpha", "level", *fields))
         return cls(read_int(data["alpha"], "'alpha'"), read_int(data["level"], "'level'"))
 
 
@@ -293,8 +295,9 @@ class AlgebraElement:
     @classmethod
     def from_json(cls, data: dict) -> "AlgebraElement":
         try:
+            check_keys(data, ("variant", "terms", "central"))
             variant = parse_variant(data["variant"])
-            terms = {BasisKey.from_json(t): parse_rational(t["coeff"]) for t in data.get("terms", [])}
+            terms = {BasisKey.from_json(t, "coeff"): parse_rational(t["coeff"]) for t in data.get("terms", [])}
             central = parse_rational(data.get("central", "0"))
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed element JSON: {exc}") from exc
@@ -439,68 +442,78 @@ def verify_algebra_axioms(
     ``bracket_fn`` exists so tests can inject corrupted structure
     constants.
 
-    Each ordered pair of window keys is bracketed exactly once, through
-    ``_bilinear`` (which drops zero coefficients), into a pair table:
-    the upper triangle [keys[q], keys[r]], q <= r, is built first and
-    kept for the whole sweep; the column [keys[r], x], r > q, of the
-    outer key x = keys[q] is built when x is reached and freed after it.
-    A Jacobi triple then reads its three inner brackets from the table
-    and brackets only the outer ones.  The outer brackets [x, w] of the
-    current x are memoised in a dict cleared whenever x advances; a memo
-    over every outer pair would hold far more than the table.
+    Keys are integer codes: the window keys are 0..n-1, each further key
+    gets the next free code when a bracket first produces it, and the
+    central element is the pseudo-code -1.  Row u of one bracket table
+    holds [keys[u], w] for every column w: the window codes and the
+    codes produced by a bracket of two window keys.  An entry is a tuple
+    of (code, coefficient) pairs with zeros dropped, and each row ends
+    with the empty entry [keys[u], C] = 0, which index -1 reads.  Every
+    (u, w) is bracketed through ``bracket_fn`` exactly once.  A Jacobi
+    term [x, [y, z]] reads [y, z] from row y, window column z, and the
+    outer brackets from row x; codes are decoded to keys only for a
+    violation's residual.
     """
     fn = bracket_fn or bracket_terms
     keys = window_keys(variant, degree_bound, level_cap)
     if not keys:
         raise ValueError(f"empty axiom window for {variant} at degree {degree_bound}, level {level_cap}")
     n = len(keys)
-    units = [((k, 1),) for k in keys]
-    # [keys[q], keys[r]] at q*n + r, as ((key, coeff) pairs, C coefficient)
-    table: list = [None] * (n * n)
+    decode = list(keys)
+    code = {k: u for u, k in enumerate(keys)}
 
-    def tabulate(q: int, r: int) -> None:
-        terms, c = _bilinear(fn, variant, units[q], units[r])
-        table[q * n + r] = (tuple(terms.items()), c)
+    def encode(x: BasisKey, w: BasisKey) -> tuple:
+        terms, c = fn(variant, x, w)
+        entry = []
+        for key, v in terms.items():
+            if v:
+                u = code.get(key)
+                if u is None:
+                    u = code[key] = len(decode)
+                    decode.append(key)
+                entry.append((u, v))
+        if c:
+            entry.append((-1, c))
+        return tuple(entry)
 
-    memo: dict = {}  # w -> [x, w] for the current outer key x
-
-    def outer_x(variant: AlgebraVariant, kx: BasisKey, w: BasisKey):
-        hit = memo.get(w)
-        if hit is None:
-            hit = memo[w] = fn(variant, kx, w)
-        return hit
+    rows = [[encode(x, y) for y in keys] for x in keys]
+    images = decode[n:]  # the keys that brackets of window pairs produce
+    for x, row in zip(keys, rows):
+        row += [encode(x, w) for w in images]
+        row.append(())
 
     antisymmetry: list[dict] = []
     jacobi: list[dict] = []
 
-    def record(found: list, check: str, where: dict, terms: dict, central_total) -> None:
-        found.append({"check": check, **where, "residual": repr(_element(variant, terms, central_total))})
+    def record(found: list, check: str, where: dict, acc: dict) -> None:
+        terms = {decode[u]: v for u, v in acc.items() if v and u >= 0}
+        found.append({"check": check, **where, "residual": repr(_element(variant, terms, acc.get(-1, 0)))})
 
-    for q in range(n):
-        for r in range(q, n):
-            tabulate(q, r)
-    for ix, x in enumerate(keys):
-        for iz in range(ix + 1, n):
-            tabulate(iz, ix)
-        memo.clear()
-        unit_x = units[ix]
+    for ix in range(n):
+        row_x = rows[ix]
         for iy in range(ix, n):
-            y = keys[iy]
-            xy, c = table[ix * n + iy]
-            yx, c_yx = table[iy * n + ix]
-            terms = accumulate(dict(xy), yx)
-            c += c_yx
-            if terms or c:
-                record(antisymmetry, "antisymmetry", {"pair": [list(x), list(y)]}, terms, c)
-            unit_y = units[iy]
+            row_y = rows[iy]
+            xy = row_x[iy]
+            acc = dict(xy)
+            for u, v in row_y[ix]:
+                acc[u] = acc.get(u, 0) + v
+            if any(acc.values()):
+                record(antisymmetry, "antisymmetry", {"pair": [list(keys[ix]), list(keys[iy])]}, acc)
             for iz in range(iy, n):
-                terms, c = _bilinear(outer_x, variant, unit_x, table[iy * n + iz][0])
-                c += _bilinear(fn, variant, unit_y, table[iz * n + ix][0], terms)[1]
-                c += _bilinear(fn, variant, units[iz], xy, terms)[1]
-                if terms or c:
-                    record(jacobi, "jacobi", {"triple": [list(x), list(y), list(keys[iz])]}, terms, c)
-        for iz in range(ix + 1, n):
-            table[iz * n + ix] = None
+                row_z = rows[iz]
+                acc = {}
+                get = acc.get
+                for w, cw in row_y[iz]:  # [x, [y, z]]
+                    for u, v in row_x[w]:
+                        acc[u] = get(u, 0) + cw * v
+                for w, cw in row_z[ix]:  # [y, [z, x]]
+                    for u, v in row_y[w]:
+                        acc[u] = get(u, 0) + cw * v
+                for w, cw in xy:  # [z, [x, y]]
+                    for u, v in row_z[w]:
+                        acc[u] = get(u, 0) + cw * v
+                if any(acc.values()):
+                    record(jacobi, "jacobi", {"triple": [list(keys[ix]), list(keys[iy]), list(keys[iz])]}, acc)
     return antisymmetry + jacobi
 
 

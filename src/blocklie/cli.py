@@ -13,8 +13,10 @@ the same configuration) and as text.
 
 Exit codes: 0 when every requested check passes, 1 when a check fails
 or (under --strict) a lemma report records a discrepancy, 2 for usage
-errors, malformed inputs and a stdout closed by its reader before the
-report was written (an error line, no traceback).
+errors (a flag the chosen action would not read among them), malformed
+inputs, sizes above AXIOM_KEY_CAP or VIR_DEGREE_CAP, and a stdout
+closed by its reader before the report was written (an error line, no
+traceback).
 """
 
 from __future__ import annotations
@@ -25,12 +27,19 @@ import os
 import sys
 
 from . import algebra, identities, modules, verma
-from .rationals import format_rational, parse_rational, read_int, read_int_key
+from .rationals import check_keys, format_rational, parse_rational, read_int, read_int_key
 from .reporting import dumps_report, render_table, write_report
 
 
 class UsageError(Exception):
     pass
+
+
+# size caps, far above every documented size: an axiom window of n keys
+# tabulates a few n^2 brackets and checks n^3/6 Jacobi triples, and
+# vir_consistency at degree d compares (2d+1)^2 pairs
+AXIOM_KEY_CAP = 500
+VIR_DEGREE_CAP = 1000
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -51,6 +60,7 @@ def _parse_operand(text: str, variant) -> algebra.AlgebraElement:
     if isinstance(data, dict) and "terms" in data:
         return algebra.AlgebraElement.from_json(data)
     if isinstance(data, dict) and "alpha" in data:
+        check_keys(data, ("alpha", "level", "coeff"))
         alpha = read_int(data["alpha"], "operand field 'alpha'")
         level = read_int(data.get("level", 0), "operand field 'level'")
         coeff = parse_rational(data.get("coeff", "1"))
@@ -106,11 +116,16 @@ def _cmd_bracket(args: argparse.Namespace) -> int:
 def _cmd_axioms(args: argparse.Namespace) -> int:
     variant = algebra.parse_variant(args.variant)
     degree, level = args.degree, args.level
+    # the window's key count, known before any key is built
+    n = (2 * degree + 1) * len(algebra.level_range(variant, level))
+    if n > AXIOM_KEY_CAP:
+        raise UsageError(f"axiom window of {n} keys exceeds the cap of {AXIOM_KEY_CAP} keys")
+    if args.vir_degree > VIR_DEGREE_CAP:
+        raise UsageError(f"--vir-degree {args.vir_degree} exceeds the cap of {VIR_DEGREE_CAP}")
     violations = algebra.verify_algebra_axioms(variant, degree, level)
     consistency = algebra.vir_consistency(args.vir_degree)
     passed = not violations and consistency["homomorphism"] and consistency["quotient_matches"]
     # the sweep checks every pair x <= y and every triple x <= y <= z of the window
-    n = len(algebra.window_keys(variant, degree, level))
     checked = {"keys": n, "pairs": n * (n + 1) // 2, "triples": n * (n + 1) * (n + 2) // 6}
     payload = {
         "command": "axioms",
@@ -150,6 +165,8 @@ def _cmd_module(args: argparse.Namespace) -> int:
     lo, hi = _parse_range(args.range)
     action = args.action
     grid = _spec_grid(args)
+    if args.to_b is not None and action != "intertwiner":
+        raise UsageError(f"--to-b is read only by the intertwiner action, not {action}")
     if action == "irreducible":
         verdicts = []
         lines = []
@@ -237,6 +254,8 @@ def _cmd_verma(args: argparse.Namespace) -> int:
     if n < 0 or depth < 0:
         raise UsageError(f"need n >= 0 and depth >= 0, got n={n} and depth={depth}")
     if args.action == "dims":
+        if args.lam is not None or args.c is not None or args.lambda_file is not None:
+            raise UsageError("--lam, --c and --lambda-file are read only by the singular action")
         report = verma.quasifinite_report(n, depth)
         payload = {"command": "verma.dims", "report": report, "passed": report["match"]}
         _finish(args, payload, ", ".join(str(d) for d in report["dimensions"][1:]))
@@ -245,10 +264,12 @@ def _cmd_verma(args: argparse.Namespace) -> int:
         if depth < 1:
             raise UsageError("singular vectors need depth >= 1, got depth=0")
         if args.lambda_file:
+            if args.lam is not None or args.c is not None:
+                raise UsageError("--lambda-file gives lambda and c, so --lam and --c would go unread")
             lam = verma.WeightFunctional.from_json(_read_json(args.lambda_file, "lambda file"))
         else:
             values = tuple(parse_rational(v) for v in (args.lam or "0," * n + "0").split(","))
-            lam = verma.WeightFunctional(values, parse_rational(args.c))
+            lam = verma.WeightFunctional(values, parse_rational("0" if args.c is None else args.c))
         if lam.n != n:
             raise UsageError(f"lambda table has {lam.n + 1} entries but n={n} needs {n + 1}")
         found = []
@@ -345,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, default=3)
     p.add_argument("--lambda-file", dest="lambda_file")
     p.add_argument("--lam", help="comma-separated rational values for the degree-zero levels")
-    p.add_argument("--c", default="0")
+    p.add_argument("--c", help="central charge for singular (default 0)")
     p.add_argument("action", choices=["dims", "singular"])
 
     p = sub.add_parser("lemmas", parents=[common], help="run the identity-verification suite")

@@ -47,7 +47,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
-from .rationals import ZERO, accumulate, format_rational, parse_rational, read_int, read_int_key
+from .rationals import ZERO, accumulate, check_keys, format_rational, parse_rational, read_int, read_int_key
 
 
 class RationalMatrix:
@@ -189,6 +189,7 @@ class RationalMatrix:
     @classmethod
     def from_json(cls, data: dict) -> "RationalMatrix":
         try:
+            check_keys(data, ("rows", "cols", "entries"))
             rows, cols = read_int(data["rows"], "'rows'"), read_int(data["cols"], "'cols'")
             entries = {}
             for key, val in data.get("entries", {}).items():

@@ -34,7 +34,7 @@ from typing import Callable, Optional, Sequence
 from . import algebra
 from .algebra import VIRASORO, BLOCK_B, AlgebraVariant, BasisKey, bracket_terms, parse_variant
 from .linalg import Echelon, RationalMatrix, row_reduce
-from .rationals import ZERO, accumulate, format_rational, parse_rational, read_int, read_int_key
+from .rationals import ZERO, accumulate, check_keys, format_rational, parse_rational, read_int, read_int_key
 
 # extension_space: degrees of the in-band unknowns, and of the level-0
 # actions they are bracketed against
@@ -221,9 +221,7 @@ class WindowedModule:
     @classmethod
     def from_json(cls, data: dict) -> "WindowedModule":
         try:
-            unknown = data.keys() - _MODULE_KEYS
-            if unknown:
-                raise ValueError(f"unknown keys {sorted(unknown)}")
+            check_keys(data, _MODULE_KEYS)
             variant = parse_variant(data["variant"])
             offset = parse_rational(data["offset"])
             lo, hi = (read_int(v, "'range' entry") for v in data["range"])
@@ -232,7 +230,7 @@ class WindowedModule:
             generators = [BasisKey.from_json(g) for g in data["generators"]]
             actions = {}
             for item in data.get("actions", []):
-                key = (BasisKey.from_json(item), read_int(item["source"], "'source'"))
+                key = (BasisKey.from_json(item, "source", "matrix"), read_int(item["source"], "'source'"))
                 actions[key] = RationalMatrix.from_json(item["matrix"])
             margins = data.get("col_margins")
             col_margins = None if margins is None else {

@@ -7,7 +7,9 @@ a polynomial keeps a ``Fraction`` only for a non-integral coefficient.
 The wire format is the compact string ``"p/q"``, shortened to ``"p"``
 when the denominator is one, for an int and a Fraction alike.  An
 integer field of a JSON document is read with ``read_int`` and an
-integer object key with ``read_int_key``.
+integer object key with ``read_int_key``.  ``check_keys`` refuses an
+unknown key in any object of a module, matrix, element, operand or
+weight-functional document.
 
 Sparse vectors are dicts from keys to nonzero coefficients, and every
 sum into one goes through ``accumulate``, which adds scaled values and
@@ -61,6 +63,13 @@ def read_int_key(key: object, what: str) -> int:
     if isinstance(key, str) and key.removeprefix("-").isdecimal() and str(int(key)) == key:
         return int(key)
     raise ValueError(f"{what} {key!r} is not an integer in canonical decimal")
+
+
+def check_keys(data: dict, known) -> None:
+    """Raise ValueError naming every key of the JSON object ``data`` outside ``known``."""
+    unknown = data.keys() - set(known)
+    if unknown:
+        raise ValueError(f"unknown keys {sorted(unknown)}")
 
 
 def accumulate(target: dict, pairs: Iterable[tuple], scale=1) -> dict:

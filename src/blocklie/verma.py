@@ -28,7 +28,7 @@ from typing import Sequence
 
 from . import algebra, linalg, modules
 from .algebra import BasisKey, bracket_terms
-from .rationals import accumulate, format_rational, parse_rational
+from .rationals import accumulate, check_keys, format_rational, parse_rational
 
 Monomial = tuple[tuple[int, int], ...]
 
@@ -53,9 +53,7 @@ class WeightFunctional:
     @classmethod
     def from_json(cls, data: dict) -> "WeightFunctional":
         try:
-            unknown = data.keys() - {"lambda", "c"}
-            if unknown:
-                raise ValueError(f"unknown keys {sorted(unknown)}")
+            check_keys(data, ("lambda", "c"))
             if type(data["lambda"]) is not list:
                 raise ValueError(f"'lambda' must be a list, got {data['lambda']!r}")
             values = tuple(parse_rational(v) for v in data["lambda"])

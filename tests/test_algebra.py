@@ -258,6 +258,69 @@ def test_axiom_sweep_matches_reference_under_corruption(name, degree, level, kin
         assert {v["check"] for v in expected} == {"antisymmetry", "jacobi"}
 
 
+def _image_keys(variant, keys) -> list:
+    """The keys outside the window that brackets of two window keys produce."""
+    return sorted({k for x in keys for y in keys for k in bracket_terms(variant, x, y)[0]} - set(keys))
+
+
+_IMAGE_WINDOWS = [("Vir", 5, 0), ("B", 3, 2), ("Bbar", 2, 2), ("W1inf", 2, 2), ("Q:0:2", 3, 2)]
+
+
+@pytest.mark.parametrize("name, degree, level", _IMAGE_WINDOWS)
+def test_axiom_sweep_matches_reference_on_shifted_degrees(name, degree, level):
+    # a term at degree a+b+1 is no image of the true bracket, and its outer
+    # brackets produce keys that first appear while the table's rows are built
+    variant = parse_variant(name)
+    keys = window_keys(variant, degree, level)
+    rng = random.Random(f"shifted:{name}")
+    hit = {(x, y) for x in keys for y in keys if rng.random() < 0.1}
+
+    def fn(variant, x, y):
+        terms, c = bracket_terms(variant, x, y)
+        if (x, y) in hit:
+            key = BasisKey(x.alpha + y.alpha + 1, x.level + y.level)
+            terms = {**terms, key: terms.get(key, 0) + 1}
+        return terms, c
+
+    expected = _reference_sweep(variant, degree, level, bracket_fn=fn)
+    assert verify_algebra_axioms(variant, degree, level, bracket_fn=fn) == expected
+    assert {v["check"] for v in expected} == {"antisymmetry", "jacobi"}
+
+
+@pytest.mark.parametrize("name, degree, level", _IMAGE_WINDOWS)
+def test_axiom_sweep_matches_reference_on_image_central_terms(name, degree, level):
+    # only brackets [x, w] with w outside the window change, and only in C,
+    # so antisymmetry cannot see it and Jacobi must read the table's image columns
+    variant = parse_variant(name)
+    keys = window_keys(variant, degree, level)
+    rng = random.Random(f"image-central:{name}")
+    hit = {(x, w) for x in keys for w in _image_keys(variant, keys) if rng.random() < 0.1}
+
+    def fn(variant, x, y):
+        terms, c = bracket_terms(variant, x, y)
+        return terms, c + 1 if (x, y) in hit else c
+
+    expected = _reference_sweep(variant, degree, level, bracket_fn=fn)
+    assert verify_algebra_axioms(variant, degree, level, bracket_fn=fn) == expected
+    assert {v["check"] for v in expected} == {"jacobi"}
+
+
+@pytest.mark.parametrize("name, degree, level", _IMAGE_WINDOWS)
+def test_axiom_sweep_brackets_each_pair_once(name, degree, level):
+    variant = parse_variant(name)
+    seen = set()
+
+    def counting(variant, x, y):
+        assert (x, y) not in seen, f"[{x}, {y}] bracketed twice"
+        seen.add((x, y))
+        return bracket_terms(variant, x, y)
+
+    assert verify_algebra_axioms(variant, degree, level, bracket_fn=counting) == _reference_sweep(variant, degree, level)
+    keys = window_keys(variant, degree, level)
+    # one row per window key, one column per window key and per image key
+    assert seen == {(x, w) for x in keys for w in keys + _image_keys(variant, keys)}
+
+
 @pytest.mark.parametrize("variant", [BLOCK_B, BLOCK_BBAR, W_1INF, W_INF, quotient(0, 3)])
 def test_structure_constants_are_ints(variant):
     keys = window_keys(variant, 4, 3)

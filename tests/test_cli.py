@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from blocklie import verma
+from blocklie import algebra, cli, verma
 from blocklie.cli import main
 from blocklie.modules import IntermediateSpec, build_window, extend_trivially
 
@@ -258,10 +258,14 @@ def _set(*path):
         (_set("nonsense", 5), "unknown keys ['nonsense']"),
         (_set("actions", 0, "matrix", "rows", 1.0), "'rows' must be an integer, got 1.0"),
         (_set("actions", 0, "matrix", "entries", "0, 0", "5"), "entry '0, 0' index ' 0' is not an integer"),
+        (_set("generators", 0, "junk", 1), "unknown keys ['junk']"),
+        (_set("actions", 0, "junk", 1), "unknown keys ['junk']"),
+        (_set("actions", 0, "matrix", "junk", 1), "unknown keys ['junk']"),
     ],
     ids=[
         "deleted-actions", "wrong-shape", "negative-dim", "margins-length", "float-range", "float-dim",
         "dims-not-object", "bool-alpha", "string-alpha", "unknown-key", "float-rows", "spaced-entry-key",
+        "generator-unknown-key", "action-unknown-key", "matrix-unknown-key",
     ],
 )
 def test_classify_rejects_inconsistent_module(tmp_path, capsys, corrupt, message):
@@ -326,6 +330,81 @@ def test_b_parameters_belong_to_family_aab(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "family Aab" in err
+
+
+@pytest.mark.parametrize(
+    "operand",
+    [
+        '{"variant": "B", "terms": [{"alpha": 1, "level": 0, "coeff": "1", "junk": 5}]}',
+        '{"variant": "B", "terms": [], "junk": 5}',
+        '{"alpha": 1, "junk": 5}',
+    ],
+    ids=["term", "element", "shorthand"],
+)
+def test_bracket_operands_are_read_strictly(capsys, operand):
+    code, out, err = run(capsys, "bracket", "--variant", "B", "--x", operand, "--y", '{"alpha":1}')
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "unknown keys ['junk']" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("module", "--a", "1/2", "--to-b", "3", "--range", "-4:4", "check"), "--to-b is read only by the intertwiner"),
+        (("module", "--a", "1/2", "--to-b", "3", "--range", "-4:4", "spanning"), "--to-b is read only by the intertwiner"),
+        (("verma", "--n", "1", "--depth", "2", "dims", "--lam", "5,5"), "read only by the singular action"),
+        (("verma", "--n", "1", "--depth", "2", "dims", "--c", "0"), "read only by the singular action"),
+        (("verma", "--n", "1", "--depth", "2", "dims", "--lambda-file", "lambda.json"), "read only by the singular action"),
+        (
+            ("verma", "--n", "1", "--depth", "2", "singular", "--lambda-file", "lambda.json", "--lam", "5,5", "--c", "7"),
+            "--lam and --c would go unread",
+        ),
+        (("verma", "--n", "1", "--depth", "2", "singular", "--lambda-file", "lambda.json", "--c", "0"), "--lam and --c would go unread"),
+    ],
+    ids=["to-b-check", "to-b-spanning", "dims-lam", "dims-c", "dims-lambda-file", "file-and-lam-c", "file-and-c"],
+)
+def test_flags_that_nothing_reads_are_usage_errors(tmp_path, capsys, monkeypatch, argv, message):
+    # each of these ran and exited 0 with the flag ignored
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "lambda.json").write_text('{"lambda": ["1/2", "2/3"]}')
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and message in err
+
+
+def _no_sweep(*args, **kwargs):
+    raise AssertionError("an oversized request reached the library")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--variant", "B", "--degree", "100000000", "--level", "0"), "axiom window of 200000001 keys exceeds the cap of 500 keys"),
+        (("--variant", "W1inf", "--degree", "0", "--level", "100000000"), "axiom window of 100000001 keys exceeds the cap of 500"),
+        (("--variant", "Vir", "--degree", "3", "--vir-degree", "1001"), "--vir-degree 1001 exceeds the cap of 1000"),
+    ],
+    ids=["degree", "level", "vir-degree"],
+)
+def test_oversized_axiom_requests_are_refused_up_front(capsys, monkeypatch, argv, message):
+    # under a memory limit the degree-10^8 window ended in a MemoryError traceback with exit 1
+    for name in ("window_keys", "verify_algebra_axioms", "vir_consistency"):
+        monkeypatch.setattr(algebra, name, _no_sweep)
+    code, out, err = run(capsys, "axioms", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and message in err
+
+
+def test_axiom_key_cap_counts_the_window_exactly(capsys, monkeypatch):
+    # B at degree 2, level 1 has 5 x 2 keys: a cap of 10 admits it, and one more level is refused
+    monkeypatch.setattr(cli, "AXIOM_KEY_CAP", 10)
+    code, out, _ = run(capsys, "axioms", "--variant", "B", "--degree", "2", "--level", "1", "--vir-degree", "2", "--format", "json")
+    assert code == 0 and json.loads(out)["checked"]["keys"] == 10
+    code, out, err = run(capsys, "axioms", "--variant", "B", "--degree", "2", "--level", "2")
+    assert code == 2
+    assert err == "error: axiom window of 15 keys exceeds the cap of 10 keys\n"
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):
