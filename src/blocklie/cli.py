@@ -14,9 +14,9 @@ the same configuration) and as text.
 Exit codes: 0 when every requested check passes, 1 when a check fails
 or (under --strict) a lemma report records a discrepancy, 2 for usage
 errors (a flag the chosen action would not read among them), malformed
-inputs, sizes above AXIOM_KEY_CAP or VIR_DEGREE_CAP, and a stdout
-closed by its reader before the report was written (an error line, no
-traceback).
+inputs, sizes above AXIOM_KEY_CAP, VIR_DEGREE_CAP, VERMA_SPACE_CAP or
+RANGE_WIDTH_CAP, and a stdout closed by its reader before the report
+was written (an error line, no traceback).
 """
 
 from __future__ import annotations
@@ -36,10 +36,14 @@ class UsageError(Exception):
 
 
 # size caps, far above every documented size: an axiom window of n keys
-# tabulates a few n^2 brackets and checks n^3/6 Jacobi triples, and
-# vir_consistency at degree d compares (2d+1)^2 pairs
+# tabulates a few n^2 brackets and checks n^3/6 Jacobi triples,
+# vir_consistency at degree d compares (2d+1)^2 pairs, a Verma depth space
+# of N monomials is the column count of its singular-vector system, and a
+# module window of N indices carries about 2N action matrices per index
 AXIOM_KEY_CAP = 500
 VIR_DEGREE_CAP = 1000
+VERMA_SPACE_CAP = 5000
+RANGE_WIDTH_CAP = 500
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -49,6 +53,8 @@ def _parse_range(text: str) -> tuple[int, int]:
         raise UsageError(f"malformed range {text!r}, expected lo:hi") from exc
     if lo > hi:
         raise UsageError(f"empty range {text!r}")
+    if hi - lo + 1 > RANGE_WIDTH_CAP:
+        raise UsageError(f"range {text!r} of {hi - lo + 1} indices exceeds the cap of {RANGE_WIDTH_CAP} indices")
     return lo, hi
 
 
@@ -58,7 +64,10 @@ def _parse_operand(text: str, variant) -> algebra.AlgebraElement:
     except json.JSONDecodeError as exc:
         raise UsageError(f"operand is not valid JSON: {exc}") from exc
     if isinstance(data, dict) and "terms" in data:
-        return algebra.AlgebraElement.from_json(data)
+        element = algebra.AlgebraElement.from_json(data)
+        if element.variant != variant:
+            raise UsageError(f"operand variant {element.variant} differs from --variant {variant}")
+        return element
     if isinstance(data, dict) and "alpha" in data:
         check_keys(data, ("alpha", "level", "coeff"))
         alpha = read_int(data["alpha"], "operand field 'alpha'")
@@ -249,10 +258,30 @@ def _cmd_module(args: argparse.Namespace) -> int:
     raise UsageError(f"unknown module action {action!r}")
 
 
+def _check_verma_size(n: int, depth: int) -> None:
+    """Refuse a depth space above VERMA_SPACE_CAP monomials, before any basis is built.
+
+    The depth-d space is nondecreasing in d, and the depth-1 space has
+    one monomial per level, so counting the spaces of depths 1, 3, 7, ...
+    with ``partition_dimensions`` stops after a few small counts.  Every
+    count loops over the n + 1 levels, so n + 1 is capped first, at any
+    depth.
+    """
+    if n + 1 > VERMA_SPACE_CAP:
+        raise UsageError(f"depth-1 space of Q:0:{n} has {n + 1} monomials, above the cap of {VERMA_SPACE_CAP}")
+    d = 0
+    while d < depth:
+        d = min(2 * d + 1, depth)
+        size = verma.partition_dimensions(n, d)[d]
+        if size > VERMA_SPACE_CAP:
+            raise UsageError(f"depth-{d} space of Q:0:{n} has {size} monomials, above the cap of {VERMA_SPACE_CAP}")
+
+
 def _cmd_verma(args: argparse.Namespace) -> int:
     n, depth = args.n, args.depth
     if n < 0 or depth < 0:
         raise UsageError(f"need n >= 0 and depth >= 0, got n={n} and depth={depth}")
+    _check_verma_size(n, depth)
     if args.action == "dims":
         if args.lam is not None or args.c is not None or args.lambda_file is not None:
             raise UsageError("--lam, --c and --lambda-file are read only by the singular action")

@@ -1,25 +1,27 @@
 """Sparse exact-rational matrices with rank, kernel and solve.
 
 A matrix stores only its nonzero entries in a dict keyed by (row, col)
-with ``fractions.Fraction`` values, and every result below is an exact
-statement, not an approximation.  Matrices are treated as immutable
-after construction; no operation mutates its operands.
+with ``fractions.Fraction`` values (the constructor converts any other
+value, such as an int), and every result below is an exact statement,
+not an approximation.  Matrices are treated as immutable after
+construction; no operation mutates its operands.
 
 ``Echelon`` is the one elimination kernel over Q: a growing span of
-sparse rows, kept fully reduced on Python ints.  ``row_reduce`` and
-``solve`` eliminate through it, and so do ``generation_closure`` and
-``submodule_closure``, which only ask whether a vector lies in a span.
-Each row is scaled by the lcm of its denominators and reduced
-fraction-free (Bareiss 1968), kept primitive with a positive pivot
-entry.  Rationals appear only in the emitted reduced row-echelon form,
-where each row is divided by its pivot entry; that form is unique, so
-it equals the one rational Gauss-Jordan elimination gives.
+sparse rows, kept fully reduced on Python ints.  ``row_reduce``, when
+no lift is proven, and ``solve`` eliminate through it, and so do
+``generation_closure`` and ``submodule_closure``, which only ask
+whether a vector lies in a span.  Each row is scaled by the lcm of its
+denominators and reduced fraction-free (Bareiss 1968), kept primitive
+with a positive pivot entry.  Rationals appear only in the emitted
+reduced row-echelon form, where each row is divided by its pivot
+entry; that form is unique, so it equals the one rational Gauss-Jordan
+elimination gives.
 
 ``row_reduce`` and ``solve`` eliminate the rows sparsest first (a
 stable sort by entry count), which limits fill-in (Markowitz 1957).
 The order changes no result: the reduced row-echelon form is unique,
 so its rref, pivots, kernel and solution are the same for every order,
-and so is the rank mod p below.
+and so is the rref mod p below.
 
 Row reduction returns the reduced row-echelon form together with the
 rank and a basis of the right kernel.  The kernel basis follows the
@@ -27,27 +29,36 @@ standard free-variable construction: for each non-pivot column f the
 basis vector has a 1 in slot f and minus the rref entries in the pivot
 slots, so e.g. rref [[1, 2]] yields the kernel vector (-2, 1).
 
-Before any exact elimination, ``row_reduce`` ranks the matrix
-modulo the prime p = 2^30 - 35 and uses the answer only where it is a
-proof, so every result is still exact and equal to a full rational
-elimination:
+``row_reduce`` first computes the rref modulo the prime p = 2^30 - 35
+and uses it only where it is a proof, so every result is still exact
+and equal to a full rational elimination:
 
 * rank mod p <= rank over Q.  A minor that is nonzero mod p is nonzero
   over Q, provided p divides no denominator (otherwise the modular pass
   gives up and the full rational elimination runs).
 * Full column rank has the unique RREF [I; 0] (identity over zero rows)
   and an empty kernel, so that answer needs no rational arithmetic.
-* Any other matrix is eliminated whole over Q.
+* Otherwise each entry of the rref mod p is lifted to the one fraction
+  n/d with |n|, d <= sqrt(p/2) and that residue, if there is one
+  (rational reconstruction, Wang 1981).  The lift is kept only when an
+  exact check on ints shows that every row of the matrix annihilates
+  every vector of the lifted free-variable kernel.  Those cols - rank_p
+  independent kernel vectors give rank over Q <= rank_p, so the ranks
+  agree, the lifted rows span the row space, and by uniqueness the
+  lift is the rref over Q.
+* Every other matrix, one whose rref has an entry above the bound
+  for instance, is eliminated whole over Q, after the residues are
+  released.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from typing import Iterable, Optional, Sequence
 
-from .rationals import ZERO, accumulate, check_keys, format_rational, parse_rational, read_int, read_int_key
+from .rationals import ONE, ZERO, accumulate, check_keys, format_rational, parse_rational, read_int, read_int_key
 
 
 class RationalMatrix:
@@ -60,12 +71,14 @@ class RationalMatrix:
         self.cols = cols
         self.entries: dict[tuple[int, int], Fraction] = {}
         if entries:
-            for (r, c), v in entries.items():
+            for key, v in entries.items():
+                r, c = key
                 if not (0 <= r < rows and 0 <= c < cols):
                     raise ValueError(f"entry ({r},{c}) out of bounds for {rows}x{cols}")
-                v = Fraction(v)
-                if v != 0:
-                    self.entries[(r, c)] = v
+                if type(v) is not Fraction:
+                    v = Fraction(v)
+                if v:
+                    self.entries[key] = v
 
     # -- constructors ------------------------------------------------------
 
@@ -289,21 +302,22 @@ def _eliminate(rows: Iterable[dict[int, Fraction]]) -> list[tuple[int, dict[int,
 
 # the largest prime below 2**30: every residue is a single CPython digit
 _PRIME = 1073741789
+# Wang's bound: n/d with |n|, d <= sqrt(p/2) is the only such fraction with its residue
+_LIFT_BOUND = isqrt(_PRIME // 2)
 
 
-def _rank_mod_p(rows: list[dict[int, Fraction]], cols: int) -> Optional[int]:
-    """Rank of the rows modulo p, by Gauss-Jordan elimination mod p.
+def _rref_mod_p(rows: list[dict[int, Fraction]], cols: int) -> Optional[dict[int, dict[int, int]]]:
+    """The reduced row-echelon form of the rows modulo p, as pivot -> row of residues.
 
     The sibling of ``Echelon`` over GF(p), stopping once the rank
     reaches ``cols``.  It keeps its own loop, the hot path of the
-    full-rank certificate.  Returns None when p divides a denominator, since
-    the residues would then say nothing about the rational matrix.
+    full-rank certificate.  Each row is 1 at its pivot, its first
+    column, and zero in every other pivot column.  Returns None when p
+    divides a denominator, since the residues would then say nothing
+    about the rational matrix.
     """
-    if cols == 0:
-        return 0
     p = _PRIME
     inverses: dict[int, int] = {1: 1}
-    # pivot -> row, fully reduced: a row is zero in every other pivot column
     reduced: dict[int, dict[int, int]] = {}
     for frow in rows:
         row: dict[int, int] = {}
@@ -342,21 +356,74 @@ def _rank_mod_p(rows: list[dict[int, Fraction]], cols: int) -> Optional[int]:
         reduced[pivot] = row
         if len(reduced) == cols:
             break
-    return len(reduced)
+    return reduced
+
+
+def _rational_lift(u: int) -> Optional[Fraction]:
+    """Wang's rational reconstruction: the n/d = u mod p with |n|, d <= _LIFT_BOUND, or None."""
+    r0, r1, t0, t1 = _PRIME, u, 0, 1
+    while r1 > _LIFT_BOUND:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    return Fraction(r1, t1) if abs(t1) <= _LIFT_BOUND else None
+
+
+def _lifted_rref(rows: list[dict[int, Fraction]], cols: int) -> Optional[list[tuple[int, dict[int, Fraction]]]]:
+    """The rref over Q lifted from the rref mod p, or None when the lift is not proven.
+
+    Every entry of the rref mod p is lifted by rational reconstruction,
+    and the lift is returned only when every row annihilates every
+    vector of its free-variable kernel, checked exactly on ints (see
+    the module docstring).  Full column rank needs no lift and no check.
+    """
+    reduced = _rref_mod_p(rows, cols)
+    if reduced is None:
+        return None
+    lifted = []
+    for pivot, row in sorted(reduced.items()):
+        row = {c: _rational_lift(v) for c, v in row.items()}
+        if None in row.values():
+            return None
+        lifted.append((pivot, row))
+    del reduced
+    # the kernel by columns, on ints: column c of the kernel vector of free
+    # column f, scaled by the lcm of the denominators in column f
+    dens = {f: 1 for f in range(cols)}
+    for pivot, row in lifted:
+        del dens[pivot]
+    if not dens:
+        return lifted
+    for _, row in lifted:
+        for c, v in row.items():
+            if c in dens:
+                dens[c] = lcm(dens[c], v.denominator)
+    weights: dict[int, list[tuple[int, int]]] = {f: [(f, d)] for f, d in dens.items()}
+    for pivot, row in lifted:
+        weights[pivot] = [(f, -v.numerator * (dens[f] // v.denominator)) for f, v in row.items() if f != pivot]
+    for row in rows:
+        den = lcm(*[v.denominator for v in row.values()])
+        products: dict[int, int] = {}
+        for c, v in row.items():
+            a = v.numerator * (den // v.denominator)
+            for f, k in weights[c]:
+                products[f] = products.get(f, 0) + a * k
+        if any(products.values()):
+            return None
+    return lifted
 
 
 def _reduction(reduced: list[tuple[int, dict[int, Fraction]]], rows: int, cols: int) -> RowReduction:
-    """Rref, pivots and free-variable kernel basis of an ``_eliminate`` result."""
+    """Rref, pivots and free-variable kernel basis of a reduced row-echelon list of (pivot, row)."""
     pivots = [p for p, _ in reduced]
     pivot_set = set(pivots)
-    rref = RationalMatrix(rows, cols, {(r, c): v for r, (_, row) in enumerate(reduced) for c, v in row.items()})
+    rref = RationalMatrix._make(rows, cols, {(r, c): v for r, (_, row) in enumerate(reduced) for c, v in row.items()})
 
     kernel: list[list[Fraction]] = []
     for free in range(cols):
         if free in pivot_set:
             continue
         vec = [ZERO] * cols
-        vec[free] = Fraction(1)
+        vec[free] = ONE
         for pivot, row in reduced:
             coeff = row.get(free)
             if coeff:
@@ -369,19 +436,14 @@ def row_reduce(m: RationalMatrix) -> RowReduction:
     """Reduced row-echelon form with rank and an exact right-kernel basis.
 
     rank + len(kernel) == cols, and m @ v == 0 holds exactly for every
-    kernel basis vector v.  A rank computed mod p decides full column
-    rank (see the module docstring); the result is identical to
-    eliminating every row over Q.
+    kernel basis vector v.  The rref is lifted from the rref mod p where
+    that lift is proven, and otherwise eliminated over Q (see the module
+    docstring); the result is identical to eliminating every row over Q.
     """
     rows = sorted(m.sparse_rows(), key=len)
-    if _rank_mod_p(rows, m.cols) == m.cols:
-        return RowReduction(
-            rref=RationalMatrix(m.rows, m.cols, {(i, i): Fraction(1) for i in range(m.cols)}),
-            rank=m.cols,
-            pivots=list(range(m.cols)),
-            kernel=[],
-        )
-    return _reduction(_eliminate(rows), m.rows, m.cols)
+    reduced = _lifted_rref(rows, m.cols)
+    # the residues are released before the fallback runs
+    return _reduction(_eliminate(rows) if reduced is None else reduced, m.rows, m.cols)
 
 
 def solve(m: RationalMatrix, rhs: Sequence[Fraction]) -> Optional[list[Fraction]]:

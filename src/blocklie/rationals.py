@@ -2,8 +2,10 @@
 
 Every scalar stored in an element or matrix is a
 ``fractions.Fraction``.  The integral structure constants of the
-algebras and the integral coefficients of polynomials are plain ints;
-a polynomial keeps a ``Fraction`` only for a non-integral coefficient.
+algebras, the Verma straightening coefficients (``normal_order``, and
+``VermaAction`` images scaled by one common denominator) and the
+integral coefficients of polynomials are plain ints; a polynomial
+keeps a ``Fraction`` only for a non-integral coefficient.
 The wire format is the compact string ``"p/q"``, shortened to ``"p"``
 when the denominator is one, for an int and a Fraction alike.  An
 integer field of a JSON document is read with ``read_int`` and an

@@ -18,12 +18,17 @@ Straightening an out-of-order product terminates because every bracket
 correction strictly shortens the word.  Degree -alpha generators lower
 the grading index by alpha, so acting by a degree-a element shifts
 depth by exactly -a.
+
+Straightening coefficients are ints, and so are the scaled images
+``VermaAction`` works on (see its docstring); ``singular_vectors``
+builds its system from those images, which leaves the kernel unchanged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from . import algebra, linalg, modules
@@ -106,21 +111,23 @@ def monomial_repr(word: Monomial) -> str:
     return "*".join(f"L[{-alpha},{level}]" for alpha, level in word) + "*v"
 
 
-def normal_order(word: Sequence[tuple[int, int]], n: int) -> dict[Monomial, Fraction]:
+def normal_order(word: Sequence[tuple[int, int]], n: int) -> dict[Monomial, int]:
     """Rewrite a product of negative generators into canonical monomials.
 
     Adjacent out-of-order factors are swapped; the bracket correction,
     read from ``bracket_terms`` over Q:0:n, replaces the two factors by
     one of level sum (dropped above the band), so the rewriting
     terminates.  The result is independent of the straightening
-    strategy because it equals the same element of the module.
+    strategy because it equals the same element of the module.  The
+    structure constants of the negative part are ints, and so is every
+    coefficient of the result.
     """
     for alpha, level in word:
         if alpha < 1 or not (0 <= level <= n):
             raise ValueError(f"factor ({alpha},{level}) is not a negative generator of Q:0:{n}")
     variant = algebra.quotient(0, n)
-    pending: dict[Monomial, Fraction] = {tuple(word): Fraction(1)}
-    done: dict[Monomial, Fraction] = {}
+    pending: dict[Monomial, int] = {tuple(word): 1}
+    done: dict[Monomial, int] = {}
     while pending:
         w, coeff = pending.popitem()
         spot = next((t for t in range(len(w) - 1) if w[t] < w[t + 1]), None)
@@ -139,7 +146,14 @@ def normal_order(word: Sequence[tuple[int, int]], n: int) -> dict[Monomial, Frac
 
 
 class VermaAction:
-    """Action of the quotient algebra on a truncated highest-weight module."""
+    """Action of the quotient algebra on a truncated highest-weight module.
+
+    Every coefficient of an image is an integer combination of 1, the
+    values of the weight functional and c, so ``scale``, the lcm of
+    their denominators, times an image has int coefficients.
+    ``act_generator`` returns those scaled images; ``act`` and
+    ``verma_window`` divide by ``scale``.
+    """
 
     def __init__(self, lam: WeightFunctional, n: int):
         if lam.n != n:
@@ -147,24 +161,27 @@ class VermaAction:
         self.lam = lam
         self.n = n
         self.variant = algebra.quotient(0, n)
-        self._cache: dict[tuple[int, int, Monomial], dict[Monomial, Fraction]] = {}
+        self.scale = lcm(*[v.denominator for v in lam.values], lam.c.denominator)
+        # lam and c times scale, as ints
+        self._values = [v.numerator * (self.scale // v.denominator) for v in lam.values]
+        self._c = lam.c.numerator * (self.scale // lam.c.denominator)
+        self._cache: dict[tuple[int, int, Monomial], dict[Monomial, int]] = {}
 
-    def act_generator(self, alpha: int, level: int, word: Monomial) -> dict[Monomial, Fraction]:
-        """Apply L_{alpha,level} to a canonical monomial applied to the cyclic vector."""
+    def act_generator(self, alpha: int, level: int, word: Monomial) -> dict[Monomial, int]:
+        """``scale`` times L_{alpha,level} applied to a canonical monomial applied to the cyclic vector."""
         key = (alpha, level, word)
         cached = self._cache.get(key)
         if cached is not None:
             return cached
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, int] = {}
         if not word:
-            if alpha > 0:
-                pass  # positive part annihilates the cyclic vector
-            elif alpha == 0:
-                out = {(): self.lam[level]}
-            else:
-                out = {((-alpha, level),): Fraction(1)}
+            # the positive part annihilates the cyclic vector, and L_{0,i} scales it by lam_i
+            if alpha < 0:
+                out = {((-alpha, level),): self.scale}
+            elif alpha == 0 and self._values[level]:
+                out = {(): self._values[level]}
         elif alpha < 0:
-            accumulate(out, normal_order(((-alpha, level),) + word, self.n).items())
+            accumulate(out, normal_order(((-alpha, level),) + word, self.n).items(), self.scale)
         else:
             head, rest = word[0], word[1:]
             # move the generator past the leading factor
@@ -176,7 +193,7 @@ class VermaAction:
             for bkey, bc in terms.items():
                 accumulate(out, self.act_generator(bkey.alpha, bkey.level, rest).items(), bc)
             if central_coeff:
-                accumulate(out, ((rest, central_coeff * self.lam.c),))
+                accumulate(out, ((rest, central_coeff * self._c),))
         self._cache[key] = out
         return out
 
@@ -184,12 +201,12 @@ class VermaAction:
         out: dict[Monomial, Fraction] = {}
         for word, coeff in vector.items():
             if generator == "C":
-                image = {word: self.lam.c}
+                image = {word: self._c}
             else:
                 g = BasisKey(*generator)
                 image = self.act_generator(g.alpha, g.level, word)
             accumulate(out, image.items(), coeff)
-        return out
+        return {w: Fraction(v, self.scale) for w, v in out.items()}
 
 
 def positive_generators(n: int) -> list[BasisKey]:
@@ -210,6 +227,25 @@ def validate_positive_generators(n: int, degree_bound: int) -> bool:
     return reached == set(window.keys(algebra.quotient(0, n)))
 
 
+def _singular_system(action: VermaAction, basis: list[Monomial], depth: int) -> linalg.RationalMatrix:
+    """The matrix of the positive generating set on the depth-d basis, times ``action.scale``.
+
+    One block of rows per generator, written straight into the matrix
+    entries; scaling every row by one factor leaves the kernel as it is.
+    """
+    generators = positive_generators(action.n)
+    targets = [verma_basis(action.n, depth - g.alpha) if depth - g.alpha >= 0 else [] for g in generators]
+    system = linalg.RationalMatrix(sum(map(len, targets)), len(basis))
+    top = 0
+    for g, target in zip(generators, targets):
+        row_index = {w: top + i for i, w in enumerate(target)}
+        top += len(target)
+        for col, word in enumerate(basis):
+            for w, c in action.act_generator(g.alpha, g.level, word).items():
+                system.entries[(row_index[w], col)] = Fraction(c)
+    return system
+
+
 def singular_vectors(lam: WeightFunctional, n: int, depth: int) -> list[dict[Monomial, Fraction]]:
     """Basis of the depth-d vectors annihilated by the positive part.
 
@@ -222,16 +258,7 @@ def singular_vectors(lam: WeightFunctional, n: int, depth: int) -> list[dict[Mon
         return [{(): Fraction(1)}]
     action = VermaAction(lam, n)
     basis = verma_basis(n, depth)
-    rows: list[dict[int, Fraction]] = []
-    for g in positive_generators(n):
-        target = verma_basis(n, depth - g.alpha) if depth - g.alpha >= 0 else []
-        row_index = {w: i for i, w in enumerate(target)}
-        block: list[dict[int, Fraction]] = [{} for _ in target]
-        for col, word in enumerate(basis):
-            for w, c in action.act_generator(g.alpha, g.level, word).items():
-                block[row_index[w]][col] = c
-        rows += block
-    kernel = linalg.row_reduce(linalg.RationalMatrix.from_sparse_rows(rows, len(basis))).kernel
+    kernel = linalg.row_reduce(_singular_system(action, basis, depth)).kernel
 
     vectors = []
     for vec in kernel:
@@ -280,7 +307,7 @@ def verma_window(lam: WeightFunctional, n: int, depth_cap: int) -> modules.Windo
     def entries(g: BasisKey, k: int) -> dict[tuple[int, int], Fraction]:
         target = positions[k + g.alpha]
         return {
-            (target[w], col): c
+            (target[w], col): Fraction(c, action.scale)
             for col, word in enumerate(bases[k])
             for w, c in action.act_generator(g.alpha, g.level, word).items()
         }

@@ -407,6 +407,63 @@ def test_axiom_key_cap_counts_the_window_exactly(capsys, monkeypatch):
     assert err == "error: axiom window of 15 keys exceeds the cap of 10 keys\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("verma", "--n", "1000000000", "--depth", "1000000000", "singular"), "depth-1 space of Q:0:1000000000 has 1000000001 monomials, above the cap of 5000"),
+        (("verma", "--n", "1000000000", "--depth", "0", "dims"), "depth-1 space of Q:0:1000000000 has 1000000001 monomials, above the cap of 5000"),
+        (("verma", "--n", "1", "--depth", "1000000000", "dims"), "depth-31 space of Q:0:1 has 786814 monomials, above the cap of 5000"),
+        (("verma", "--n", "0", "--depth", "1000000000", "singular"), "depth-31 space of Q:0:0 has 6842 monomials, above the cap of 5000"),
+        (("module", "--range", "-1000000000:1000000000", "check"), "range '-1000000000:1000000000' of 2000000001 indices exceeds the cap of 500 indices"),
+        (("module", "--a", "0,1", "--range", "0:500", "extension"), "range '0:500' of 501 indices exceeds the cap of 500 indices"),
+    ],
+    ids=["verma-levels", "verma-levels-depth-0", "verma-depth", "verma-depth-n0", "range", "range-grid"],
+)
+def test_oversized_verma_and_module_requests_are_refused_up_front(capsys, monkeypatch, argv, message):
+    # nothing that builds a basis or a window may run, and no partition count up to the requested depth
+    for owner, name in ((verma, "verma_basis"), (verma, "quasifinite_report"), (verma, "singular_vectors"), (cli.modules, "build_window")):
+        monkeypatch.setattr(owner, name, _no_sweep)
+    count = verma.partition_dimensions
+
+    def bounded_count(n, depth):
+        if n > 10_000 or depth > 100:
+            _no_sweep()
+        return count(n, depth)
+
+    monkeypatch.setattr(verma, "partition_dimensions", bounded_count)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_verma_and_range_caps_count_exactly(capsys, monkeypatch):
+    # n = 1, depth 10 has 481 monomials and -8:8 has 17 indices: caps of that size admit them, one more is refused
+    monkeypatch.setattr(cli, "VERMA_SPACE_CAP", 481)
+    monkeypatch.setattr(cli, "RANGE_WIDTH_CAP", 17)
+    code, out, _ = run(capsys, "verma", "--n", "1", "--depth", "10", "dims", "--format", "json")
+    assert code == 0 and json.loads(out)["report"]["dimensions"][-1] == 481
+    code, out, err = run(capsys, "verma", "--n", "1", "--depth", "11", "singular")
+    assert code == 2
+    assert err == "error: depth-11 space of Q:0:1 has 752 monomials, above the cap of 481\n"
+    code, out, _ = run(capsys, "module", "--a", "1/2", "--range", "-8:8", "spanning")
+    assert code == 0
+    code, out, err = run(capsys, "module", "--a", "1/2", "--range", "-9:8", "spanning")
+    assert code == 2
+    assert err == "error: range '-9:8' of 18 indices exceeds the cap of 17 indices\n"
+
+
+def test_bracket_operand_variant_must_match_the_flag(capsys):
+    # both operands in W1inf ran under --variant B and reported "variant": "B" beside a W1inf result
+    operand = '{"variant":"W1inf","terms":[{"alpha":1,"level":0,"coeff":"1"}]}'
+    code, out, err = run(capsys, "bracket", "--variant", "B", "--x", operand, "--y", operand)
+    assert code == 2
+    assert out == ""
+    assert err == "error: operand variant W1inf differs from --variant B\n"
+    code, out, _ = run(capsys, "bracket", "--variant", "W1inf", "--x", operand, "--y", '{"alpha":-1}', "--format", "json")
+    assert code == 0 and json.loads(out)["variant"] == "W1inf"
+
+
 def test_config_file_with_flag_override(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"degree": 3, "vir_degree": 2}')

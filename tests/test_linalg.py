@@ -11,7 +11,8 @@ from blocklie.linalg import (
     _PRIME,
     RationalMatrix,
     _eliminate,
-    _rank_mod_p,
+    _lifted_rref,
+    _rref_mod_p,
     _reduction,
     char_poly,
     eval_poly_matrix,
@@ -378,14 +379,14 @@ def test_certificate_degenerate_shapes():
 def test_certificate_denominator_divisible_by_prime():
     # row 1 is p times row 0; reading 1/p as 0 mod p would claim rank 2
     m = RationalMatrix.from_rows([[1, Fraction(1, _PRIME)], [_PRIME, 1]])
-    assert _rank_mod_p(_rows(m), m.cols) is None
+    assert _rref_mod_p(_rows(m), m.cols) is None
     red = _assert_matches_reference(m)
     assert red.rank == 1 and red.kernel == [[Fraction(-1, _PRIME), Fraction(1)]]
 
 
 def test_certificate_prime_entry_has_rank_one():
     m = RationalMatrix.from_rows([[_PRIME]])
-    assert _rank_mod_p(_rows(m), m.cols) == 0
+    assert len(_rref_mod_p(_rows(m), m.cols)) == 0
     red = _assert_matches_reference(m)
     assert red.rank == 1 and red.kernel == []
 
@@ -393,16 +394,26 @@ def test_certificate_prime_entry_has_rank_one():
 def test_certificate_unlucky_prime_falls_back():
     # the rows agree mod p, so rank 1 mod p proves nothing and Q decides
     m = RationalMatrix.from_rows([[1, 1], [1, 1 + _PRIME]])
-    assert _rank_mod_p(_rows(m), m.cols) == 1
+    assert len(_rref_mod_p(_rows(m), m.cols)) == 1
     red = _assert_matches_reference(m)
     assert red.rank == 2 and red.kernel == [] and red.pivots == [0, 1]
+
+
+def test_false_lift_is_rejected_by_the_exact_check():
+    # mod p the row is (1, 1): its rref lifts to [1, 1] with kernel (-1, 1),
+    # inside every bound, and only the exact check sees (1, 1 + p) . (-1, 1) = p
+    m = RationalMatrix.from_rows([[1, 1 + _PRIME]])
+    assert _rref_mod_p(_rows(m), m.cols) == {0: {0: 1, 1: 1}}
+    assert _lifted_rref(_rows(m), m.cols) is None
+    red = _assert_matches_reference(m)
+    assert red.kernel == [[Fraction(-(1 + _PRIME)), Fraction(1)]]
 
 
 def test_certificate_unlucky_prime_keeps_kernel():
     # rank 1 mod p, rank 2 over Q: the kernel over Q is the one vector
     # (-1, 1, 0) of row 0's two that row 1 also annihilates
     m = RationalMatrix.from_rows([[1, 1, 1], [1, 1, 1 + _PRIME], [2, 2, 2]])
-    assert _rank_mod_p(_rows(m), m.cols) == 1
+    assert len(_rref_mod_p(_rows(m), m.cols)) == 1
     red = _assert_matches_reference(m)
     assert red.rank == 2 and red.kernel == [[Fraction(-1), Fraction(1), Fraction(0)]]
 
@@ -568,4 +579,4 @@ def test_shuffled_real_system_matches_reference():
     assert _eliminate(rows) == want
     shuffled = RationalMatrix.from_sparse_rows(rows, m.cols)
     _assert_same(row_reduce(shuffled), _reduction(want, m.rows, m.cols))
-    assert _rank_mod_p(rows, m.cols) == _rank_mod_p(_rows(m), m.cols) == len(want)
+    assert len(_rref_mod_p(rows, m.cols)) == len(_rref_mod_p(_rows(m), m.cols)) == len(want)

@@ -16,7 +16,7 @@ from test_linalg import (  # noqa: E402
     _reference_solve,
 )
 
-from blocklie.linalg import Echelon, RationalMatrix, _rank_mod_p, row_reduce, solve  # noqa: E402
+from blocklie.linalg import _LIFT_BOUND, Echelon, RationalMatrix, _lifted_rref, _rref_mod_p, row_reduce, solve  # noqa: E402
 
 _entries = st.one_of(
     st.just(Fraction(0)),
@@ -123,6 +123,70 @@ def test_row_order_changes_no_result(data):
         assert got.pivots == want.pivots
         assert got.kernel == want.kernel
     assert solve(permuted, [rhs[i] for i in order]) == solve(m, rhs) == _reference_solve(m, rhs)
-    rank_p = _rank_mod_p(permuted.sparse_rows(), cols)
-    assert rank_p == _rank_mod_p(m.sparse_rows(), cols)
-    assert rank_p <= want.rank
+    reduced = _rref_mod_p(permuted.sparse_rows(), cols)
+    assert reduced == _rref_mod_p(m.sparse_rows(), cols)
+    assert len(reduced) <= want.rank
+
+
+_small = st.fractions(min_value=-40, max_value=40, max_denominator=40).filter(bool)
+# numerators or denominators above the reconstruction bound
+_tall = st.builds(
+    Fraction,
+    st.integers(_LIFT_BOUND + 1, 10**12) | st.integers(-(10**12), -_LIFT_BOUND - 1),
+    st.integers(1, 10**12),
+).filter(lambda v: abs(v.numerator) > _LIFT_BOUND or v.denominator > _LIFT_BOUND)
+
+
+@st.composite
+def _rank_deficient(draw, entry):
+    """A sparse matrix of rank below its column count whose rref has its non-pivot entries drawn from ``entry``.
+
+    The rows are integer combinations of the rref rows, with each rref
+    row itself among them, so the rref of the result is the drawn one.
+    """
+    cols = draw(st.integers(1, 7))
+    pivots = sorted(draw(st.sets(st.integers(0, cols - 1), max_size=cols - 1)))
+    rref = []
+    for p in pivots:
+        row = {p: Fraction(1)}
+        for c in range(p + 1, cols):
+            if c not in pivots and draw(st.booleans()):
+                row[c] = draw(entry)
+        rref.append(row)
+    rows = [dict(row) for row in rref]
+    for _ in range(draw(st.integers(0, 5)) if rref else 0):
+        combo = {}
+        for row in rref:
+            weight = draw(st.integers(-3, 3))
+            for c, v in row.items():
+                combo[c] = combo.get(c, 0) + weight * v
+        rows.append({c: v for c, v in combo.items() if v})
+    for row in rows:
+        scale = draw(_small)
+        for c in row:
+            row[c] *= scale
+    order = draw(st.permutations(range(len(rows))))
+    return RationalMatrix.from_sparse_rows([rows[i] for i in order], cols), rref
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(_rank_deficient(_small))
+def test_kernels_lift_from_the_modular_pass(data):
+    m, rref = data
+    got, want = row_reduce(m), _reference_row_reduce(m)
+    assert got.rref.to_json() == want.rref.to_json()
+    assert got.pivots == want.pivots and got.kernel == want.kernel
+    # every rref entry is inside the bound, so the lift is proven
+    assert _lifted_rref(m.sparse_rows(), m.cols) == [(min(row), row) for row in rref]
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(_rank_deficient(_tall))
+def test_kernels_above_the_bound_fall_back(data):
+    m, rref = data
+    got, want = row_reduce(m), _reference_row_reduce(m)
+    assert got.rref.to_json() == want.rref.to_json()
+    assert got.pivots == want.pivots and got.kernel == want.kernel
+    if any(len(row) > 1 for row in rref):
+        # an entry outside the bound cannot be lifted, so the exact check refuses what was lifted
+        assert _lifted_rref(m.sparse_rows(), m.cols) is None

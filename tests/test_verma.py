@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from blocklie.algebra import BasisKey, bracket_terms, quotient
+from blocklie.linalg import _eliminate, _reduction
 from blocklie.modules import check_module_axioms
 from blocklie.rationals import accumulate
 from blocklie.verma import (
@@ -113,8 +114,10 @@ def test_normal_order_is_confluent():
 def test_action_examples():
     lam = WeightFunctional((F(3, 7), F(2, 5)), F(1, 3))
     action = VermaAction(lam, 1)
-    assert action.act_generator(1, 0, ((1, 0),)) == {(): -2 * lam[0]}
-    assert action.act_generator(0, 1, ()) == {(): lam[1]}
+    # act_generator returns scale x the image, on ints; scale is lcm(7, 5, 3)
+    assert action.scale == 105
+    assert action.act_generator(1, 0, ((1, 0),)) == {(): -2 * lam[0] * 105}
+    assert action.act_generator(0, 1, ()) == {(): lam[1] * 105}
     vec = {((1, 1), (1, 0)): F(2)}
     assert action.act("C", vec) == {((1, 1), (1, 0)): 2 * lam.c}
     assert VermaAction(lam, 1).act(BasisKey(0, 0), {(): F(1)}) == {(): lam[0]}
@@ -216,3 +219,90 @@ def test_weight_table_document_is_strict(data, message):
     with pytest.raises(ValueError) as info:
         WeightFunctional.from_json(data)
     assert message in str(info.value)
+
+
+class _ReferenceVermaAction:
+    """``VermaAction`` frozen from before its images were scaled to ints: every coefficient a Fraction."""
+
+    def __init__(self, lam, n):
+        self.lam, self.n, self.variant = lam, n, quotient(0, n)
+        self._cache = {}
+
+    def act_generator(self, alpha, level, word):
+        key = (alpha, level, word)
+        cached = self._cache.get(key)
+        if cached is not None:
+            return cached
+        out = {}
+        if not word:
+            if alpha > 0:
+                pass
+            elif alpha == 0:
+                out = {(): self.lam[level]}
+            else:
+                out = {((-alpha, level),): Fraction(1)}
+        elif alpha < 0:
+            accumulate(out, _reference_normal_order(((-alpha, level),) + word, self.n).items())
+        else:
+            head, rest = word[0], word[1:]
+            through = self.act_generator(alpha, level, rest)
+            for w, c in through.items():
+                accumulate(out, _reference_normal_order((head,) + w, self.n).items(), c)
+            fa, fl = head
+            terms, central_coeff = bracket_terms(self.variant, BasisKey(alpha, level), BasisKey(-fa, fl))
+            for bkey, bc in terms.items():
+                accumulate(out, self.act_generator(bkey.alpha, bkey.level, rest).items(), bc)
+            if central_coeff:
+                accumulate(out, ((rest, central_coeff * self.lam.c),))
+        self._cache[key] = out
+        return out
+
+
+def _reference_singular_vectors(lam, n, depth):
+    """``singular_vectors`` on the frozen Fraction action, every row eliminated over Q by ``Echelon``."""
+    action = _ReferenceVermaAction(lam, n)
+    basis = verma_basis(n, depth)
+    rows = []
+    for g in positive_generators(n):
+        target = verma_basis(n, depth - g.alpha) if depth - g.alpha >= 0 else []
+        row_index = {w: i for i, w in enumerate(target)}
+        block = [{} for _ in target]
+        for col, word in enumerate(basis):
+            for w, c in action.act_generator(g.alpha, g.level, word).items():
+                block[row_index[w]][col] = c
+        rows += block
+    kernel = _reduction(_eliminate(rows), len(rows), len(basis)).kernel
+    return [{basis[i]: c for i, c in enumerate(vec) if c} for vec in kernel]
+
+
+def _pool_weight(rng, n, zero_top):
+    def value():
+        return F(rng.choice((-1, 1)) * rng.randint(1, 30), rng.choice((2, 3, 5, 7)))
+
+    values = [value() for _ in range(n + 1)]
+    if zero_top:
+        values[n] = F(0)
+    return WeightFunctional(tuple(values), value())
+
+
+@pytest.mark.parametrize("n, depth_cap", [(0, 6), (1, 6), (2, 6)])
+def test_int_action_and_singular_vectors_match_the_fraction_reference(n, depth_cap):
+    rng = random.Random(60 + n)
+    for zero_top in (True, False):
+        lam = _pool_weight(rng, n, zero_top)
+        action, reference = VermaAction(lam, n), _ReferenceVermaAction(lam, n)
+        # the images, one scale x image at a time, then the kernels built from them
+        for depth in range(depth_cap + 1):
+            for word in verma_basis(n, depth):
+                for alpha in range(-2, depth + 1):
+                    for level in range(n + 1):
+                        scaled = action.act_generator(alpha, level, word)
+                        assert all(type(c) is int and c for c in scaled.values())
+                        want = {w: c for w, c in reference.act_generator(alpha, level, word).items() if c}
+                        assert {w: F(c, action.scale) for w, c in scaled.items()} == want
+        for depth in range(1, depth_cap + 1):
+            got = singular_vectors(lam, n, depth)
+            assert got == _reference_singular_vectors(lam, n, depth)
+            if zero_top and n:
+                # lambda_n = 0 makes L_{-1,n}^depth v singular
+                assert got
