@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -59,17 +58,39 @@ class BasisKey(NamedTuple):
         return cls(read_int(data["alpha"], "'alpha'"), read_int(data["level"], "'level'"))
 
 
-@dataclass(frozen=True)
 class AlgebraVariant:
-    kind: str
-    m: int = 0
-    n: int = 0
+    """One algebra of the family: its kind, and for a quotient the level band [m, n].
 
-    def __post_init__(self):
-        if self.kind not in {"virasoro", "block", "blockbar", "w1inf", "winf", "quotient"}:
-            raise ValueError(f"unknown algebra kind {self.kind!r}")
-        if self.kind == "quotient" and not (0 <= self.m <= self.n):
-            raise ValueError(f"quotient band requires 0 <= m <= n, got [{self.m}, {self.n}]")
+    Immutable and hashable; two variants are equal when kind, m and n are.
+    """
+
+    __slots__ = ("kind", "m", "n")
+
+    def __init__(self, kind: str, m: int = 0, n: int = 0):
+        if kind not in {"virasoro", "block", "blockbar", "w1inf", "winf", "quotient"}:
+            raise ValueError(f"unknown algebra kind {kind!r}")
+        if kind == "quotient" and not (0 <= m <= n):
+            raise ValueError(f"quotient band requires 0 <= m <= n, got [{m}, {n}]")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.m, self.n) == (other.kind, other.m, other.n)
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.m, self.n))
+
+    def __repr__(self) -> str:
+        return f"AlgebraVariant(kind={self.kind!r}, m={self.m!r}, n={self.n!r})"
 
     def __str__(self) -> str:
         return {
@@ -585,8 +606,7 @@ def associated_graded_check(degree_bound: int, level_cap: int) -> list[dict]:
     return violations
 
 
-@dataclass(frozen=True)
-class KeyWindow:
+class KeyWindow(NamedTuple):
     """A finite key window for closure computations."""
 
     degree_lo: int

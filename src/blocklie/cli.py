@@ -14,9 +14,10 @@ the same configuration) and as text.
 Exit codes: 0 when every requested check passes, 1 when a check fails
 or (under --strict) a lemma report records a discrepancy, 2 for usage
 errors (a flag the chosen action would not read among them), malformed
-inputs, sizes above AXIOM_KEY_CAP, VIR_DEGREE_CAP, VERMA_SPACE_CAP or
-RANGE_WIDTH_CAP, and a stdout closed by its reader before the report
-was written (an error line, no traceback).
+inputs, sizes above AXIOM_KEY_CAP, VIR_DEGREE_CAP, VERMA_SPACE_CAP,
+VERMA_WORK_CAP, RANGE_WIDTH_CAP or MODULE_MATRIX_CAP, and a stdout
+closed by its reader before the report was written (an error line, no
+traceback).
 """
 
 from __future__ import annotations
@@ -39,11 +40,17 @@ class UsageError(Exception):
 # tabulates a few n^2 brackets and checks n^3/6 Jacobi triples,
 # vir_consistency at degree d compares (2d+1)^2 pairs, a Verma depth space
 # of N monomials is the column count of its singular-vector system, and a
-# module window of N indices carries about 2N action matrices per index
+# module window of N indices carries about 2N action matrices per index.
+# VERMA_WORK_CAP bounds the (n+1)*depth*N actions that check the depth-d
+# singular vectors of Q:0:n (9,620 at n = 1, depth 10, the largest in use);
+# MODULE_MATRIX_CAP bounds the matrices and unknowns one module job stores
+# (2,155 for extension on -20:20 at level cap 2, the largest in use).
 AXIOM_KEY_CAP = 500
 VIR_DEGREE_CAP = 1000
 VERMA_SPACE_CAP = 5000
+VERMA_WORK_CAP = 100_000
 RANGE_WIDTH_CAP = 500
+MODULE_MATRIX_CAP = 50_000
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -170,12 +177,39 @@ def _spec_grid(args: argparse.Namespace) -> list[modules.IntermediateSpec]:
     return [modules.IntermediateSpec(args.family, a) for a in grid_a]
 
 
+def _check_module_size(action: str, lo: int, hi: int, level_cap: int) -> None:
+    """Refuse a job storing more than MODULE_MATRIX_CAP matrices and unknowns, before any window is built.
+
+    A window of N indices stores N^2 action matrices: one for L_i, |i| < N,
+    at each of its N - |i| sources.  check and classify extend it
+    trivially with one copy per level 0 .. 2*level_cap, intertwiner builds
+    a second window, and extension adds one 1x1 unknown per level
+    1 .. level_cap, degree a of EXTENSION_BAND and source in
+    interior(lo, hi, a).  Grid members run one at a time, so the count is
+    per member.
+    """
+    width = hi - lo + 1
+    count = width * width
+    if action in ("check", "classify"):
+        count += max(0, 2 * level_cap + 1) * width * width
+    elif action == "intertwiner":
+        count += width * width
+    elif action == "extension":
+        count += max(0, level_cap) * sum(len(modules.interior(lo, hi, a)) for a in modules.EXTENSION_BAND)
+    if count > MODULE_MATRIX_CAP:
+        raise UsageError(
+            f"module {action} on {lo}:{hi} at level cap {level_cap} stores {count} matrices and unknowns,"
+            f" above the cap of {MODULE_MATRIX_CAP}"
+        )
+
+
 def _cmd_module(args: argparse.Namespace) -> int:
     lo, hi = _parse_range(args.range)
     action = args.action
     grid = _spec_grid(args)
     if args.to_b is not None and action != "intertwiner":
         raise UsageError(f"--to-b is read only by the intertwiner action, not {action}")
+    _check_module_size(action, lo, hi, args.level_cap)
     if action == "irreducible":
         verdicts = []
         lines = []
@@ -258,30 +292,31 @@ def _cmd_module(args: argparse.Namespace) -> int:
     raise UsageError(f"unknown module action {action!r}")
 
 
-def _check_verma_size(n: int, depth: int) -> None:
+def _check_verma_size(n: int, depth: int) -> int:
     """Refuse a depth space above VERMA_SPACE_CAP monomials, before any basis is built.
 
     The depth-d space is nondecreasing in d, and the depth-1 space has
     one monomial per level, so counting the spaces of depths 1, 3, 7, ...
     with ``partition_dimensions`` stops after a few small counts.  Every
     count loops over the n + 1 levels, so n + 1 is capped first, at any
-    depth.
+    depth.  Returns the size of the depth space.
     """
     if n + 1 > VERMA_SPACE_CAP:
         raise UsageError(f"depth-1 space of Q:0:{n} has {n + 1} monomials, above the cap of {VERMA_SPACE_CAP}")
-    d = 0
+    d, size = 0, 1
     while d < depth:
         d = min(2 * d + 1, depth)
         size = verma.partition_dimensions(n, d)[d]
         if size > VERMA_SPACE_CAP:
             raise UsageError(f"depth-{d} space of Q:0:{n} has {size} monomials, above the cap of {VERMA_SPACE_CAP}")
+    return size
 
 
 def _cmd_verma(args: argparse.Namespace) -> int:
     n, depth = args.n, args.depth
     if n < 0 or depth < 0:
         raise UsageError(f"need n >= 0 and depth >= 0, got n={n} and depth={depth}")
-    _check_verma_size(n, depth)
+    space = _check_verma_size(n, depth)
     if args.action == "dims":
         if args.lam is not None or args.c is not None or args.lambda_file is not None:
             raise UsageError("--lam, --c and --lambda-file are read only by the singular action")
@@ -292,6 +327,13 @@ def _cmd_verma(args: argparse.Namespace) -> int:
     if args.action == "singular":
         if depth < 1:
             raise UsageError("singular vectors need depth >= 1, got depth=0")
+        # each depth-d kernel vector is acted on by the (n+1)*d positive generators
+        work = (n + 1) * depth * space
+        if work > VERMA_WORK_CAP:
+            raise UsageError(
+                f"singular vectors of Q:0:{n} at depth {depth} need up to {n + 1}*{depth}*{space} = {work}"
+                f" checking actions, above the cap of {VERMA_WORK_CAP}"
+            )
         if args.lambda_file:
             if args.lam is not None or args.c is not None:
                 raise UsageError("--lambda-file gives lambda and c, so --lam and --c would go unread")

@@ -31,7 +31,6 @@ both travel together with an explicit match status.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add
 from typing import Sequence
@@ -61,14 +60,36 @@ def _const(v) -> MultiPoly:
 ALPHA, BETA, I_SYM, KT, BP, BQ = (_sym(n) for n in ALPHABET)
 
 
-@dataclass
 class LemmaReport:
-    claim: str
-    status: str
-    passed: bool
-    computed: object = None
-    stated: object = None
-    details: dict = field(default_factory=dict)
+    """One identity's verdict; ``details`` defaults to a fresh dict per report."""
+
+    __slots__ = ("claim", "status", "passed", "computed", "stated", "details")
+
+    def __init__(
+        self,
+        claim: str,
+        status: str,
+        passed: bool,
+        computed: object = None,
+        stated: object = None,
+        details: dict | None = None,
+    ):
+        self.claim = claim
+        self.status = status
+        self.passed = passed
+        self.computed = computed
+        self.stated = stated
+        self.details = {} if details is None else details
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.to_json() == other.to_json()
+
+    __hash__ = None  # mutable: _derivation_job reassigns claim
+
+    def __repr__(self) -> str:
+        return "LemmaReport(" + ", ".join(f"{name}={value!r}" for name, value in self.to_json().items()) + ")"
 
     def to_json(self) -> dict:
         return {

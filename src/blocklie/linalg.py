@@ -53,10 +53,9 @@ and equal to a full rational elimination:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .rationals import ONE, ZERO, accumulate, check_keys, format_rational, parse_rational, read_int, read_int_key
 
@@ -213,8 +212,7 @@ class RationalMatrix:
         return cls(rows, cols, entries)
 
 
-@dataclass
-class RowReduction:
+class RowReduction(NamedTuple):
     """Result of exact Gauss-Jordan elimination."""
 
     rref: RationalMatrix

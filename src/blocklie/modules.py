@@ -27,9 +27,8 @@ to be exact, and ``direct_sum`` and ``extension_space`` refuse them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import algebra
 from .algebra import VIRASORO, BLOCK_B, AlgebraVariant, BasisKey, bracket_terms, parse_variant
@@ -55,19 +54,39 @@ def interior(lo: int, hi: int, *shifts: int) -> range:
     return range(lo - min((0, *shifts)), hi - max((0, *shifts)) + 1)
 
 
-@dataclass(frozen=True)
 class IntermediateSpec:
-    """Parameters of one intermediate-series family member."""
+    """Parameters of one intermediate-series family member.
 
-    family: str  # "Aab" | "Aa" | "Ba"
-    a: Fraction
-    b: Fraction | None = None
+    Immutable and hashable; two specs are equal when family, a and b are.
+    """
 
-    def __post_init__(self):
-        if self.family not in ("Aab", "Aa", "Ba"):
-            raise ValueError(f"unknown intermediate-series family {self.family!r}")
-        if self.family == "Aab" and self.b is None:
+    __slots__ = ("family", "a", "b")
+
+    def __init__(self, family: str, a: Fraction, b: Fraction | None = None):
+        if family not in ("Aab", "Aa", "Ba"):
+            raise ValueError(f"unknown intermediate-series family {family!r}")
+        if family == "Aab" and b is None:
             raise ValueError("family Aab needs the parameter b")
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.family, self.a, self.b) == (other.family, other.a, other.b)
+
+    def __hash__(self) -> int:
+        return hash((self.family, self.a, self.b))
+
+    def __repr__(self) -> str:
+        return f"IntermediateSpec(family={self.family!r}, a={self.a!r}, b={self.b!r})"
 
     def weight_offset(self) -> Fraction:
         # L_0 acts as a+k on Aab and as k on the exceptional families
@@ -375,8 +394,7 @@ def decode_unknowns(shapes: dict, index: dict[tuple, int], vec: Sequence[Fractio
     }
 
 
-@dataclass
-class ExtensionReport:
+class ExtensionReport(NamedTuple):
     """Solution space of compatible level->=1 actions on a Virasoro window."""
 
     dimension: int
@@ -411,7 +429,8 @@ def extension_space(vir_mod: WindowedModule, level_cap: int) -> ExtensionReport:
     kernel coordinates; when their monomial linearization forces every
     coordinate monomial to vanish the solution set is exactly the zero
     action, when every constraint vanishes identically the whole kernel
-    survives, and anything in between is reported undecided.
+    survives, and anything in between is reported undecided and
+    inconclusive, with the linear kernel dimension as ``dimension``.
 
     A zero-dimensional answer here certifies that the whole level->=1
     part acts by zero: those generators span an ideal generated by the
@@ -541,8 +560,8 @@ def extension_space(vir_mod: WindowedModule, level_cap: int) -> ExtensionReport:
     )
     if all_dead:
         return ExtensionReport(0, False, len(rows), n_unknowns, linear_kernel=kdim)
-    # monomials not fully pinned: undecided in general
-    return ExtensionReport(kdim, False, len(rows), n_unknowns, linear_kernel=kdim, quadratic_decided=False)
+    # monomials not fully pinned: undecided in general, so kdim is only the linear bound
+    return ExtensionReport(kdim, True, len(rows), n_unknowns, linear_kernel=kdim, quadratic_decided=False)
 
 
 def submodule_closure(mod: WindowedModule, seeds: dict[int, list[Sequence[Fraction]]]) -> dict[int, int]:

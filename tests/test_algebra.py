@@ -13,6 +13,7 @@ from blocklie.algebra import (
     W_1INF,
     W_INF,
     AlgebraElement,
+    AlgebraVariant,
     BasisKey,
     KeyWindow,
     LaurentOp,
@@ -77,6 +78,33 @@ def test_quotient_key_validation():
         gen(q, 1, 0)
     with pytest.raises(ValueError):
         central(q)
+
+
+def test_variant_and_key_window_values():
+    assert AlgebraVariant("quotient", 0, 2) == quotient(0, 2) != quotient(0, 3)
+    assert AlgebraVariant("block") == BLOCK_B == AlgebraVariant("block", 0, 0) != BLOCK_BBAR
+    assert {VIRASORO: 1, quotient(1, 3): 2}[AlgebraVariant("quotient", 1, 3)] == 2
+    assert repr(quotient(1, 3)) == "AlgebraVariant(kind='quotient', m=1, n=3)"
+    assert str(quotient(1, 3)) == "Q:1:3"
+    for name in ("kind", "m", "n"):
+        with pytest.raises(AttributeError):
+            setattr(BLOCK_B, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(BLOCK_B, name)
+    with pytest.raises(ValueError, match="unknown algebra kind 'blocks'"):
+        AlgebraVariant("blocks")
+    with pytest.raises(ValueError, match=r"quotient band requires 0 <= m <= n, got \[2, 1\]"):
+        AlgebraVariant("quotient", 2, 1)
+    with pytest.raises(ValueError, match="quotient band"):
+        quotient(-1, 0)
+
+    window = KeyWindow(1, 2, 0, 1)
+    assert window == KeyWindow(degree_lo=1, degree_hi=2, level_lo=0, level_hi=1) != KeyWindow(1, 2, 0, 2)
+    assert {window: 1}[KeyWindow(1, 2, 0, 1)] == 1
+    assert repr(window) == "KeyWindow(degree_lo=1, degree_hi=2, level_lo=0, level_hi=1)"
+    with pytest.raises(AttributeError):
+        window.degree_lo = 0
+    assert window.keys(quotient(1, 3)) == [BasisKey(1, 1), BasisKey(2, 1)]
 
 
 def test_laurent_bracket_examples():

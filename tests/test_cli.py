@@ -416,8 +416,15 @@ def test_axiom_key_cap_counts_the_window_exactly(capsys, monkeypatch):
         (("verma", "--n", "0", "--depth", "1000000000", "singular"), "depth-31 space of Q:0:0 has 6842 monomials, above the cap of 5000"),
         (("module", "--range", "-1000000000:1000000000", "check"), "range '-1000000000:1000000000' of 2000000001 indices exceeds the cap of 500 indices"),
         (("module", "--a", "0,1", "--range", "0:500", "extension"), "range '0:500' of 501 indices exceeds the cap of 500 indices"),
+        (("verma", "--n", "4999", "--depth", "1", "singular"), "singular vectors of Q:0:4999 at depth 1 need up to 5000*1*5000 = 25000000 checking actions, above the cap of 100000"),
+        (("module", "--a", "1/2", "--range", "-4:4", "--level-cap", "100000", "check"), "module check on -4:4 at level cap 100000 stores 16200162 matrices and unknowns, above the cap of 50000"),
+        (("module", "--a", "1/2", "--b", "2", "--range", "-4:4", "--level-cap", "1000000000", "extension"), "module extension on -4:4 at level cap 1000000000 stores 45000000081 matrices and unknowns, above the cap of 50000"),
+        (("module", "--a", "1/2", "--range", "-250:249", "irreducible"), "module irreducible on -250:249 at level cap 2 stores 250000 matrices and unknowns, above the cap of 50000"),
     ],
-    ids=["verma-levels", "verma-levels-depth-0", "verma-depth", "verma-depth-n0", "range", "range-grid"],
+    ids=[
+        "verma-levels", "verma-levels-depth-0", "verma-depth", "verma-depth-n0", "range", "range-grid",
+        "verma-work", "level-cap", "extension-level-cap", "window",
+    ],
 )
 def test_oversized_verma_and_module_requests_are_refused_up_front(capsys, monkeypatch, argv, message):
     # nothing that builds a basis or a window may run, and no partition count up to the requested depth
@@ -451,6 +458,37 @@ def test_verma_and_range_caps_count_exactly(capsys, monkeypatch):
     code, out, err = run(capsys, "module", "--a", "1/2", "--range", "-9:8", "spanning")
     assert code == 2
     assert err == "error: range '-9:8' of 18 indices exceeds the cap of 17 indices\n"
+    # n = 1 has 10 monomials at depth 3 and 20 at depth 4: 2*3*10 = 60 checking actions are admitted, 2*4*20 are not
+    monkeypatch.setattr(cli, "VERMA_WORK_CAP", 60)
+    code, out, _ = run(capsys, "verma", "--n", "1", "--depth", "3", "singular")
+    assert code == 0
+    code, out, err = run(capsys, "verma", "--n", "1", "--depth", "4", "singular")
+    assert code == 2
+    assert err == "error: singular vectors of Q:0:1 at depth 4 need up to 2*4*20 = 160 checking actions, above the cap of 60\n"
+
+
+@pytest.mark.parametrize(
+    "argv, count",
+    [
+        (("--range", "-8:8", "check"), 289 + 5 * 289),
+        (("--range", "-8:8", "--level-cap", "1", "classify"), 289 + 3 * 289),
+        (("--range", "-4:4", "--to-b", "0", "intertwiner"), 2 * 81),
+        (("--range", "-4:4", "--level-cap", "1", "extension"), 81 + 7 + 8 + 9 + 8 + 7 + 6),
+        (("--range", "-8:8", "spanning"), 289),
+        (("--range", "-4:4", "irreducible"), 81),
+    ],
+    ids=["check", "classify", "intertwiner", "extension", "spanning", "irreducible"],
+)
+def test_module_matrix_cap_counts_exactly(capsys, monkeypatch, argv, count):
+    # a window on N indices stores N^2 matrices, the trivial extension one copy per level 0..2*level_cap,
+    # and extension one unknown per level, band degree a and interior source
+    monkeypatch.setattr(cli, "MODULE_MATRIX_CAP", count)
+    code, _, err = run(capsys, "module", "--a", "1/2", "--b", "2", *argv)
+    assert code == 0, err
+    monkeypatch.setattr(cli, "MODULE_MATRIX_CAP", count - 1)
+    code, out, err = run(capsys, "module", "--a", "1/2", "--b", "2", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: module ") and err.endswith(f" stores {count} matrices and unknowns, above the cap of {count - 1}\n")
 
 
 def test_bracket_operand_variant_must_match_the_flag(capsys):

@@ -54,6 +54,18 @@ def test_sym_bracket_rejects_a_central_pair():
     assert ident.sym_bracket(ident.sym_gen((1, 0, 0), (0, 0)), ident.sym_gen((-1, 0, 0), (1, 0)))
 
 
+def test_lemma_report_values():
+    first, second = ident.LemmaReport("a", ident.STATUS_EXACT, True), ident.LemmaReport("a", ident.STATUS_EXACT, True)
+    assert first == second and first.details == {}
+    first.details["k"] = 1
+    assert second.details == {} and first != second
+    first.claim = "b"
+    assert first.to_json() == {"claim": "b", "status": "exact", "passed": True, "computed": None, "stated": None, "details": {"k": 1}}
+    assert repr(first) == "LemmaReport(claim='b', status='exact', passed=True, computed=None, stated=None, details={'k': 1})"
+    with pytest.raises(TypeError):
+        hash(first)
+
+
 def test_nested_bracket_numeric_values():
     # prefactored nested bracket at (1, 2, 1) gives 15 on the target key
     left = bracket(gen(BLOCK_B, 1, 0), bracket(gen(BLOCK_B, 2, 0), gen(BLOCK_B, 1, 1))).scale(1 - 2 * 3)

@@ -10,6 +10,7 @@ from blocklie import linalg, modules, verma
 from blocklie.linalg import (
     _PRIME,
     RationalMatrix,
+    RowReduction,
     _eliminate,
     _lifted_rref,
     _rref_mod_p,
@@ -39,6 +40,9 @@ def test_rank_one_kernel_vector():
     red = row_reduce(m)
     assert red.rank == 1
     assert red.kernel == [[Fraction(-2), Fraction(1)]]
+    assert red == RowReduction(rref=red.rref, rank=1, pivots=[0], kernel=[[Fraction(-2), Fraction(1)]])
+    assert red != RowReduction(red.rref, 1, [1], red.kernel)
+    assert repr(red) == f"RowReduction(rref={red.rref!r}, rank=1, pivots=[0], kernel=[[Fraction(-2, 1), Fraction(1, 1)]])"
 
 
 def test_solve_identity():

@@ -8,6 +8,7 @@ import pytest
 from blocklie.algebra import VIRASORO, BasisKey
 from blocklie.linalg import RationalMatrix, row_reduce
 from blocklie.modules import (
+    ExtensionReport,
     IntermediateSpec,
     WindowedModule,
     act_intermediate,
@@ -296,6 +297,39 @@ def test_extension_space_rank_two_window():
     second = build_window(IntermediateSpec("Aab", F(1, 2), F(1, 2)), -12, 12)
     report = extension_space(direct_sum(first, second), 2)
     assert report.dimension == 0 and report.quadratic_decided
+
+
+def test_extension_space_marks_an_undecided_quadratic_stage_inconclusive():
+    # the quadratic rows are X^2 = 0 for X = [[s0, s1], [s2, s3]]: a 2-dimensional cone, not the 4 reported
+    window = build_window(IntermediateSpec("Aab", F(1, 2), F(1)), -6, 6)
+    report = extension_space(direct_sum(window, window), 1)
+    assert (report.linear_kernel, report.quadratic_decided) == (4, False)
+    assert report.inconclusive
+    assert report.dimension == 4
+
+
+def test_intermediate_spec_and_extension_report_values():
+    spec = IntermediateSpec("Aab", F(1, 2), F(2))
+    assert spec == IntermediateSpec("Aab", F(1, 2), F(2)) != IntermediateSpec("Aab", F(1, 2), F(1))
+    assert IntermediateSpec("Aa", F(1)) == IntermediateSpec("Aa", F(1), None)
+    assert {spec: 1}[IntermediateSpec("Aab", F(1, 2), F(2))] == 1
+    assert repr(spec) == "IntermediateSpec(family='Aab', a=Fraction(1, 2), b=Fraction(2, 1))"
+    for name in ("family", "a", "b"):
+        with pytest.raises(AttributeError):
+            setattr(spec, name, F(0))
+        with pytest.raises(AttributeError):
+            delattr(spec, name)
+    with pytest.raises(ValueError, match="unknown intermediate-series family 'Ab'"):
+        IntermediateSpec("Ab", F(0))
+    with pytest.raises(ValueError, match="family Aab needs the parameter b"):
+        IntermediateSpec("Aab", F(0))
+
+    report = ExtensionReport(3, False, 10, 7)
+    assert report == ExtensionReport(3, False, 10, 7, linear_kernel=0, quadratic_decided=True)
+    assert report != ExtensionReport(3, True, 10, 7)
+    assert repr(report) == (
+        "ExtensionReport(dimension=3, inconclusive=False, equations=10, unknowns=7, linear_kernel=0, quadratic_decided=True)"
+    )
 
 
 def test_extension_space_refuses_column_margins():

@@ -111,6 +111,20 @@ def test_normal_order_is_confluent():
         assert all(sum(a for a, _ in w) == depth for w in straightened)
 
 
+def test_weight_functional_values():
+    lam = WeightFunctional((F(3, 7), F(0)), F(1, 3))
+    assert lam == WeightFunctional((F(3, 7), F(0)), F(1, 3)) != WeightFunctional((F(3, 7), F(0)), F(0))
+    assert {lam: 1}[WeightFunctional((F(3, 7), F(0)), F(1, 3))] == 1
+    assert (lam.n, lam[0], lam[1]) == (1, F(3, 7), F(0))
+    assert repr(lam) == "WeightFunctional(values=(Fraction(3, 7), Fraction(0, 1)), c=Fraction(1, 3))"
+    assert WeightFunctional.from_json(lam.to_json()) == lam
+    for name in ("values", "c"):
+        with pytest.raises(AttributeError):
+            setattr(lam, name, F(0))
+        with pytest.raises(AttributeError):
+            delattr(lam, name)
+
+
 def test_action_examples():
     lam = WeightFunctional((F(3, 7), F(2, 5)), F(1, 3))
     action = VermaAction(lam, 1)
