@@ -58,22 +58,23 @@ class BasisKey(NamedTuple):
         return cls(read_int(data["alpha"], "'alpha'"), read_int(data["level"], "'level'"))
 
 
-class AlgebraVariant:
-    """One algebra of the family: its kind, and for a quotient the level band [m, n].
+class Frozen:
+    """Base of the immutable value classes; their fields are the subclass's ``__slots__``.
 
-    Immutable and hashable; two variants are equal when kind, m and n are.
+    The subclass constructor validates, then passes the field values in
+    slot order to ``Frozen.__init__``.  Instances are equal only to
+    instances of the same class with equal fields, and hash as the field
+    tuple.
     """
 
-    __slots__ = ("kind", "m", "n")
+    __slots__ = ()
 
-    def __init__(self, kind: str, m: int = 0, n: int = 0):
-        if kind not in {"virasoro", "block", "blockbar", "w1inf", "winf", "quotient"}:
-            raise ValueError(f"unknown algebra kind {kind!r}")
-        if kind == "quotient" and not (0 <= m <= n):
-            raise ValueError(f"quotient band requires 0 <= m <= n, got [{m}, {n}]")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "n", n)
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -84,13 +85,27 @@ class AlgebraVariant:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.kind, self.m, self.n) == (other.kind, other.m, other.n)
+        return self._values() == other._values()
 
     def __hash__(self) -> int:
-        return hash((self.kind, self.m, self.n))
+        return hash(self._values())
 
     def __repr__(self) -> str:
-        return f"AlgebraVariant(kind={self.kind!r}, m={self.m!r}, n={self.n!r})"
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class AlgebraVariant(Frozen):
+    """One algebra of the family: its kind, and for a quotient the level band [m, n]."""
+
+    __slots__ = ("kind", "m", "n")
+
+    def __init__(self, kind: str, m: int = 0, n: int = 0):
+        if kind not in {"virasoro", "block", "blockbar", "w1inf", "winf", "quotient"}:
+            raise ValueError(f"unknown algebra kind {kind!r}")
+        if kind == "quotient" and not (0 <= m <= n):
+            raise ValueError(f"quotient band requires 0 <= m <= n, got [{m}, {n}]")
+        super().__init__(kind, m, n)
 
     def __str__(self) -> str:
         return {
@@ -141,18 +156,7 @@ def level_range(variant: AlgebraVariant, level_cap: int) -> range:
 
 
 def key_valid(variant: AlgebraVariant, key: BasisKey) -> bool:
-    i = key.level
-    if variant.kind == "virasoro":
-        return i == 0
-    if variant.kind == "block":
-        return i >= 0
-    if variant.kind == "blockbar":
-        return i >= -1
-    if variant.kind == "w1inf":
-        return i >= 0
-    if variant.kind == "winf":
-        return i >= 1
-    return variant.m <= i <= variant.n
+    return key.level in level_range(variant, key.level)
 
 
 def _w_cocycle(a: int, i: int, j: int) -> int:

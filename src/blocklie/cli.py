@@ -39,15 +39,16 @@ class UsageError(Exception):
 # size caps, far above every documented size: an axiom window of n keys
 # tabulates a few n^2 brackets and checks n^3/6 Jacobi triples,
 # vir_consistency at degree d compares (2d+1)^2 pairs, a Verma depth space
-# of N monomials is the column count of its singular-vector system, and a
-# module window of N indices carries about 2N action matrices per index.
+# of N monomials is the column count of its singular-vector system (deep
+# n = 0 spaces past 1000 take seconds), and a module window of N indices
+# carries about 2N action matrices per index.
 # VERMA_WORK_CAP bounds the (n+1)*depth*N actions that check the depth-d
 # singular vectors of Q:0:n (9,620 at n = 1, depth 10, the largest in use);
 # MODULE_MATRIX_CAP bounds the matrices and unknowns one module job stores
 # (2,155 for extension on -20:20 at level cap 2, the largest in use).
 AXIOM_KEY_CAP = 500
 VIR_DEGREE_CAP = 1000
-VERMA_SPACE_CAP = 5000
+VERMA_SPACE_CAP = 1000
 VERMA_WORK_CAP = 100_000
 RANGE_WIDTH_CAP = 500
 MODULE_MATRIX_CAP = 50_000
@@ -109,27 +110,34 @@ def _config_flags(args: argparse.Namespace) -> list[str]:
     return flags
 
 
-def _finish(args: argparse.Namespace, payload: dict, human: str) -> None:
-    # one JSON document on stdout under --format json, one summary otherwise
-    if args.out:
-        write_report(payload, args.out)
-    if args.format == "json":
-        sys.stdout.write(dumps_report(payload))
-    else:
-        print(human)
+# the module and verma actions that read each option (every action reads the
+# others); none has an argparse default, so a typed value elsewhere is seen
+OPTION_READERS = {
+    "pair_degree": ("check",),
+    "level_cap": ("check", "extension", "classify"),
+    "to_b": ("intertwiner",),
+    "lam": ("singular",),
+    "c": ("singular",),
+    "lambda_file": ("singular",),
+}
 
 
-def _cmd_bracket(args: argparse.Namespace) -> int:
+def _check_readers(args: argparse.Namespace) -> None:
+    for option, readers in OPTION_READERS.items():
+        if getattr(args, option, None) is not None and args.action not in readers:
+            flag = "--" + option.replace("_", "-")
+            raise UsageError(f"{flag} is read only by the {'/'.join(readers)} action, not {args.action}")
+
+
+def _cmd_bracket(args: argparse.Namespace) -> tuple[dict, str, int]:
     variant = algebra.parse_variant(args.variant)
     x = _parse_operand(args.x, variant)
     y = _parse_operand(args.y, variant)
     result = algebra.bracket(x, y)
-    payload = {"command": "bracket", "variant": str(variant), "result": result.to_json()}
-    _finish(args, payload, repr(result))
-    return 0
+    return {"command": "bracket", "variant": str(variant), "result": result.to_json()}, repr(result), 0
 
 
-def _cmd_axioms(args: argparse.Namespace) -> int:
+def _cmd_axioms(args: argparse.Namespace) -> tuple[dict, str, int]:
     variant = algebra.parse_variant(args.variant)
     degree, level = args.degree, args.level
     # the window's key count, known before any key is built
@@ -156,8 +164,7 @@ def _cmd_axioms(args: argparse.Namespace) -> int:
         {"check": "checked", "result": f"{n} keys, {checked['pairs']} pairs, {checked['triples']} triples"},
         {"check": "vir-consistency", "result": f"c0={consistency['c0']}" if consistency["homomorphism"] else "failed"},
     ]
-    _finish(args, payload, render_table(rows, ["check", "result"]))
-    return 0 if passed else 1
+    return payload, render_table(rows, ["check", "result"]), 0 if passed else 1
 
 
 def _parameter_grid(text: str) -> list:
@@ -203,67 +210,61 @@ def _check_module_size(action: str, lo: int, hi: int, level_cap: int) -> None:
         )
 
 
-def _cmd_module(args: argparse.Namespace) -> int:
+def _grid_report(grid: list[modules.IntermediateSpec], member) -> tuple[list[dict], str]:
+    """The entries and text lines of ``member(spec)``, one (fields, line) per grid member."""
+    entries, lines = [], []
+    for spec in grid:
+        fields, line = member(spec)
+        entries.append({"a": str(spec.a), "b": str(spec.b), **fields})
+        lines.append(f"a={spec.a} b={spec.b}: {line}" if len(grid) > 1 else line)
+    return entries, "\n".join(lines)
+
+
+def _cmd_module(args: argparse.Namespace) -> tuple[dict, str, int]:
     lo, hi = _parse_range(args.range)
     action = args.action
     grid = _spec_grid(args)
-    if args.to_b is not None and action != "intertwiner":
-        raise UsageError(f"--to-b is read only by the intertwiner action, not {action}")
-    _check_module_size(action, lo, hi, args.level_cap)
+    level_cap = 2 if args.level_cap is None else args.level_cap
+    _check_module_size(action, lo, hi, level_cap)
     if action == "irreducible":
-        verdicts = []
-        lines = []
-        for spec in grid:
+        def member(spec):
             verdict = modules.irreducible_verdict(spec, lo, hi)
-            verdicts.append({"a": str(spec.a), "b": str(spec.b), **verdict})
-            prefix = f"a={spec.a} b={spec.b}: " if len(grid) > 1 else ""
-            lines.append(
-                f"{prefix}bruteforce={str(verdict['bruteforce']).lower()}"
-                f" criterion={str(verdict['criterion']).lower()}"
-            )
+            return verdict, f"bruteforce={str(verdict['bruteforce']).lower()} criterion={str(verdict['criterion']).lower()}"
+
+        verdicts, text = _grid_report(grid, member)
         passed = all(v["agree"] for v in verdicts)
-        payload = {"command": "module.irreducible", "grid": verdicts, "passed": passed}
-        _finish(args, payload, "\n".join(lines))
-        return 0 if passed else 1
+        return {"command": "module.irreducible", "grid": verdicts, "passed": passed}, text, 0 if passed else 1
     if action == "extension":
-        results = []
-        lines = []
-        for spec in grid:
-            report = modules.extension_space(modules.build_window(spec, lo, hi), args.level_cap)
+        def member(spec):
+            report = modules.extension_space(modules.build_window(spec, lo, hi), level_cap)
             if report.equations == 0:
-                raise UsageError(f"range {lo}:{hi} at level cap {args.level_cap} gives no extension equations")
-            results.append(
-                {
-                    "a": str(spec.a),
-                    "b": str(spec.b),
-                    "dimension": report.dimension,
-                    "inconclusive": report.inconclusive,
-                    "decided": report.quadratic_decided,
-                    "equations": report.equations,
-                    "unknowns": report.unknowns,
-                }
-            )
-            prefix = f"a={spec.a} b={spec.b}: " if len(grid) > 1 else ""
-            lines.append(f"{prefix}extension space dimension: {report.dimension}" + (" (inconclusive)" if report.inconclusive else ""))
-        payload = {"command": "module.extension", "grid": results}
-        _finish(args, payload, "\n".join(lines))
-        return 0
+                raise UsageError(f"range {lo}:{hi} at level cap {level_cap} gives no extension equations")
+            fields = {
+                "dimension": report.dimension,
+                "inconclusive": report.inconclusive,
+                "decided": report.quadratic_decided,
+                "equations": report.equations,
+                "unknowns": report.unknowns,
+            }
+            return fields, f"extension space dimension: {report.dimension}" + (" (inconclusive)" if report.inconclusive else "")
+
+        results, text = _grid_report(grid, member)
+        return {"command": "module.extension", "grid": results}, text, 0
     if len(grid) > 1:
         raise UsageError(f"action {action!r} takes single --a/--b values, not grids")
     spec = grid[0]
     window = modules.build_window(spec, lo, hi)
     if action == "check":
-        pair_degree = args.pair_degree
+        pair_degree = 4 if args.pair_degree is None else args.pair_degree
         if pair_degree < 1:
             raise UsageError(f"need --pair-degree >= 1, got {pair_degree}: a lower degree compares no two distinct generators")
         violations = modules.check_module_axioms(window, pair_degree)
-        extended = modules.extend_trivially(window, args.level_cap)
-        extra = [algebra.BasisKey(1, i) for i in range(1, args.level_cap + 1)]
+        extended = modules.extend_trivially(window, level_cap)
+        extra = [algebra.BasisKey(1, i) for i in range(1, level_cap + 1)]
         violations += modules.check_module_axioms(extended, pair_degree, extra_keys=extra)
-        payload = {"command": "module.check", "violations": violations, "passed": not violations}
         rows = [{"check": "module-axioms", "result": "ok" if not violations else "failed"}]
-        _finish(args, payload, render_table(rows, ["check", "result"]))
-        return 0 if not violations else 1
+        payload = {"command": "module.check", "violations": violations, "passed": not violations}
+        return payload, render_table(rows, ["check", "result"]), 0 if not violations else 1
     if action == "intertwiner":
         if args.to_b is None:
             raise UsageError("intertwiner needs --to-b for the target family member")
@@ -276,19 +277,14 @@ def _cmd_module(args: argparse.Namespace) -> int:
             "found": found is not None,
             "blocks": None if found is None else {str(k): m.to_json() for k, m in sorted(found.items())},
         }
-        _finish(args, payload, "intertwiner found" if found is not None else "no invertible intertwiner")
-        return 0
+        return payload, "intertwiner found" if found is not None else "no invertible intertwiner", 0
     if action == "spanning":
         ok = modules.core_spanning_check(window)
-        payload = {"command": "module.spanning", "passed": ok}
-        _finish(args, payload, "core spans window" if ok else "core does not span window")
-        return 0 if ok else 1
+        text = "core spans window" if ok else "core does not span window"
+        return {"command": "module.spanning", "passed": ok}, text, 0 if ok else 1
     if action == "classify":
-        extended = modules.extend_trivially(window, args.level_cap)
-        verdict = modules.classify_window(extended)
-        payload = {"command": "module.classify", "verdict": verdict}
-        _finish(args, payload, verdict["verdict"])
-        return 0
+        verdict = modules.classify_window(modules.extend_trivially(window, level_cap))
+        return {"command": "module.classify", "verdict": verdict}, verdict["verdict"], 0
     raise UsageError(f"unknown module action {action!r}")
 
 
@@ -312,18 +308,15 @@ def _check_verma_size(n: int, depth: int) -> int:
     return size
 
 
-def _cmd_verma(args: argparse.Namespace) -> int:
+def _cmd_verma(args: argparse.Namespace) -> tuple[dict, str, int]:
     n, depth = args.n, args.depth
     if n < 0 or depth < 0:
         raise UsageError(f"need n >= 0 and depth >= 0, got n={n} and depth={depth}")
     space = _check_verma_size(n, depth)
     if args.action == "dims":
-        if args.lam is not None or args.c is not None or args.lambda_file is not None:
-            raise UsageError("--lam, --c and --lambda-file are read only by the singular action")
         report = verma.quasifinite_report(n, depth)
         payload = {"command": "verma.dims", "report": report, "passed": report["match"]}
-        _finish(args, payload, ", ".join(str(d) for d in report["dimensions"][1:]))
-        return 0 if report["match"] else 1
+        return payload, ", ".join(str(d) for d in report["dimensions"][1:]), 0 if report["match"] else 1
     if args.action == "singular":
         if depth < 1:
             raise UsageError("singular vectors need depth >= 1, got depth=0")
@@ -355,12 +348,11 @@ def _cmd_verma(args: argparse.Namespace) -> int:
             "singular": found,
             "positive_generators_validated_to_degree": depth + 2 if generators_ok else None,
         }
-        _finish(args, payload, f"singular vectors through depth {depth}: {len(found)}")
-        return 0 if generators_ok else 1
+        return payload, f"singular vectors through depth {depth}: {len(found)}", 0 if generators_ok else 1
     raise UsageError(f"unknown verma action {args.action!r}")
 
 
-def _cmd_lemmas(args: argparse.Namespace) -> int:
+def _cmd_lemmas(args: argparse.Namespace) -> tuple[dict, str, int]:
     reports = identities.run_standard_suite()
     payload = {
         "command": "lemmas",
@@ -368,19 +360,16 @@ def _cmd_lemmas(args: argparse.Namespace) -> int:
         "reports": [r.to_json() for r in reports],
     }
     rows = [{"claim": r.claim, "status": r.status, "passed": r.passed} for r in reports]
-    _finish(args, payload, render_table(rows, ["claim", "status", "passed"]))
     ok = all(r.passed for r in reports)
     if args.strict:
         ok = ok and all(r.status in (identities.STATUS_EXACT, identities.STATUS_NORMALIZED) for r in reports)
-    return 0 if ok else 1
+    return payload, render_table(rows, ["claim", "status", "passed"]), 0 if ok else 1
 
 
-def _cmd_classify(args: argparse.Namespace) -> int:
+def _cmd_classify(args: argparse.Namespace) -> tuple[dict, str, int]:
     window = modules.WindowedModule.from_json(_read_json(args.module_file, "module file"))
     verdict = modules.classify_window(window)
-    payload = {"command": "classify", "verdict": verdict}
-    _finish(args, payload, verdict["verdict"])
-    return 0
+    return {"command": "classify", "verdict": verdict}, verdict["verdict"], 0
 
 
 # flags whose values may start with "-" (negative degrees, rationals, ranges)
@@ -428,8 +417,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b")
     p.add_argument("--to-b", dest="to_b")
     p.add_argument("--range", default="-8:8")
-    p.add_argument("--pair-degree", dest="pair_degree", type=int, default=4)
-    p.add_argument("--level-cap", dest="level_cap", type=int, default=2)
+    p.add_argument("--pair-degree", dest="pair_degree", type=int)
+    p.add_argument("--level-cap", dest="level_cap", type=int)
     p.add_argument("action", choices=["check", "irreducible", "intertwiner", "extension", "spanning", "classify"])
 
     p = sub.add_parser("verma", parents=[common], help="truncated highest-weight module data")
@@ -469,7 +458,12 @@ def main(argv: list[str] | None = None) -> int:
             pos = argv.index(args.command) + 1
             args = parser.parse_args([*argv[:pos], *_config_flags(args), *argv[pos:]])
         del parser
-        code = HANDLERS[args.command](args)
+        _check_readers(args)
+        payload, text, code = HANDLERS[args.command](args)
+        # the one place a report is written
+        if args.out:
+            write_report(payload, args.out)
+        sys.stdout.write(dumps_report(payload) if args.format == "json" else text + "\n")
         sys.stdout.flush()
         return code
     except BrokenPipeError:
@@ -477,10 +471,7 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print("error: stdout was closed before the report was written", file=sys.stderr)
         return 2
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:

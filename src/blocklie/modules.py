@@ -54,11 +54,8 @@ def interior(lo: int, hi: int, *shifts: int) -> range:
     return range(lo - min((0, *shifts)), hi - max((0, *shifts)) + 1)
 
 
-class IntermediateSpec:
-    """Parameters of one intermediate-series family member.
-
-    Immutable and hashable; two specs are equal when family, a and b are.
-    """
+class IntermediateSpec(algebra.Frozen):
+    """Parameters of one intermediate-series family member."""
 
     __slots__ = ("family", "a", "b")
 
@@ -67,26 +64,7 @@ class IntermediateSpec:
             raise ValueError(f"unknown intermediate-series family {family!r}")
         if family == "Aab" and b is None:
             raise ValueError("family Aab needs the parameter b")
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.family, self.a, self.b) == (other.family, other.a, other.b)
-
-    def __hash__(self) -> int:
-        return hash((self.family, self.a, self.b))
-
-    def __repr__(self) -> str:
-        return f"IntermediateSpec(family={self.family!r}, a={self.a!r}, b={self.b!r})"
+        super().__init__(family, a, b)
 
     def weight_offset(self) -> Fraction:
         # L_0 acts as a+k on Aab and as k on the exceptional families

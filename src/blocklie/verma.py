@@ -37,34 +37,13 @@ from .rationals import accumulate, check_keys, format_rational, parse_rational
 Monomial = tuple[tuple[int, int], ...]
 
 
-class WeightFunctional:
-    """Values on the degree-zero generators (index = level) and on C.
-
-    Immutable and hashable; two functionals are equal when their values and c are.
-    """
+class WeightFunctional(algebra.Frozen):
+    """Values on the degree-zero generators (index = level) and on C."""
 
     __slots__ = ("values", "c")
 
     def __init__(self, values: tuple[Fraction, ...], c: Fraction):
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "c", c)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.values, self.c) == (other.values, other.c)
-
-    def __hash__(self) -> int:
-        return hash((self.values, self.c))
-
-    def __repr__(self) -> str:
-        return f"WeightFunctional(values={self.values!r}, c={self.c!r})"
+        super().__init__(values, c)
 
     @property
     def n(self) -> int:

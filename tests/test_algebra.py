@@ -80,6 +80,43 @@ def test_quotient_key_validation():
         central(q)
 
 
+def test_key_valid_reads_the_level_bounds_of_level_range():
+    # the per-kind rule key_valid spelled out before it read level_range
+    lowest = {"virasoro": 0, "block": 0, "blockbar": -1, "w1inf": 0, "winf": 1}
+    variants = [VIRASORO, BLOCK_B, BLOCK_BBAR, W_1INF, W_INF]
+    variants += [quotient(m, n) for n in range(5) for m in range(n + 1)]
+    for variant in variants:
+        for level in range(-5, 9):
+            if variant.kind == "quotient":
+                expected = variant.m <= level <= variant.n
+            elif variant.kind == "virasoro":
+                expected = level == 0
+            else:
+                expected = level >= lowest[variant.kind]
+            assert algebra.key_valid(variant, BasisKey(3, level)) is expected, (variant, level)
+
+
+def test_value_classes_share_one_frozen_base():
+    from blocklie.modules import IntermediateSpec
+    from blocklie.verma import WeightFunctional
+
+    for cls in (AlgebraVariant, IntermediateSpec, WeightFunctional):
+        assert cls.__mro__[1] is algebra.Frozen and "__eq__" not in vars(cls)
+
+    class Twin(algebra.Frozen):
+        __slots__ = ("values", "c")
+
+    lam = WeightFunctional((Fraction(1),), Fraction(0))
+    twin = Twin((Fraction(1),), Fraction(0))
+    # equal fields in another class are not equal, though they hash alike
+    assert lam != twin and twin != lam and hash(lam) == hash(twin)
+    assert repr(twin) == "Twin(values=(Fraction(1, 1),), c=Fraction(0, 1))"
+    with pytest.raises(AttributeError, match="cannot assign to field 'extra'"):
+        twin.extra = 1
+    with pytest.raises(AttributeError, match="cannot delete field 'c'"):
+        del twin.c
+
+
 def test_variant_and_key_window_values():
     assert AlgebraVariant("quotient", 0, 2) == quotient(0, 2) != quotient(0, 3)
     assert AlgebraVariant("block") == BLOCK_B == AlgebraVariant("block", 0, 0) != BLOCK_BBAR

@@ -374,6 +374,78 @@ def test_flags_that_nothing_reads_are_usage_errors(tmp_path, capsys, monkeypatch
     assert err.startswith("error:") and message in err
 
 
+# every option that only some module or verma actions read, with a value and the actions that do not read it
+_UNREAD = [
+    ("pair_degree", "9", ("irreducible", "intertwiner", "extension", "spanning", "classify")),
+    ("level_cap", "7", ("irreducible", "intertwiner", "spanning")),
+    ("to_b", "3", ("check", "irreducible", "extension", "spanning", "classify")),
+    ("lam", "5,5", ("dims",)),
+    ("c", "0", ("dims",)),
+    ("lambda_file", "lambda.json", ("dims",)),
+]
+_BASE = {"module": ("--a", "1/2", "--b", "2", "--range", "-4:4"), "verma": ("--n", "1", "--depth", "2")}
+
+
+@pytest.mark.parametrize("form", ["flag", "config"])
+@pytest.mark.parametrize(
+    "option, value, action",
+    [(option, value, action) for option, value, actions in _UNREAD for action in actions],
+    ids=[f"{option}-{action}" for option, _, actions in _UNREAD for action in actions],
+)
+def test_option_outside_its_readers_is_a_usage_error(tmp_path, capsys, monkeypatch, form, option, value, action):
+    # a typed value and a config key are refused alike, before any window or basis is built
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "lambda.json").write_text('{"lambda": ["1/2", "2/3"]}')
+    for owner, name in ((cli.modules, "build_window"), (verma, "quasifinite_report")):
+        monkeypatch.setattr(owner, name, _no_sweep)
+    command = "verma" if action in ("dims", "singular") else "module"
+    flag = "--" + option.replace("_", "-")
+    if form == "flag":
+        extra = (flag, value)
+    else:
+        (tmp_path / "cfg.json").write_text(json.dumps({option: value}))
+        extra = ("--config", "cfg.json")
+    code, out, err = run(capsys, command, *_BASE[command], *extra, action)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {flag} is read only by the ") and err.endswith(f", not {action}\n")
+    assert err.count("\n") == 1
+
+
+def test_irreducible_refuses_level_cap_and_pair_degree(capsys):
+    # printed bruteforce=true criterion=true and exited 0 with both flags ignored
+    argv = ("module", "--a", "1/2", "--b", "2", "--range", "-4:4", "--level-cap", "7", "--pair-degree", "9", "irreducible")
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: --pair-degree is read only by the check action, not irreducible\n"
+    code, out, err = run(capsys, *argv[:-3], "irreducible")
+    assert err == "error: --level-cap is read only by the check/extension/classify action, not irreducible\n"
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_check_defaults_are_pair_degree_4_and_level_cap_2(capsys, monkeypatch, fmt):
+    # the two options have no argparse default, so check must fill in the documented ones
+    calls = []
+
+    def spy(name):
+        original = getattr(cli.modules, name)
+
+        def recorded(window, bound, **kwargs):
+            calls.append((name, bound))
+            return original(window, bound, **kwargs)
+
+        return recorded
+
+    for name in ("check_module_axioms", "extend_trivially"):
+        monkeypatch.setattr(cli.modules, name, spy(name))
+    argv = ("module", "--a", "1/2", "--b", "2", "--range", "-6:6", "--format", fmt)
+    default = run(capsys, *argv, "check")
+    assert default[0] == 0
+    assert run(capsys, *argv, "--pair-degree", "4", "--level-cap", "2", "check") == default
+    assert calls == 2 * [("check_module_axioms", 4), ("extend_trivially", 2), ("check_module_axioms", 4)]
+
+
 def _no_sweep(*args, **kwargs):
     raise AssertionError("an oversized request reached the library")
 
@@ -410,19 +482,20 @@ def test_axiom_key_cap_counts_the_window_exactly(capsys, monkeypatch):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (("verma", "--n", "1000000000", "--depth", "1000000000", "singular"), "depth-1 space of Q:0:1000000000 has 1000000001 monomials, above the cap of 5000"),
-        (("verma", "--n", "1000000000", "--depth", "0", "dims"), "depth-1 space of Q:0:1000000000 has 1000000001 monomials, above the cap of 5000"),
-        (("verma", "--n", "1", "--depth", "1000000000", "dims"), "depth-31 space of Q:0:1 has 786814 monomials, above the cap of 5000"),
-        (("verma", "--n", "0", "--depth", "1000000000", "singular"), "depth-31 space of Q:0:0 has 6842 monomials, above the cap of 5000"),
+        (("verma", "--n", "1000000000", "--depth", "1000000000", "singular"), "depth-1 space of Q:0:1000000000 has 1000000001 monomials, above the cap of 1000"),
+        (("verma", "--n", "1000000000", "--depth", "0", "dims"), "depth-1 space of Q:0:1000000000 has 1000000001 monomials, above the cap of 1000"),
+        (("verma", "--n", "1", "--depth", "1000000000", "dims"), "depth-15 space of Q:0:1 has 3956 monomials, above the cap of 1000"),
+        (("verma", "--n", "0", "--depth", "1000000000", "singular"), "depth-31 space of Q:0:0 has 6842 monomials, above the cap of 1000"),
+        (("verma", "--n", "0", "--depth", "26", "singular"), "depth-26 space of Q:0:0 has 2436 monomials, above the cap of 1000"),
         (("module", "--range", "-1000000000:1000000000", "check"), "range '-1000000000:1000000000' of 2000000001 indices exceeds the cap of 500 indices"),
         (("module", "--a", "0,1", "--range", "0:500", "extension"), "range '0:500' of 501 indices exceeds the cap of 500 indices"),
-        (("verma", "--n", "4999", "--depth", "1", "singular"), "singular vectors of Q:0:4999 at depth 1 need up to 5000*1*5000 = 25000000 checking actions, above the cap of 100000"),
+        (("verma", "--n", "999", "--depth", "1", "singular"), "singular vectors of Q:0:999 at depth 1 need up to 1000*1*1000 = 1000000 checking actions, above the cap of 100000"),
         (("module", "--a", "1/2", "--range", "-4:4", "--level-cap", "100000", "check"), "module check on -4:4 at level cap 100000 stores 16200162 matrices and unknowns, above the cap of 50000"),
         (("module", "--a", "1/2", "--b", "2", "--range", "-4:4", "--level-cap", "1000000000", "extension"), "module extension on -4:4 at level cap 1000000000 stores 45000000081 matrices and unknowns, above the cap of 50000"),
         (("module", "--a", "1/2", "--range", "-250:249", "irreducible"), "module irreducible on -250:249 at level cap 2 stores 250000 matrices and unknowns, above the cap of 50000"),
     ],
     ids=[
-        "verma-levels", "verma-levels-depth-0", "verma-depth", "verma-depth-n0", "range", "range-grid",
+        "verma-levels", "verma-levels-depth-0", "verma-depth", "verma-depth-n0", "verma-deep-n0", "range", "range-grid",
         "verma-work", "level-cap", "extension-level-cap", "window",
     ],
 )
