@@ -28,7 +28,7 @@ _HOME = {
             "generation_closure", "laurent_bracket", "parse_variant", "quotient", "verify_algebra_axioms",
             "vir_consistency",
         ),
-        "linalg": ("RationalMatrix", "RowReduction", "char_poly", "eval_poly_matrix", "row_reduce", "solve"),
+        "linalg": ("RationalMatrix", "RowReduction", "char_poly", "eval_poly_matrix", "row_reduce"),
         "modules": (
             "IntermediateSpec", "WindowedModule", "act_intermediate", "adjoint_window", "build_window",
             "check_module_axioms", "classify_window", "core_spanning_check", "direct_sum", "extend_trivially",

@@ -185,24 +185,24 @@ def _spec_grid(args: argparse.Namespace) -> list[modules.IntermediateSpec]:
 
 
 def _check_module_size(action: str, lo: int, hi: int, level_cap: int) -> None:
-    """Refuse a job storing more than MODULE_MATRIX_CAP matrices and unknowns, before any window is built.
+    """Refuse a job that can store over MODULE_MATRIX_CAP matrices and unknowns, before any window is built.
 
-    A window of N indices stores N^2 action matrices: one for L_i, |i| < N,
-    at each of its N - |i| sources.  check and classify extend it
-    trivially with one copy per level 0 .. 2*level_cap, intertwiner builds
-    a second window, and extension adds one 1x1 unknown per level
-    1 .. level_cap, degree a of EXTENSION_BAND and source in
-    interior(lo, hi, a).  Grid members run one at a time, so the count is
-    per member.
+    Matrices are built on first use, so this is an upper bound.  A window
+    of N indices has N^2 action matrices: one for L_i, |i| < N, at each
+    of its N - |i| sources.  check and classify extend it trivially with
+    one copy per level 0 .. 2*level_cap, intertwiner builds a second
+    window, and extension adds one 1x1 unknown per level 1 .. level_cap,
+    degree a of EXTENSION_BAND and source in interior(lo, hi, a).  The
+    count is per grid member.
     """
     width = hi - lo + 1
     count = width * width
     if action in ("check", "classify"):
-        count += max(0, 2 * level_cap + 1) * width * width
+        count += (2 * level_cap + 1) * width * width
     elif action == "intertwiner":
         count += width * width
     elif action == "extension":
-        count += max(0, level_cap) * sum(len(modules.interior(lo, hi, a)) for a in modules.EXTENSION_BAND)
+        count += level_cap * sum(len(modules.interior(lo, hi, a)) for a in modules.EXTENSION_BAND)
     if count > MODULE_MATRIX_CAP:
         raise UsageError(
             f"module {action} on {lo}:{hi} at level cap {level_cap} stores {count} matrices and unknowns,"
@@ -225,6 +225,8 @@ def _cmd_module(args: argparse.Namespace) -> tuple[dict, str, int]:
     action = args.action
     grid = _spec_grid(args)
     level_cap = 2 if args.level_cap is None else args.level_cap
+    if level_cap < 0:
+        raise UsageError(f"need --level-cap >= 0, got {level_cap}")
     _check_module_size(action, lo, hi, level_cap)
     if action == "irreducible":
         def member(spec):

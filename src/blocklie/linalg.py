@@ -1,4 +1,4 @@
-"""Sparse exact-rational matrices with rank, kernel and solve.
+"""Sparse exact-rational matrices with rank and kernel.
 
 A matrix stores only its nonzero entries in a dict keyed by (row, col)
 with ``fractions.Fraction`` values (the constructor converts any other
@@ -7,8 +7,8 @@ not an approximation.  Matrices are treated as immutable after
 construction; no operation mutates its operands.
 
 ``Echelon`` is the one elimination kernel over Q: a growing span of
-sparse rows, kept fully reduced on Python ints.  ``row_reduce``, when
-no lift is proven, and ``solve`` eliminate through it, and so do
+sparse rows, kept fully reduced on Python ints.  ``row_reduce``
+eliminates through it when no lift is proven, and so do
 ``generation_closure`` and ``submodule_closure``, which only ask
 whether a vector lies in a span.  Each row is scaled by the lcm of its
 denominators and reduced fraction-free (Bareiss 1968), kept primitive
@@ -17,10 +17,10 @@ reduced row-echelon form, where each row is divided by its pivot
 entry; that form is unique, so it equals the one rational Gauss-Jordan
 elimination gives.
 
-``row_reduce`` and ``solve`` eliminate the rows sparsest first (a
-stable sort by entry count), which limits fill-in (Markowitz 1957).
-The order changes no result: the reduced row-echelon form is unique,
-so its rref, pivots, kernel and solution are the same for every order,
+``row_reduce`` eliminates the rows sparsest first (a stable sort by
+entry count), which limits fill-in (Markowitz 1957).  The order
+changes no result: the reduced row-echelon form is unique, so its
+rref, pivots and kernel are the same for every order,
 and so is the rref mod p below.
 
 Row reduction returns the reduced row-echelon form together with the
@@ -442,27 +442,6 @@ def row_reduce(m: RationalMatrix) -> RowReduction:
     reduced = _lifted_rref(rows, m.cols)
     # the residues are released before the fallback runs
     return _reduction(_eliminate(rows) if reduced is None else reduced, m.rows, m.cols)
-
-
-def solve(m: RationalMatrix, rhs: Sequence[Fraction]) -> Optional[list[Fraction]]:
-    """One exact solution of m x = rhs, or None when inconsistent.
-
-    Free variables are set to zero.  Raises ValueError on a length
-    mismatch between rhs and the row count.
-    """
-    if len(rhs) != m.rows:
-        raise ValueError(f"rhs length {len(rhs)} does not match {m.rows} rows")
-    aug = m.cols  # augmented column index
-    rows = m.sparse_rows()
-    for row, v in zip(rows, rhs):
-        if v:
-            row[aug] = Fraction(v)
-    solution = [ZERO] * m.cols
-    for pivot, row in _eliminate(sorted(rows, key=len)):
-        if pivot == aug:
-            return None  # row 0 = 1: inconsistent
-        solution[pivot] = row.get(aug, ZERO)
-    return solution
 
 
 def char_poly(m: RationalMatrix) -> list[Fraction]:

@@ -1,16 +1,17 @@
-"""Graded module windows with explicit exact action matrices.
+"""Graded module windows with exact action matrices built on first use.
 
-A WindowedModule materializes a finite slice of a Z-graded module: one
-weight space per integer index k in [lo, hi], with the weight of index k
-equal to offset + k, and an exact rational matrix for each (generator,
-source index) pair whose target index stays inside the window.  Absent
-action entries mean the target leaves the window; relations are only
-ever asserted where every intermediate index stays inside (interior
+A WindowedModule is a finite slice of a Z-graded module: one weight
+space per integer index k in [lo, hi], with the weight of index k equal
+to offset + k, and an exact rational matrix for each (generator, source
+index) pair whose target index stays inside the window.  Absent action
+entries mean the target leaves the window; relations are only ever
+asserted where every intermediate index stays inside (interior
 checking, defined once by ``interior``), so windows approximate
 infinite modules without false negatives.  Every window built here and
-by ``verma.verma_window`` is made by ``windowed``, the one loop that
-stores an action matrix at each interior index; each constructor
-supplies only the matrix entries.
+by ``verma.verma_window`` is made by ``windowed`` from a callback giving
+the matrix entries; ``WindowedModule.act`` builds each matrix the first
+time it is asked for and keeps it, except a zero action (the callback
+gives None), so a check stores only matrices it reads.
 
 The intermediate-series families over the Virasoro algebra are the
 basic suppliers of windows (C acts by zero on all of them):
@@ -102,7 +103,7 @@ _MODULE_KEYS = {"variant", "offset", "range", "central", "dims", "generators", "
 
 
 class WindowedModule:
-    """A finite window of weight spaces with explicit action matrices."""
+    """A window of weight spaces; ``entries`` (see ``windowed``), if given, builds the actions not passed in."""
 
     def __init__(
         self,
@@ -115,6 +116,7 @@ class WindowedModule:
         actions: dict[tuple[BasisKey, int], RationalMatrix],
         central_scalar: Fraction = ZERO,
         col_margins: dict[int, list[int]] | None = None,
+        entries: Callable[[BasisKey, int], Optional[dict[tuple[int, int], Fraction]]] | None = None,
     ):
         if lo > hi:
             raise ValueError("empty window range")
@@ -124,27 +126,32 @@ class WindowedModule:
         self.hi = hi
         self.dims = {k: int(dims.get(k, 0)) for k in range(lo, hi + 1)}
         self.generators = [BasisKey(*g) for g in generators]
-        self.actions = actions
+        self._generator_set = set(self.generators)
+        self._actions = actions
+        self._entries = entries
         self.central_scalar = Fraction(central_scalar)
         self.col_margins = col_margins
         self._validate()
 
     def _validate(self) -> None:
-        """Raise ValueError unless dims, actions and margins fit together."""
+        """Raise ValueError unless dims, stored actions and margins fit together."""
         for k, d in self.dims.items():
             if d < 0:
                 raise ValueError(f"weight space {k} has negative dimension {d}")
-        for g in self.generators:
-            for k in interior(self.lo, self.hi, g.alpha):
-                t = k + g.alpha
-                m = self.actions.get((g, k))
-                if m is None:
-                    raise ValueError(f"no action stored for {g} at index {k}")
-                if (m.rows, m.cols) != (self.dims[t], self.dims[k]):
-                    raise ValueError(
-                        f"action of {g} at index {k} is {m.rows}x{m.cols}, "
-                        f"expected {self.dims[t]}x{self.dims[k]}"
-                    )
+        for (g, k), m in self._actions.items():
+            t = k + g.alpha
+            if g not in self._generator_set or not (self.in_range(k) and self.in_range(t)):
+                raise ValueError(f"action stored for {g} at index {k}, not a generator acting inside the window")
+            if (m.rows, m.cols) != (self.dims[t], self.dims[k]):
+                raise ValueError(
+                    f"action of {g} at index {k} is {m.rows}x{m.cols}, "
+                    f"expected {self.dims[t]}x{self.dims[k]}"
+                )
+        if self._entries is None:
+            for g in self.generators:
+                for k in interior(self.lo, self.hi, g.alpha):
+                    if (g, k) not in self._actions:
+                        raise ValueError(f"no action stored for {g} at index {k}")
         if self.col_margins is not None:
             for k in self.indices():
                 margins = self.col_margins.get(k)
@@ -161,14 +168,39 @@ class WindowedModule:
         return self.offset + k
 
     def act(self, generator: BasisKey, k: int) -> Optional[RationalMatrix]:
-        """The stored matrix V_k -> V_{k+alpha}, or None when the target leaves the window."""
+        """The matrix V_k -> V_{k+alpha}, or None when the target leaves the window.
+
+        Built on first use and kept, except a zero action (``entries`` gives
+        None).  Raises KeyError for a generator outside the window's.
+        """
         generator = BasisKey(*generator)
         if not self.in_range(k) or not self.in_range(k + generator.alpha):
             return None
-        return self.actions[(generator, k)]
+        key = (generator, k)
+        m = self._actions.get(key)
+        if m is None:
+            if self._entries is None or generator not in self._generator_set:
+                raise KeyError(key)
+            values = self._entries(generator, k)
+            m = RationalMatrix(self.dims[k + generator.alpha], self.dims[k], values)
+            if values is not None:
+                self._actions[key] = m
+        return m
+
+    @property
+    def actions(self) -> dict[tuple[BasisKey, int], RationalMatrix]:
+        """Every action matrix by (generator, source index), zeros included; reading it builds the missing ones."""
+        if self._entries is not None:
+            self._actions = {(g, k): self.act(g, k) for g in self.generators for k in interior(self.lo, self.hi, g.alpha)}
+            self._entries = None
+        return self._actions
+
+    @actions.setter
+    def actions(self, actions: dict[tuple[BasisKey, int], RationalMatrix]) -> None:
+        self._actions, self._entries = actions, None
 
     def has_generator(self, generator: BasisKey) -> bool:
-        return BasisKey(*generator) in set(self.generators)
+        return BasisKey(*generator) in self._generator_set
 
     def copy(self) -> "WindowedModule":
         return WindowedModule(
@@ -192,16 +224,10 @@ class WindowedModule:
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> dict:
-        actions = []
-        for (g, k) in sorted(self.actions, key=lambda gk: (gk[0].alpha, gk[0].level, gk[1])):
-            actions.append(
-                {
-                    "alpha": g.alpha,
-                    "level": g.level,
-                    "source": k,
-                    "matrix": self.actions[(g, k)].to_json(),
-                }
-            )
+        stored = self.actions  # keys (BasisKey(alpha, level), source) sort by alpha, level, source
+        actions = [
+            {"alpha": g.alpha, "level": g.level, "source": k, "matrix": stored[(g, k)].to_json()} for g, k in sorted(stored)
+        ]
         data = {
             "variant": str(self.variant),
             "offset": format_rational(self.offset),
@@ -252,17 +278,13 @@ def windowed(
 ) -> WindowedModule:
     """The window whose generator g maps V_k to V_{k+g.alpha} by the matrix with entries(g, k).
 
-    This is the one action loop: a matrix of shape dims[k + g.alpha] x
-    dims[k] is stored for every generator g at every k of
-    ``interior(lo, hi, g.alpha)``.  ``entries`` returns the (row, col) ->
-    value map, zeros allowed, or None for the zero matrix.
+    Nothing is built here: ``act(g, k)`` builds the dims[k + g.alpha] x
+    dims[k] matrix for a generator g at an index k of
+    ``interior(lo, hi, g.alpha)`` the first time it is asked for.
+    ``entries`` returns the (row, col) -> value map, zeros allowed, or
+    None for the zero matrix, which is never stored.
     """
-    actions = {
-        (g, k): RationalMatrix(dims[k + g.alpha], dims[k], entries(g, k))
-        for g in generators
-        for k in interior(lo, hi, g.alpha)
-    }
-    return WindowedModule(variant, offset, lo, hi, dims, generators, actions, central_scalar, col_margins)
+    return WindowedModule(variant, offset, lo, hi, dims, generators, {}, central_scalar, col_margins, entries)
 
 
 def build_window(spec: IntermediateSpec, lo: int, hi: int) -> WindowedModule:
@@ -337,13 +359,16 @@ def check_module_axioms(
 def extend_trivially(vir_mod: WindowedModule, level_cap: int = 2) -> WindowedModule:
     """Promote a Virasoro window to a window over B with zero level->=1 actions.
 
-    Level-0 matrices are reused unchanged; zero matrices are stored for
-    levels 1 .. 2*level_cap so that every bracket produced by pairs up
-    to level_cap stays inside the generator set.  The central scalar is
-    halved: the level-0 part of B carries twice the Virasoro cocycle.
+    Level-0 matrices are reused unchanged; levels 1 .. 2*level_cap act
+    by zero, so that every bracket produced by pairs up to level_cap
+    stays inside the generator set.  The central scalar is halved: the
+    level-0 part of B carries twice the Virasoro cocycle.  A negative
+    level_cap raises ValueError.
     """
     if vir_mod.variant != VIRASORO:
         raise ValueError("extend_trivially expects a Virasoro-variant window")
+    if level_cap < 0:
+        raise ValueError(f"level cap must be >= 0, got {level_cap}")
     degrees = sorted({g.alpha for g in vir_mod.generators if g.level == 0})
     generators = [BasisKey(a, level) for level in range(2 * level_cap + 1) for a in degrees]
     margins = None if vir_mod.col_margins is None else {k: list(v) for k, v in vir_mod.col_margins.items()}
@@ -452,21 +477,23 @@ def extension_space(vir_mod: WindowedModule, level_cap: int) -> ExtensionReport:
                             if cell:
                                 rows.append(cell)
 
+    n_equations = len(rows)
     if not rows or n_unknowns == 0:
         return ExtensionReport(
             dimension=n_unknowns,
             inconclusive=True,
-            equations=len(rows),
+            equations=n_equations,
             unknowns=n_unknowns,
             linear_kernel=n_unknowns,
             quadratic_decided=False,
         )
 
-    reduction = row_reduce(RationalMatrix.from_sparse_rows(rows, n_unknowns))
-    kernel = reduction.kernel
+    system = RationalMatrix.from_sparse_rows(rows, n_unknowns)
+    del rows  # not held through the elimination
+    kernel = row_reduce(system).kernel
     kdim = len(kernel)
     if kdim == 0:
-        return ExtensionReport(0, False, len(rows), n_unknowns, linear_kernel=0)
+        return ExtensionReport(0, False, n_equations, n_unknowns, linear_kernel=0)
 
     decoded = [decode_unknowns(shapes, index, vec) for vec in kernel]
 
@@ -524,7 +551,7 @@ def extension_space(vir_mod: WindowedModule, level_cap: int) -> ExtensionReport:
                             quad_rows.append(cell)
 
     if not quad_rows:
-        return ExtensionReport(kdim, False, len(rows), n_unknowns, linear_kernel=kdim)
+        return ExtensionReport(kdim, False, n_equations, n_unknowns, linear_kernel=kdim)
     qreduction = row_reduce(RationalMatrix.from_sparse_rows(quad_rows, len(mono_index)))
     # any solution s embeds as the monomial vector (s (x) s, s); coordinate m
     # dies whenever the monomial kernel forces either s_m or its square z_mm
@@ -537,18 +564,17 @@ def extension_space(vir_mod: WindowedModule, level_cap: int) -> ExtensionReport:
         for m in range(kdim)
     )
     if all_dead:
-        return ExtensionReport(0, False, len(rows), n_unknowns, linear_kernel=kdim)
+        return ExtensionReport(0, False, n_equations, n_unknowns, linear_kernel=kdim)
     # monomials not fully pinned: undecided in general, so kdim is only the linear bound
-    return ExtensionReport(kdim, True, len(rows), n_unknowns, linear_kernel=kdim, quadratic_decided=False)
+    return ExtensionReport(kdim, True, n_equations, n_unknowns, linear_kernel=kdim, quadratic_decided=False)
 
 
 def submodule_closure(mod: WindowedModule, seeds: dict[int, list[Sequence[Fraction]]]) -> dict[int, int]:
-    """Dimensions of the subspace generated from seed vectors under the stored actions.
+    """Dimensions of the subspace generated from seed vectors under the window's actions.
 
-    Iterates generator application until the per-index spans stabilize;
-    growth is monotone and bounded by the window dimension.  A target
-    whose span is already the whole weight space contains every image,
-    so generators into it are skipped.
+    Applies generators breadth first until the spans stabilize or all
+    are full; growth is monotone.  A target whose span is already the
+    whole weight space contains every image, so it is skipped.
     """
     spans = {k: Echelon() for k in mod.indices()}
 
@@ -566,17 +592,18 @@ def submodule_closure(mod: WindowedModule, seeds: dict[int, list[Sequence[Fracti
             if insert(k, dense):
                 frontier.append((k, dense))
 
-    while frontier:
-        new_frontier = []
-        for k, dense in frontier:
-            for g in mod.generators:
-                t = k + g.alpha
-                if not mod.in_range(t) or len(spans[t]) == mod.dims[t]:
-                    continue
-                image = mod.act(g, k).apply(dense)
-                if any(image) and insert(t, image):
-                    new_frontier.append((t, image))
-        frontier = new_frontier
+    unfilled = mod.total_dim() - len(frontier)
+    for k, dense in frontier:  # the frontier grows while it is read
+        for g in mod.generators:
+            if not unfilled:
+                break
+            t = k + g.alpha
+            if not mod.in_range(t) or len(spans[t]) == mod.dims[t]:
+                continue
+            image = mod.act(g, k).apply(dense)
+            if any(image) and insert(t, image):
+                frontier.append((t, image))
+                unfilled -= 1
     return {k: len(spans[k]) for k in mod.indices()}
 
 
@@ -636,7 +663,9 @@ def find_intertwiner(ma: WindowedModule, mb: WindowedModule) -> Optional[dict[in
                     if cell:
                         rows.append(cell)
 
-    kernel = row_reduce(RationalMatrix.from_sparse_rows(rows, len(index))).kernel
+    system = RationalMatrix.from_sparse_rows(rows, len(index))
+    del rows  # not held through the elimination
+    kernel = row_reduce(system).kernel
     if not kernel:
         return None
 
@@ -789,22 +818,9 @@ def classify_window(mod: WindowedModule) -> dict:
         return {"verdict": "unknown", "reason": "empty window"}
 
     if all(dims[k] == 1 for k in mod.indices()):
-        level_pos_zero = all(
-            mod.actions[(g, k)].is_zero()
-            for g in mod.generators
-            if g.level >= 1
-            for k in mod.indices()
-            if (g, k) in mod.actions
-        )
-        if level_pos_zero:
-            samples = []
-            for g in mod.generators:
-                if g.level != 0:
-                    continue
-                for k in mod.indices():
-                    mat = mod.actions.get((g, k))
-                    if mat is not None:
-                        samples.append((g.alpha, k, mat.entry(0, 0)))
+        acting = [(g, k) for g in mod.generators for k in interior(mod.lo, mod.hi, g.alpha)]
+        if all(mod.act(g, k).is_zero() for g, k in acting if g.level >= 1):
+            samples = [(g.alpha, k, mod.act(g, k).entry(0, 0)) for g, k in acting if g.level == 0]
             pair = None
             for i1, k1, c1 in samples:
                 if i1 != 0:

@@ -223,6 +223,11 @@ def _break_shape(data):
     data["actions"][0]["matrix"] = {"rows": 2, "cols": 2, "entries": {"0,0": "1", "1,1": "1"}}
 
 
+def _add_outside_action(data):
+    # L_8 from index 4 would land on index 12, outside -4:4
+    data["actions"].append({"alpha": 8, "level": 0, "source": 4, "matrix": {"rows": 1, "cols": 1, "entries": {}}})
+
+
 def _break_dims(data):
     data["dims"]["0"] = -3
 
@@ -248,6 +253,7 @@ def _set(*path):
     [
         (_break_actions, "no action stored"),
         (_break_shape, "is 2x2, expected 1x1"),
+        (_add_outside_action, "action stored for BasisKey(alpha=8, level=0) at index 4, not a generator acting inside the window"),
         (_break_dims, "negative dimension -3"),
         (_break_margins, "column margins"),
         (_set("range", [-3.7, 3.2]), "'range' entry must be an integer, got -3.7"),
@@ -263,7 +269,7 @@ def _set(*path):
         (_set("actions", 0, "matrix", "junk", 1), "unknown keys ['junk']"),
     ],
     ids=[
-        "deleted-actions", "wrong-shape", "negative-dim", "margins-length", "float-range", "float-dim",
+        "deleted-actions", "wrong-shape", "outside-action", "negative-dim", "margins-length", "float-range", "float-dim",
         "dims-not-object", "bool-alpha", "string-alpha", "unknown-key", "float-rows", "spaced-entry-key",
         "generator-unknown-key", "action-unknown-key", "matrix-unknown-key",
     ],
@@ -676,6 +682,14 @@ def test_negative_pair_degree_is_a_usage_error(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "--pair-degree >= 1" in err
+
+
+@pytest.mark.parametrize("action, level_cap", [("classify", "-5"), ("check", "-1"), ("extension", "-1")])
+def test_negative_level_cap_is_refused_before_any_window_is_built(capsys, monkeypatch, action, level_cap):
+    # classify at -5 reported "unknown" with exit 0, and check at -1 blamed the pair degree
+    monkeypatch.setattr(cli.modules, "build_window", _no_sweep)
+    code, out, err = run(capsys, "module", "--a", "1/2", "--b", "2", "--range", "-3:3", "--level-cap", level_cap, action)
+    assert (code, out, err) == (2, "", f"error: need --level-cap >= 0, got {level_cap}\n")
 
 
 def test_zero_pair_degree_is_a_usage_error(capsys):

@@ -99,7 +99,7 @@ def test_working_commands_import_no_code_generation(argv):
 
 
 def test_public_names_resolve_lazily():
-    assert len(set(blocklie.__all__)) == len(blocklie.__all__) == 52
+    assert len(set(blocklie.__all__)) == len(blocklie.__all__) == 51
     for name in blocklie.__all__:
         getattr(blocklie, name)
     namespace: dict = {}

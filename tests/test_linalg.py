@@ -1,4 +1,4 @@
-"""Exact linear algebra: row reduction, kernels, solving, matrix polynomials."""
+"""Exact linear algebra: row reduction, kernels, matrix polynomials."""
 
 import random
 from fractions import Fraction
@@ -18,7 +18,6 @@ from blocklie.linalg import (
     char_poly,
     eval_poly_matrix,
     row_reduce,
-    solve,
 )
 from blocklie.rationals import ZERO, accumulate, format_rational, parse_rational
 
@@ -43,31 +42,6 @@ def test_rank_one_kernel_vector():
     assert red == RowReduction(rref=red.rref, rank=1, pivots=[0], kernel=[[Fraction(-2), Fraction(1)]])
     assert red != RowReduction(red.rref, 1, [1], red.kernel)
     assert repr(red) == f"RowReduction(rref={red.rref!r}, rank=1, pivots=[0], kernel=[[Fraction(-2, 1), Fraction(1, 1)]])"
-
-
-def test_solve_identity():
-    m = RationalMatrix.identity(2)
-    assert solve(m, [Fraction(3), Fraction(-1, 2)]) == [Fraction(3), Fraction(-1, 2)]
-
-
-def test_solve_inconsistent():
-    m = RationalMatrix.from_rows([[1, 1], [1, 1]])
-    assert solve(m, [Fraction(1), Fraction(2)]) is None
-
-
-def test_solve_diagonal():
-    m = RationalMatrix.from_rows([[2, 0], [0, 3]])
-    assert solve(m, [Fraction(1), Fraction(1)]) == [Fraction(1, 2), Fraction(1, 3)]
-
-
-def test_solve_shape_mismatch():
-    m = RationalMatrix.identity(2)
-    try:
-        solve(m, [Fraction(1)])
-    except ValueError:
-        pass
-    else:
-        raise AssertionError("expected a dimension error")
 
 
 def _random_matrix(rng, rows, cols, density=0.6):
@@ -97,16 +71,6 @@ def test_rank_invariant_under_row_shuffle():
         shuffled = rows[:]
         rng.shuffle(shuffled)
         assert row_reduce(m).rank == row_reduce(RationalMatrix.from_rows(shuffled)).rank
-
-
-def test_solve_solution_verifies():
-    rng = random.Random(13)
-    for _ in range(30):
-        m = _random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
-        rhs = [Fraction(rng.randint(-3, 3)) for _ in range(m.rows)]
-        x = solve(m, rhs)
-        if x is not None:
-            assert m.apply(x) == rhs
 
 
 def test_matmul():
@@ -496,37 +460,6 @@ def test_integer_kernel_duplicated_rows():
         doubled = _assert_matches_reference(RationalMatrix.from_sparse_rows(m.sparse_rows() * 3, m.cols))
         assert doubled.rref.to_json()["entries"] == red.rref.to_json()["entries"]
         assert doubled.kernel == red.kernel
-
-
-def _reference_solve(m, rhs):
-    rows = _rows(m)
-    for r, v in enumerate(rhs):
-        if v:
-            rows[r][m.cols] = Fraction(v)
-    solution = [ZERO] * m.cols
-    for pivot, row in _reference_eliminate(rows):
-        if pivot == m.cols:
-            return None
-        solution[pivot] = row.get(m.cols, ZERO)
-    return solution
-
-
-def test_solve_with_denominators_matches_reference():
-    rng = random.Random(36)
-    solved = inconsistent = 0
-    for _ in range(40):
-        m = _seeded(rng, rng.randint(1, 6), rng.randint(1, 6), lambda rng: Fraction(rng.randint(-9, 9), rng.randint(1, 11)))
-        if rng.random() < 0.5:
-            m = _with_dependent_rows(rng, m, 2)
-        rhs = [Fraction(rng.randint(-9, 9), rng.randint(2, 13)) for _ in range(m.rows)]
-        x = solve(m, rhs)
-        assert x == _reference_solve(m, rhs)
-        if x is None:
-            inconsistent += 1
-        else:
-            solved += 1
-            assert m.apply(x) == rhs
-    assert solved and inconsistent
 
 
 def _captured_system(module, run):

@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+from blocklie import modules
 from blocklie.algebra import VIRASORO, BasisKey
-from blocklie.linalg import RationalMatrix, row_reduce
+from blocklie.linalg import Echelon, RationalMatrix, row_reduce
 from blocklie.modules import (
+    EXTENSION_DEGREES,
     ExtensionReport,
     IntermediateSpec,
     WindowedModule,
@@ -357,6 +359,147 @@ def test_every_window_constructor_stores_exactly_the_interior_actions():
     for mod in built:
         expected = {(g, k) for g in mod.generators for k in interior(mod.lo, mod.hi, g.alpha)}
         assert set(mod.actions) == expected
+
+
+def _window_constructors():
+    spec = IntermediateSpec("Aab", F(1, 2), F(2))
+    return {
+        "build_window": lambda: build_window(spec, -3, 3),
+        "extend_trivially": lambda: extend_trivially(build_window(spec, -3, 3), 1),
+        "tensor": lambda: tensor(build_window(spec, -1, 1), build_window(spec, -3, 3)),
+        "direct_sum": lambda: direct_sum(build_window(spec, -3, 3), build_window(IntermediateSpec("Aab", F(1, 2), F(0)), -3, 3)),
+        "adjoint_window": lambda: adjoint_window(0, 1, -3, 3),
+        "verma_window": lambda: verma_window(WeightFunctional((F(3, 7), F(2, 5)), F(1, 3)), 1, 3),
+    }
+
+
+def _eager_windowed(variant, offset, lo, hi, dims, generators, entries, central_scalar=F(0), col_margins=None):
+    """Every action matrix built up front, as windows were built before they turned lazy."""
+    actions = {
+        (g, k): RationalMatrix(dims[k + g.alpha], dims[k], entries(g, k)) for g in generators for k in interior(lo, hi, g.alpha)
+    }
+    return WindowedModule(variant, offset, lo, hi, dims, generators, actions, central_scalar, col_margins)
+
+
+@pytest.mark.parametrize("name", list(_window_constructors()))
+def test_lazy_windows_equal_eager_construction(monkeypatch, name):
+    make = _window_constructors()[name]
+    lazy = make()
+    assert lazy._actions == {}
+    # read part of the window first, in a shuffled order, so built and unbuilt matrices mix
+    keys = [(g, k) for g in lazy.generators for k in interior(lazy.lo, lazy.hi, g.alpha)]
+    random.Random(7).shuffle(keys)
+    for g, k in keys[: len(keys) // 2]:
+        lazy.act(g, k)
+    with monkeypatch.context() as patch:
+        patch.setattr(modules, "windowed", _eager_windowed)
+        eager = make()
+    assert eager._entries is None
+    assert lazy.actions == eager.actions
+    assert list(lazy.actions) == list(eager.actions)
+    assert lazy.to_json() == eager.to_json()
+    assert lazy.copy().to_json() == eager.to_json()
+
+
+def test_act_builds_on_first_use_and_stores_no_zero_action():
+    window = build_window(IntermediateSpec("Aab", F(1, 2), F(2)), -3, 3)
+    extended = extend_trivially(window, 1)
+    first = extended.act(BasisKey(2, 0), -1)
+    assert extended.act(BasisKey(2, 0), -1) is first
+    zero = extended.act(BasisKey(2, 1), -1)
+    assert (zero.rows, zero.cols, zero.is_zero()) == (1, 1, True)
+    assert set(extended._actions) == {(BasisKey(2, 0), -1)}
+    assert set(window._actions) == {(BasisKey(2, 0), -1)}
+    assert extended.act(BasisKey(3, 0), 1) is None  # the target leaves the window
+    with pytest.raises(KeyError):
+        extended.act(BasisKey(2, 3), -1)  # level 3 is above 2 * level_cap
+    with pytest.raises(KeyError):
+        WindowedModule.from_json(window.to_json()).act(BasisKey(1, 1), 0)  # an eager window has no level 1
+
+
+def test_extension_space_builds_only_the_bracketed_degrees():
+    window = build_window(IntermediateSpec("Aab", F(1, 2), F(2)), -20, 20)
+    extension_space(window, 2)
+    expected = {(BasisKey(b, 0), k) for b in EXTENSION_DEGREES for k in interior(-20, 20, b)}
+    assert set(window._actions) == expected
+    assert len(expected) == 234  # of the 1,681 matrices the window could hold
+
+
+def _drop(data, index):
+    del data["actions"][index]
+
+
+def _reshape(data, index):
+    data["actions"][index]["matrix"] = {"rows": 1, "cols": 2, "entries": {}}
+
+
+@pytest.mark.parametrize("corrupt, message", [(_drop, "no action stored for"), (_reshape, "is 1x2, expected 1x1")])
+def test_from_json_checks_every_action_when_it_loads(corrupt, message):
+    data = extend_trivially(build_window(IntermediateSpec("Aab", F(1, 2), F(2)), -3, 3), 1).to_json()
+    assert WindowedModule.from_json(data).to_json() == data
+    for index in (0, len(data["actions"]) // 2, -1):
+        broken = extend_trivially(build_window(IntermediateSpec("Aab", F(1, 2), F(2)), -3, 3), 1).to_json()
+        corrupt(broken, index)
+        with pytest.raises(ValueError, match=message):
+            WindowedModule.from_json(broken)
+
+
+def test_extend_trivially_refuses_a_negative_level_cap():
+    window = build_window(IntermediateSpec("Aab", F(1, 2), F(2)), -3, 3)
+    with pytest.raises(ValueError, match="level cap must be >= 0, got -1"):
+        extend_trivially(window, -1)
+    assert extend_trivially(window, 0).generators == [g for g in window.generators]
+
+
+def _closure_without_stop(mod, seeds):
+    """The closure as it ran before it stopped at full spans: every frontier vector meets every generator."""
+    spans = {k: Echelon() for k in mod.indices()}
+    frontier = [(k, [F(v) for v in vec]) for k, vectors in seeds.items() for vec in vectors]
+    frontier = [(k, vec) for k, vec in frontier if spans[k].insert(dict(enumerate(vec)))]
+    while frontier:
+        new_frontier = []
+        for k, vec in frontier:
+            for g in mod.generators:
+                t = k + g.alpha
+                if not mod.in_range(t) or len(spans[t]) == mod.dims[t]:
+                    continue
+                image = mod.act(g, k).apply(vec)
+                if any(image) and spans[t].insert(dict(enumerate(image))):
+                    new_frontier.append((t, image))
+        frontier = new_frontier
+    return {k: len(spans[k]) for k in mod.indices()}
+
+
+def _counting_in_range(mod):
+    calls = []
+    in_range = mod.in_range
+    mod.in_range = lambda k: calls.append(k) or in_range(k)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "make, seed_index, fills",
+    [
+        (lambda: build_window(IntermediateSpec("Aab", F(1, 2), F(2)), -6, 6), 2, True),
+        (lambda: build_window(IntermediateSpec("Aab", F(0), F(0)), -6, 6), 0, False),  # x_0 spans a submodule
+        (lambda: build_window(IntermediateSpec("Aab", F(0), F(1)), -6, 6), 0, True),
+        (lambda: build_window(IntermediateSpec("Aab", F(0), F(1)), -6, 6), 3, False),  # x_0 is never reached
+        (lambda: verma_window(WeightFunctional((F(3, 7), F(2, 5)), F(1, 3)), 1, 4), 0, True),
+        (lambda: adjoint_window(0, 1, -4, 4), 1, True),
+        (lambda: adjoint_window(1, 2, -4, 4), 1, False),  # brackets only raise the level
+    ],
+)
+def test_closure_stops_once_every_span_is_full(make, seed_index, fills):
+    seeds = seed_basis(make(), seed_index)
+    old = make()
+    old_calls = _counting_in_range(old)
+    want = _closure_without_stop(old, seeds)
+    assert (want == old.dims) is fills
+    mod = make()
+    calls = _counting_in_range(mod)
+    assert submodule_closure(mod, seeds) == want
+    # a closure that fills stops early; one that does not runs exactly as before, after checking the seed index
+    assert len(calls) < len(old_calls) if fills else calls == [*seeds, *old_calls]
 
 
 def test_extension_space_inconclusive_on_tiny_window():
