@@ -116,7 +116,7 @@ class WindowedModule:
         actions: dict[tuple[BasisKey, int], RationalMatrix],
         central_scalar: Fraction = ZERO,
         col_margins: dict[int, list[int]] | None = None,
-        entries: Callable[[BasisKey, int], Optional[dict[tuple[int, int], Fraction]]] | None = None,
+        entries: Callable[[BasisKey, int], Optional[dict[tuple[int, int], Fraction] | RationalMatrix]] | None = None,
     ):
         if lo > hi:
             raise ValueError("empty window range")
@@ -171,7 +171,8 @@ class WindowedModule:
         """The matrix V_k -> V_{k+alpha}, or None when the target leaves the window.
 
         Built on first use and kept, except a zero action (``entries`` gives
-        None).  Raises KeyError for a generator outside the window's.
+        None); a ``RationalMatrix`` that ``entries`` gives is kept as it is.
+        Raises KeyError for a generator outside the window's.
         """
         generator = BasisKey(*generator)
         if not self.in_range(k) or not self.in_range(k + generator.alpha):
@@ -182,7 +183,9 @@ class WindowedModule:
             if self._entries is None or generator not in self._generator_set:
                 raise KeyError(key)
             values = self._entries(generator, k)
-            m = RationalMatrix(self.dims[k + generator.alpha], self.dims[k], values)
+            m = values
+            if not isinstance(values, RationalMatrix):
+                m = RationalMatrix(self.dims[k + generator.alpha], self.dims[k], values)
             if values is not None:
                 self._actions[key] = m
         return m
@@ -272,7 +275,7 @@ def windowed(
     hi: int,
     dims: dict[int, int],
     generators: Sequence[BasisKey],
-    entries: Callable[[BasisKey, int], Optional[dict[tuple[int, int], Fraction]]],
+    entries: Callable[[BasisKey, int], Optional[dict[tuple[int, int], Fraction] | RationalMatrix]],
     central_scalar: Fraction = ZERO,
     col_margins: dict[int, list[int]] | None = None,
 ) -> WindowedModule:
@@ -281,8 +284,9 @@ def windowed(
     Nothing is built here: ``act(g, k)`` builds the dims[k + g.alpha] x
     dims[k] matrix for a generator g at an index k of
     ``interior(lo, hi, g.alpha)`` the first time it is asked for.
-    ``entries`` returns the (row, col) -> value map, zeros allowed, or
-    None for the zero matrix, which is never stored.
+    ``entries`` returns the (row, col) -> value map, zeros allowed, a
+    ``RationalMatrix`` of that shape to keep as it is, or None for the
+    zero matrix, which is never stored.
     """
     return WindowedModule(variant, offset, lo, hi, dims, generators, {}, central_scalar, col_margins, entries)
 
@@ -359,9 +363,9 @@ def check_module_axioms(
 def extend_trivially(vir_mod: WindowedModule, level_cap: int = 2) -> WindowedModule:
     """Promote a Virasoro window to a window over B with zero level->=1 actions.
 
-    Level-0 matrices are reused unchanged; levels 1 .. 2*level_cap act
-    by zero, so that every bracket produced by pairs up to level_cap
-    stays inside the generator set.  The central scalar is halved: the
+    Level-0 matrices are the Virasoro window's own objects, not copies;
+    levels 1 .. 2*level_cap act by zero, so that every bracket produced
+    by pairs up to level_cap stays inside the generator set.  The central scalar is halved: the
     level-0 part of B carries twice the Virasoro cocycle.  A negative
     level_cap raises ValueError.
     """
@@ -374,7 +378,7 @@ def extend_trivially(vir_mod: WindowedModule, level_cap: int = 2) -> WindowedMod
     margins = None if vir_mod.col_margins is None else {k: list(v) for k, v in vir_mod.col_margins.items()}
     return windowed(
         BLOCK_B, vir_mod.offset, vir_mod.lo, vir_mod.hi, dict(vir_mod.dims), generators,
-        lambda g, k: None if g.level else vir_mod.act(g, k).entries,
+        lambda g, k: None if g.level else vir_mod.act(g, k),
         vir_mod.central_scalar / 2, margins,
     )
 

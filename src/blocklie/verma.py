@@ -22,13 +22,18 @@ depth by exactly -a.
 Straightening coefficients are ints, and so are the scaled images
 ``VermaAction`` works on (see its docstring); ``singular_vectors``
 builds its system from those images, which leaves the kernel unchanged.
+``VermaAction`` caches only what its recursion reads again, the images
+of degree >= 0 generators, and keeps one tuple per distinct monomial.
+A negative generator prepends its factor uncached, and a product whose
+new first factor is already in order skips ``normal_order``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 from . import algebra, linalg, modules
 from .algebra import BasisKey, bracket_terms
@@ -145,6 +150,21 @@ def normal_order(word: Sequence[tuple[int, int]], n: int) -> dict[Monomial, int]
     return done
 
 
+# the zero image, shared by every action and read-only
+NO_IMAGE: Mapping[Monomial, int] = MappingProxyType({})
+
+
+def _prepend(factor: tuple[int, int], word: Monomial, coeff: int, out: dict[Monomial, int], n: int) -> dict[Monomial, int]:
+    """Add ``coeff`` times the straightened product factor * word into ``out``; return ``out``.
+
+    A canonical ``word`` whose first factor does not exceed ``factor``
+    takes it in front as it is, without ``normal_order``.
+    """
+    if not word or factor >= word[0]:
+        return accumulate(out, (((factor,) + word, coeff),))
+    return accumulate(out, normal_order((factor,) + word, n).items(), coeff)
+
+
 class VermaAction:
     """Action of the quotient algebra on a truncated highest-weight module.
 
@@ -153,6 +173,11 @@ class VermaAction:
     their denominators, times an image has int coefficients.
     ``act_generator`` returns those scaled images; ``act`` and
     ``verma_window`` divide by ``scale``.
+
+    Only the images of degree >= 0 generators are cached, each zero
+    image as the one read-only ``NO_IMAGE``.  Every monomial a cache
+    key or a cached image holds is interned: one tuple object per
+    distinct monomial of the action.
     """
 
     def __init__(self, lam: WeightFunctional, n: int):
@@ -165,37 +190,42 @@ class VermaAction:
         # lam and c times scale, as ints
         self._values = [v.numerator * (self.scale // v.denominator) for v in lam.values]
         self._c = lam.c.numerator * (self.scale // lam.c.denominator)
-        self._cache: dict[tuple[int, int, Monomial], dict[Monomial, int]] = {}
+        self._cache: dict[tuple[int, int, Monomial], Mapping[Monomial, int]] = {}
+        self._monomials: dict[Monomial, Monomial] = {}
 
-    def act_generator(self, alpha: int, level: int, word: Monomial) -> dict[Monomial, int]:
-        """``scale`` times L_{alpha,level} applied to a canonical monomial applied to the cyclic vector."""
-        key = (alpha, level, word)
-        cached = self._cache.get(key)
+    def act_generator(self, alpha: int, level: int, word: Monomial) -> Mapping[Monomial, int]:
+        """``scale`` times L_{alpha,level} applied to a canonical monomial applied to the cyclic vector.
+
+        A level outside 0..n raises ValueError.
+        """
+        cached = self._cache.get((alpha, level, word))
         if cached is not None:
             return cached
+        if not 0 <= level <= self.n:
+            raise ValueError(f"generator L_{{{alpha},{level}}} has a level outside the band 0..{self.n} of Q:0:{self.n}")
+        if alpha < 0:
+            return _prepend((-alpha, level), word, self.scale, {}, self.n)
+        intern = self._monomials.setdefault
+        word = intern(word, word)
         out: dict[Monomial, int] = {}
         if not word:
             # the positive part annihilates the cyclic vector, and L_{0,i} scales it by lam_i
-            if alpha < 0:
-                out = {((-alpha, level),): self.scale}
-            elif alpha == 0 and self._values[level]:
-                out = {(): self._values[level]}
-        elif alpha < 0:
-            accumulate(out, normal_order(((-alpha, level),) + word, self.n).items(), self.scale)
+            if alpha == 0 and self._values[level]:
+                out = {word: self._values[level]}
         else:
             head, rest = word[0], word[1:]
             # move the generator past the leading factor
-            through = self.act_generator(alpha, level, rest)
-            for w, c in through.items():
-                accumulate(out, normal_order((head,) + w, self.n).items(), c)
+            for w, c in self.act_generator(alpha, level, rest).items():
+                _prepend(head, w, c, out, self.n)
             fa, fl = head
             terms, central_coeff = bracket_terms(self.variant, BasisKey(alpha, level), BasisKey(-fa, fl))
             for bkey, bc in terms.items():
                 accumulate(out, self.act_generator(bkey.alpha, bkey.level, rest).items(), bc)
             if central_coeff:
                 accumulate(out, ((rest, central_coeff * self._c),))
-        self._cache[key] = out
-        return out
+            out = {intern(w, w): c for w, c in out.items()}
+        image = self._cache[(alpha, level, word)] = out or NO_IMAGE
+        return image
 
     def act(self, generator: BasisKey | str, vector: dict[Monomial, Fraction]) -> dict[Monomial, Fraction]:
         out: dict[Monomial, Fraction] = {}

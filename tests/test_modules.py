@@ -113,6 +113,25 @@ def test_extension_failure_propagates():
     assert check_module_axioms(extend_trivially(bad, 1), 2)
 
 
+def test_extend_trivially_shares_the_virasoro_matrices():
+    spec = IntermediateSpec("Aab", F(1, 2), F(1))
+    vir = build_window(spec, -8, 8)
+    extended = extend_trivially(vir, 2)
+    # the level-0 matrices were copied, one per window, before
+    source = build_window(spec, -8, 8)
+    copied = modules.windowed(
+        extended.variant, vir.offset, vir.lo, vir.hi, dict(vir.dims), extended.generators,
+        lambda g, k: None if g.level else source.act(g, k).entries, vir.central_scalar / 2,
+    )
+    assert classify_window(extended) == classify_window(copied)
+    assert len(vir._actions) == len(extended._actions) == 289
+    for (g, k), m in extended._actions.items():
+        assert g.level == 0 and m is vir.act(g, k)
+    assert extended.to_json() == copied.to_json()
+    g = BasisKey(3, 0)
+    assert extend_trivially(vir, 1).act(g, -2) is vir.act(g, -2)
+
+
 def test_submodule_closure_flat_family():
     # in the a=0, b=0 member the vector x_0 spans a trivial submodule,
     # while any other seed reaches the whole window (entering x_0 is allowed)
@@ -374,10 +393,13 @@ def _window_constructors():
 
 
 def _eager_windowed(variant, offset, lo, hi, dims, generators, entries, central_scalar=F(0), col_margins=None):
-    """Every action matrix built up front, as windows were built before they turned lazy."""
-    actions = {
-        (g, k): RationalMatrix(dims[k + g.alpha], dims[k], entries(g, k)) for g in generators for k in interior(lo, hi, g.alpha)
-    }
+    """Every action matrix built up front, as windows were built before they turned lazy; a given matrix is kept."""
+
+    def build(g, k):
+        values = entries(g, k)
+        return values if isinstance(values, RationalMatrix) else RationalMatrix(dims[k + g.alpha], dims[k], values)
+
+    actions = {(g, k): build(g, k) for g in generators for k in interior(lo, hi, g.alpha)}
     return WindowedModule(variant, offset, lo, hi, dims, generators, actions, central_scalar, col_margins)
 
 

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -135,6 +136,21 @@ def test_action_examples():
     vec = {((1, 1), (1, 0)): F(2)}
     assert action.act("C", vec) == {((1, 1), (1, 0)): 2 * lam.c}
     assert VermaAction(lam, 1).act(BasisKey(0, 0), {(): F(1)}) == {(): lam[0]}
+
+
+@pytest.mark.parametrize(
+    "alpha, level, word",
+    [(-1, 5, ()), (-1, 5, ((1, 0),)), (1, 5, ((1, 0),)), (1, 5, ()), (0, 5, ()), (0, -1, ()), (-2, -1, ((1, 1),))],
+)
+def test_generator_level_outside_the_band_is_refused(alpha, level, word):
+    # before, at n = 1: ((1, 5),), a ValueError naming the factor, {} and IndexError for the first probes
+    action = VermaAction(WeightFunctional((F(1, 2), F(0)), F(1, 3)), 1)
+    for _ in range(2):
+        with pytest.raises(ValueError, match=re.escape(f"L_{{{alpha},{level}}} has a level outside the band 0..1 of Q:0:1")):
+            action.act_generator(alpha, level, word)
+    with pytest.raises(ValueError, match="outside the band"):
+        action.act(BasisKey(alpha, level), {word: F(1)})
+    assert not action._cache
 
 
 def test_action_respects_brackets():
