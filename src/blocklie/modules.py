@@ -7,11 +7,10 @@ index) pair whose target index stays inside the window.  Absent action
 entries mean the target leaves the window; relations are only ever
 asserted where every intermediate index stays inside (interior
 checking, defined once by ``interior``), so windows approximate
-infinite modules without false negatives.  Every window built here and
-by ``verma.verma_window`` is made by ``windowed`` from a callback giving
-the matrix entries; ``WindowedModule.act`` builds each matrix the first
-time it is asked for and keeps it, except a zero action (the callback
-gives None), so a check stores only matrices it reads.
+infinite modules without false negatives.  Every window is given a
+callback for the matrix entries; ``WindowedModule.act`` builds each
+matrix the first time it is asked for and keeps it, except a zero action
+(the callback gives None), so a check stores only matrices it reads.
 
 The intermediate-series families over the Virasoro algebra are the
 basic suppliers of windows (C acts by zero on all of them):
@@ -28,6 +27,7 @@ to be exact, and ``direct_sum`` and ``extension_space`` refuse them.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -103,7 +103,17 @@ _MODULE_KEYS = {"variant", "offset", "range", "central", "dims", "generators", "
 
 
 class WindowedModule:
-    """A window of weight spaces; ``entries`` (see ``windowed``), if given, builds the actions not passed in."""
+    """The window whose generator g maps V_k to V_{k+g.alpha} by the matrix with entries(g, k).
+
+    Nothing is built here: ``act(g, k)`` builds the dims[k + g.alpha] x
+    dims[k] matrix for a generator g at an index k of
+    ``interior(lo, hi, g.alpha)`` the first time it is asked for.
+    ``entries`` returns the (row, col) -> value map, zeros allowed, a
+    ``RationalMatrix`` of that shape to keep as it is, or None for the
+    zero matrix, which is never stored.  Raises ValueError for dims or
+    col_margins keys that do not match [lo, hi], a negative dimension, a
+    margin list of the wrong length or a generator listed twice.
+    """
 
     def __init__(
         self,
@@ -113,48 +123,37 @@ class WindowedModule:
         hi: int,
         dims: dict[int, int],
         generators: Sequence[BasisKey],
-        actions: dict[tuple[BasisKey, int], RationalMatrix],
+        entries: Callable[[BasisKey, int], Optional[dict[tuple[int, int], Fraction] | RationalMatrix]],
         central_scalar: Fraction = ZERO,
         col_margins: dict[int, list[int]] | None = None,
-        entries: Callable[[BasisKey, int], Optional[dict[tuple[int, int], Fraction] | RationalMatrix]] | None = None,
     ):
         if lo > hi:
             raise ValueError("empty window range")
+        for name, keyed in (("dims", dims), ("col_margins", col_margins or {})):
+            outside = [k for k in keyed if not lo <= k <= hi]
+            if outside:
+                raise ValueError(f"'{name}' key {min(outside)} is outside the range [{lo}, {hi}]")
+        if len(dims) < hi - lo + 1:
+            raise ValueError(f"range index {next(k for k in range(lo, hi + 1) if k not in dims)} has no 'dims' entry")
         self.variant = variant
         self.offset = Fraction(offset)
         self.lo = lo
         self.hi = hi
-        self.dims = {k: int(dims.get(k, 0)) for k in range(lo, hi + 1)}
+        self.dims = {k: int(dims[k]) for k in range(lo, hi + 1)}
         self.generators = [BasisKey(*g) for g in generators]
         self._generator_set = set(self.generators)
-        self._actions = actions
+        self._actions: dict[tuple[BasisKey, int], RationalMatrix] = {}
         self._entries = entries
         self.central_scalar = Fraction(central_scalar)
         self.col_margins = col_margins
-        self._validate()
-
-    def _validate(self) -> None:
-        """Raise ValueError unless dims, stored actions and margins fit together."""
+        if len(self._generator_set) < len(self.generators):
+            raise ValueError(f"generator {next(g for g, n in Counter(self.generators).items() if n > 1)} is listed twice")
         for k, d in self.dims.items():
             if d < 0:
                 raise ValueError(f"weight space {k} has negative dimension {d}")
-        for (g, k), m in self._actions.items():
-            t = k + g.alpha
-            if g not in self._generator_set or not (self.in_range(k) and self.in_range(t)):
-                raise ValueError(f"action stored for {g} at index {k}, not a generator acting inside the window")
-            if (m.rows, m.cols) != (self.dims[t], self.dims[k]):
-                raise ValueError(
-                    f"action of {g} at index {k} is {m.rows}x{m.cols}, "
-                    f"expected {self.dims[t]}x{self.dims[k]}"
-                )
-        if self._entries is None:
-            for g in self.generators:
-                for k in interior(self.lo, self.hi, g.alpha):
-                    if (g, k) not in self._actions:
-                        raise ValueError(f"no action stored for {g} at index {k}")
-        if self.col_margins is not None:
+        if col_margins is not None:
             for k in self.indices():
-                margins = self.col_margins.get(k)
+                margins = col_margins.get(k)
                 if margins is None or len(margins) != self.dims[k]:
                     raise ValueError(f"column margins at index {k} do not match dimension {self.dims[k]}")
 
@@ -180,7 +179,7 @@ class WindowedModule:
         key = (generator, k)
         m = self._actions.get(key)
         if m is None:
-            if self._entries is None or generator not in self._generator_set:
+            if generator not in self._generator_set:
                 raise KeyError(key)
             values = self._entries(generator, k)
             m = values
@@ -192,20 +191,21 @@ class WindowedModule:
 
     @property
     def actions(self) -> dict[tuple[BasisKey, int], RationalMatrix]:
-        """Every action matrix by (generator, source index), zeros included; reading it builds the missing ones."""
-        if self._entries is not None:
-            self._actions = {(g, k): self.act(g, k) for g in self.generators for k in interior(self.lo, self.hi, g.alpha)}
-            self._entries = None
-        return self._actions
+        """Every action matrix by (generator, source index), zeros included; reading it builds the missing ones.
 
-    @actions.setter
-    def actions(self, actions: dict[tuple[BasisKey, int], RationalMatrix]) -> None:
-        self._actions, self._entries = actions, None
+        The dict is the store ``act`` reads first, so a matrix assigned into
+        it is what ``act`` returns.
+        """
+        for g in self.generators:
+            for k in interior(self.lo, self.hi, g.alpha):
+                self._actions[(g, k)] = self.act(g, k)
+        return self._actions
 
     def has_generator(self, generator: BasisKey) -> bool:
         return BasisKey(*generator) in self._generator_set
 
     def copy(self) -> "WindowedModule":
+        snapshot = dict(self.actions)
         return WindowedModule(
             self.variant,
             self.offset,
@@ -213,7 +213,7 @@ class WindowedModule:
             self.hi,
             dict(self.dims),
             list(self.generators),
-            dict(self.actions),
+            lambda g, k: snapshot[(g, k)],
             self.central_scalar,
             None if self.col_margins is None else {k: list(v) for k, v in self.col_margins.items()},
         )
@@ -246,6 +246,8 @@ class WindowedModule:
 
     @classmethod
     def from_json(cls, data: dict) -> "WindowedModule":
+        """The window a ``to_json`` document describes; ValueError unless each
+        interior action is stored once, with its shape, and no other is."""
         try:
             check_keys(data, _MODULE_KEYS)
             variant = parse_variant(data["variant"])
@@ -254,10 +256,12 @@ class WindowedModule:
             central = parse_rational(data.get("central", "0"))
             dims = {read_int_key(k, "'dims' key"): read_int(v, "'dims' value") for k, v in data["dims"].items()}
             generators = [BasisKey.from_json(g) for g in data["generators"]]
-            actions = {}
+            stored = {}
             for item in data.get("actions", []):
                 key = (BasisKey.from_json(item, "source", "matrix"), read_int(item["source"], "'source'"))
-                actions[key] = RationalMatrix.from_json(item["matrix"])
+                if key in stored:
+                    raise ValueError(f"action of {key[0]} at index {key[1]} is stored twice")
+                stored[key] = RationalMatrix.from_json(item["matrix"])
             margins = data.get("col_margins")
             col_margins = None if margins is None else {
                 read_int_key(k, "'col_margins' key"): [read_int(x, "'col_margins' entry") for x in v]
@@ -265,30 +269,18 @@ class WindowedModule:
             }
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed module JSON: {exc}") from exc
-        return cls(variant, offset, lo, hi, dims, generators, actions, central, col_margins)
-
-
-def windowed(
-    variant: AlgebraVariant,
-    offset: Fraction,
-    lo: int,
-    hi: int,
-    dims: dict[int, int],
-    generators: Sequence[BasisKey],
-    entries: Callable[[BasisKey, int], Optional[dict[tuple[int, int], Fraction] | RationalMatrix]],
-    central_scalar: Fraction = ZERO,
-    col_margins: dict[int, list[int]] | None = None,
-) -> WindowedModule:
-    """The window whose generator g maps V_k to V_{k+g.alpha} by the matrix with entries(g, k).
-
-    Nothing is built here: ``act(g, k)`` builds the dims[k + g.alpha] x
-    dims[k] matrix for a generator g at an index k of
-    ``interior(lo, hi, g.alpha)`` the first time it is asked for.
-    ``entries`` returns the (row, col) -> value map, zeros allowed, a
-    ``RationalMatrix`` of that shape to keep as it is, or None for the
-    zero matrix, which is never stored.
-    """
-    return WindowedModule(variant, offset, lo, hi, dims, generators, {}, central_scalar, col_margins, entries)
+        mod = cls(variant, offset, lo, hi, dims, generators, lambda g, k: stored[(g, k)], central, col_margins)
+        for (g, k), m in stored.items():
+            t = k + g.alpha
+            if not mod.has_generator(g) or not (mod.in_range(k) and mod.in_range(t)):
+                raise ValueError(f"action stored for {g} at index {k}, not a generator acting inside the window")
+            if (m.rows, m.cols) != (mod.dims[t], mod.dims[k]):
+                raise ValueError(f"action of {g} at index {k} is {m.rows}x{m.cols}, expected {mod.dims[t]}x{mod.dims[k]}")
+        for g in mod.generators:
+            for k in interior(lo, hi, g.alpha):
+                if (g, k) not in stored:
+                    raise ValueError(f"no action stored for {g} at index {k}")
+        return mod
 
 
 def build_window(spec: IntermediateSpec, lo: int, hi: int) -> WindowedModule:
@@ -299,9 +291,9 @@ def build_window(spec: IntermediateSpec, lo: int, hi: int) -> WindowedModule:
     """
     dims = {k: 1 for k in range(lo, hi + 1)}
     generators = [BasisKey(i, 0) for i in range(lo - hi, hi - lo + 1)]
-    return windowed(
+    return WindowedModule(
         VIRASORO, spec.weight_offset(), lo, hi, dims, generators,
-        lambda g, k: {(0, 0): act_intermediate(spec, g, k)[0]},
+        lambda g, k: {(0, 0): c} if (c := act_intermediate(spec, g, k)[0]) else None,
     )
 
 
@@ -376,7 +368,7 @@ def extend_trivially(vir_mod: WindowedModule, level_cap: int = 2) -> WindowedMod
     degrees = sorted({g.alpha for g in vir_mod.generators if g.level == 0})
     generators = [BasisKey(a, level) for level in range(2 * level_cap + 1) for a in degrees]
     margins = None if vir_mod.col_margins is None else {k: list(v) for k, v in vir_mod.col_margins.items()}
-    return windowed(
+    return WindowedModule(
         BLOCK_B, vir_mod.offset, vir_mod.lo, vir_mod.hi, dict(vir_mod.dims), generators,
         lambda g, k: None if g.level else vir_mod.act(g, k),
         vir_mod.central_scalar / 2, margins,
@@ -433,11 +425,13 @@ def extension_space(vir_mod: WindowedModule, level_cap: int) -> ExtensionReport:
     (both read from ``bracket_terms``) and with levels above level_cap
     acting as zero (the level-band quotient reading).  Restricted to
     the kernel the constraints are polynomials of degree two in the
-    kernel coordinates; when their monomial linearization forces every
-    coordinate monomial to vanish the solution set is exactly the zero
-    action, when every constraint vanishes identically the whole kernel
-    survives, and anything in between is reported undecided and
-    inconclusive, with the linear kernel dimension as ``dimension``.
+    kernel coordinates s, summed from the unknown entries' linear forms
+    in s straight into rows over the monomials s_m s_l and s_m.  When
+    this monomial linearization forces every coordinate monomial to
+    vanish the solution set is exactly the zero action, when every
+    constraint vanishes identically the whole kernel survives, and
+    anything in between is reported undecided and inconclusive, with the
+    linear kernel dimension as ``dimension``.
 
     A zero-dimensional answer here certifies that the whole level->=1
     part acts by zero: those generators span an ideal generated by the
@@ -499,25 +493,26 @@ def extension_space(vir_mod: WindowedModule, level_cap: int) -> ExtensionReport:
     if kdim == 0:
         return ExtensionReport(0, False, n_equations, n_unknowns, linear_kernel=0)
 
-    decoded = [decode_unknowns(shapes, index, vec) for vec in kernel]
-
-    # Quadratic commutation constraints restricted to the kernel: each
-    # scalar residual entry is sum_{m<=l} z_{ml} Bil(v_m, v_l) - sum_m s_m Lin(v_m)
-    # in the monomials z_{ml} = s_m s_l and s_m.  If the stacked linear
-    # system on those monomials has only the zero solution, so does the
-    # quadratic system.
+    # Each entry (u, v) of [U^{(a,i)}, U^{(b,j)}] - c U^{(a+b,i+j)} is one
+    # row over the monomials z_{ml} = s_m s_l (m <= l) and s_m, where the
+    # unknown in column col is the form sum_m s_m kernel[m][col].  If the
+    # stacked linear system on those monomials has only the zero
+    # solution, so does the quadratic system.
     mono_index: dict[tuple, int] = {}
     for m in range(kdim):
         for l in range(m, kdim):
             mono_index[("z", m, l)] = len(mono_index)
     for m in range(kdim):
         mono_index[("s", m)] = len(mono_index)
+    z = [[mono_index[("z", min(m, l), max(m, l))] for l in range(kdim)] for m in range(kdim)]
+    forms = [[(m, x) for m, x in enumerate(column) if x] for column in zip(*kernel)]
 
-    def commutator(va, vb, a_key, b_key, k):
-        # [U^{a_key}, U^{b_key}] at source k, using assignment va for the first
-        left = va[(a_key[1], a_key[0], k + b_key[0])] @ vb[(b_key[1], b_key[0], k)]
-        right = vb[(b_key[1], b_key[0], k + a_key[0])] @ va[(a_key[1], a_key[0], k)]
-        return left - right
+    def form(block: tuple, u: int, v: int) -> list[tuple[int, Fraction]]:
+        return forms[index[(block, u, v)]]
+
+    def products(first: list, second: list):
+        # the product of two linear forms, by monomial column
+        return ((z[m][l], x * y) for m, x in first for l, y in second)
 
     quad_rows: list[dict[int, Fraction]] = []
     keys = [(a, i) for i in range(1, level_cap + 1) for a in EXTENSION_BAND]
@@ -525,32 +520,19 @@ def extension_space(vir_mod: WindowedModule, level_cap: int) -> ExtensionReport:
         for bi in range(ai + 1, len(keys)):
             (a, i), (b, j) = keys[ai], keys[bi]
             coeff = Fraction(bracket_terms(BLOCK_B, BasisKey(a, i), BasisKey(b, j))[0].get(BasisKey(a + b, i + j), 0))
-            if coeff and i + j <= level_cap and a + b not in EXTENSION_BAND:
+            linear = coeff and i + j <= level_cap
+            if linear and a + b not in EXTENSION_BAND:
                 continue  # bracket lands outside the modeled band
             for k in interior(lo, hi, a, b, a + b):
-                residual_by_mono: dict[int, RationalMatrix] = {}
-                for m in range(kdim):
-                    for l in range(m, kdim):
-                        bil = commutator(decoded[m], decoded[l], (a, i), (b, j), k)
-                        if l != m:
-                            bil = bil + commutator(decoded[l], decoded[m], (a, i), (b, j), k)
-                        if not bil.is_zero():
-                            residual_by_mono[mono_index[("z", m, l)]] = bil
-                if coeff and i + j <= level_cap:
-                    for m in range(kdim):
-                        lin = decoded[m][(i + j, a + b, k)].scale(-coeff)
-                        if not lin.is_zero():
-                            residual_by_mono[mono_index[("s", m)]] = lin
-                if not residual_by_mono:
-                    continue
-                shape = next(iter(residual_by_mono.values()))
-                for u in range(shape.rows):
-                    for v in range(shape.cols):
-                        cell = {
-                            pos: mat.entry(u, v)
-                            for pos, mat in residual_by_mono.items()
-                            if mat.entry(u, v)
-                        }
+                for u in range(dims[k + a + b]):
+                    for v in range(dims[k]):
+                        cell: dict[int, Fraction] = {}
+                        for r in range(dims[k + b]):
+                            accumulate(cell, products(form((i, a, k + b), u, r), form((j, b, k), r, v)))
+                        for r in range(dims[k + a]):
+                            accumulate(cell, products(form((j, b, k + a), u, r), form((i, a, k), r, v)), -1)
+                        if linear:
+                            accumulate(cell, ((mono_index[("s", m)], x) for m, x in form((i + j, a + b, k), u, v)), -coeff)
                         if cell:
                             quad_rows.append(cell)
 
@@ -743,7 +725,7 @@ def tensor(ma: WindowedModule, mb: WindowedModule) -> WindowedModule:
         return out
 
     shared = sorted(set(ma.generators) & set(mb.generators))
-    return windowed(
+    return WindowedModule(
         ma.variant, ma.offset + mb.offset, lo, hi, dims, shared, entries, ma.central_scalar + mb.central_scalar, margins
     )
 
@@ -765,7 +747,7 @@ def direct_sum(ma: WindowedModule, mb: WindowedModule) -> WindowedModule:
 
     dims = {k: ma.dims[k] + mb.dims[k] for k in ma.indices()}
     shared = sorted(set(ma.generators) & set(mb.generators))
-    return windowed(ma.variant, ma.offset, ma.lo, ma.hi, dims, shared, entries, ma.central_scalar)
+    return WindowedModule(ma.variant, ma.offset, ma.lo, ma.hi, dims, shared, entries, ma.central_scalar)
 
 
 def adjoint_window(m: int, n: int, lo: int, hi: int) -> WindowedModule:
@@ -802,7 +784,7 @@ def adjoint_window(m: int, n: int, lo: int, hi: int) -> WindowedModule:
                 out[(position[t][("c",)], col)] = central_coeff
         return out
 
-    return windowed(variant, ZERO, lo, hi, dims, generators, entries)
+    return WindowedModule(variant, ZERO, lo, hi, dims, generators, entries)
 
 
 def classify_window(mod: WindowedModule) -> dict:

@@ -342,4 +342,4 @@ def verma_window(lam: WeightFunctional, n: int, depth_cap: int) -> modules.Windo
             for w, c in action.act_generator(g.alpha, g.level, word).items()
         }
 
-    return modules.windowed(algebra.quotient(0, n), lam[0], lo, hi, dims, generators, entries, lam.c)
+    return modules.WindowedModule(algebra.quotient(0, n), lam[0], lo, hi, dims, generators, entries, lam.c)

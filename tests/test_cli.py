@@ -236,6 +236,23 @@ def _break_margins(data):
     data["col_margins"] = {k: [0, 0] for k in data["dims"]}
 
 
+def _duplicate_action(data):
+    # the last copy silently won before: a second L_{-8} at source 4 with another matrix
+    data["actions"].append(dict(data["actions"][0], matrix={"rows": 1, "cols": 1, "entries": {"0,0": "9"}}))
+
+
+def _duplicate_generator(data):
+    data["generators"].append(dict(data["generators"][3]))
+
+
+def _margins_outside(data):
+    data["col_margins"] = {**{k: [0] for k in data["dims"]}, "99": [0]}
+
+
+def _drop_dim(data):
+    del data["dims"]["0"]
+
+
 def _set(*path):
     """A corruption that stores the last item of ``path`` under the keys before it."""
     *keys, last, value = path
@@ -267,11 +284,19 @@ def _set(*path):
         (_set("generators", 0, "junk", 1), "unknown keys ['junk']"),
         (_set("actions", 0, "junk", 1), "unknown keys ['junk']"),
         (_set("actions", 0, "matrix", "junk", 1), "unknown keys ['junk']"),
+        (_duplicate_action, "action of BasisKey(alpha=-8, level=0) at index 4 is stored twice"),
+        (_duplicate_generator, "generator BasisKey(alpha=-7, level=0) is listed twice"),
+        (_set("dims", "99", 5), "'dims' key 99 is outside the range [-4, 4]"),
+        (_margins_outside, "'col_margins' key 99 is outside the range [-4, 4]"),
+        (_drop_dim, "range index 0 has no 'dims' entry"),
+        # refused before a weight space of the two-billion-index range is made
+        (_set("range", [-1000000000, 1000000000]), "range index -1000000000 has no 'dims' entry"),
     ],
     ids=[
         "deleted-actions", "wrong-shape", "outside-action", "negative-dim", "margins-length", "float-range", "float-dim",
         "dims-not-object", "bool-alpha", "string-alpha", "unknown-key", "float-rows", "spaced-entry-key",
-        "generator-unknown-key", "action-unknown-key", "matrix-unknown-key",
+        "generator-unknown-key", "action-unknown-key", "matrix-unknown-key", "duplicate-action", "duplicate-generator",
+        "dims-key-outside", "margins-key-outside", "missing-dim", "huge-range",
     ],
 )
 def test_classify_rejects_inconsistent_module(tmp_path, capsys, corrupt, message):

@@ -240,7 +240,6 @@ def test_nilpotency_chain_scalar_fixture():
     from blocklie.linalg import RationalMatrix
 
     fixture = window.copy()
-    fixture.actions = dict(fixture.actions)
     for k in fixture.indices():
         fixture.actions[(BasisKey(0, 1), k)] = RationalMatrix.from_rows([[F(3)]])
     report = ident.nilpotency_chain_check(fixture, level=1)

@@ -71,7 +71,6 @@ def test_module_axioms_families():
 def test_module_axioms_detect_corruption():
     window = build_window(IntermediateSpec("Aab", F(1, 2), F(2)), -6, 6)
     bad = window.copy()
-    bad.actions = dict(bad.actions)
     bad.actions[(BasisKey(1, 0), 0)] = RationalMatrix.from_rows([[F(77)]])
     violations = check_module_axioms(bad, 2)
     assert violations
@@ -107,7 +106,6 @@ def test_extend_trivially_passes_block_pairs():
 def test_extension_failure_propagates():
     window = build_window(IntermediateSpec("Aab", F(1, 2), F(2)), -6, 6)
     bad = window.copy()
-    bad.actions = dict(bad.actions)
     bad.actions[(BasisKey(2, 0), 1)] = RationalMatrix.from_rows([[F(123)]])
     assert check_module_axioms(bad, 2)
     assert check_module_axioms(extend_trivially(bad, 1), 2)
@@ -119,7 +117,7 @@ def test_extend_trivially_shares_the_virasoro_matrices():
     extended = extend_trivially(vir, 2)
     # the level-0 matrices were copied, one per window, before
     source = build_window(spec, -8, 8)
-    copied = modules.windowed(
+    copied = WindowedModule(
         extended.variant, vir.offset, vir.lo, vir.hi, dict(vir.dims), extended.generators,
         lambda g, k: None if g.level else source.act(g, k).entries, vir.central_scalar / 2,
     )
@@ -224,7 +222,7 @@ def test_tensor_zero_width():
     wide = build_window(IntermediateSpec("Aab", F(0), F(1)), -4, 4)
     product = tensor(narrow, wide)
     assert all(product.dims[k] <= 1 for k in product.indices())
-    zero = WindowedModule(VIRASORO, F(0), 0, 0, {0: 0}, narrow.generators, {(BasisKey(0, 0), 0): RationalMatrix.zero(0, 0)})
+    zero = WindowedModule(VIRASORO, F(0), 0, 0, {0: 0}, narrow.generators, lambda g, k: RationalMatrix.zero(0, 0))
     collapsed = tensor(zero, wide)
     assert all(d == 0 for d in collapsed.dims.values())
 
@@ -275,7 +273,9 @@ def test_classification_lowest_weight():
     for (g, k), m in hw.actions.items():
         actions[(BasisKey(-g.alpha, g.level), -k)] = m.scale(-1)
     generators = [BasisKey(-g.alpha, g.level) for g in hw.generators]
-    lw = WindowedModule(hw.variant, -hw.offset, -hw.hi, -hw.lo, flipped_dims, generators, actions, -hw.central_scalar)
+    lw = WindowedModule(
+        hw.variant, -hw.offset, -hw.hi, -hw.lo, flipped_dims, generators, lambda g, k: actions[(g, k)], -hw.central_scalar
+    )
     assert classify_window(lw)["verdict"] == "lowest-weight"
 
 
@@ -284,7 +284,6 @@ def test_core_spanning():
     assert core_spanning_check(build_window(IntermediateSpec("Aab", F(0), F(0)), -8, 8))
     window = build_window(IntermediateSpec("Aab", F(0), F(1)), -8, 8)
     broken = window.copy()
-    broken.actions = dict(broken.actions)
     for i in range(-2, 3):
         broken.actions[(BasisKey(5 - i, 0), i)] = RationalMatrix.zero(1, 1)
     assert core_spanning_check(broken) is False
@@ -392,19 +391,8 @@ def _window_constructors():
     }
 
 
-def _eager_windowed(variant, offset, lo, hi, dims, generators, entries, central_scalar=F(0), col_margins=None):
-    """Every action matrix built up front, as windows were built before they turned lazy; a given matrix is kept."""
-
-    def build(g, k):
-        values = entries(g, k)
-        return values if isinstance(values, RationalMatrix) else RationalMatrix(dims[k + g.alpha], dims[k], values)
-
-    actions = {(g, k): build(g, k) for g in generators for k in interior(lo, hi, g.alpha)}
-    return WindowedModule(variant, offset, lo, hi, dims, generators, actions, central_scalar, col_margins)
-
-
 @pytest.mark.parametrize("name", list(_window_constructors()))
-def test_lazy_windows_equal_eager_construction(monkeypatch, name):
+def test_lazy_windows_equal_eager_construction(name):
     make = _window_constructors()[name]
     lazy = make()
     assert lazy._actions == {}
@@ -413,14 +401,59 @@ def test_lazy_windows_equal_eager_construction(monkeypatch, name):
     random.Random(7).shuffle(keys)
     for g, k in keys[: len(keys) // 2]:
         lazy.act(g, k)
-    with monkeypatch.context() as patch:
-        patch.setattr(modules, "windowed", _eager_windowed)
-        eager = make()
-    assert eager._entries is None
-    assert lazy.actions == eager.actions
-    assert list(lazy.actions) == list(eager.actions)
-    assert lazy.to_json() == eager.to_json()
-    assert lazy.copy().to_json() == eager.to_json()
+    # against a window read whole, in generator order
+    whole = make()
+    in_order = {(g, k): whole.act(g, k) for g in whole.generators for k in interior(whole.lo, whole.hi, g.alpha)}
+    assert lazy.actions == whole.actions == in_order
+    assert all(lazy.act(g, k) == whole.act(g, k) for g, k in keys)
+    assert lazy.to_json() == whole.to_json()
+    assert lazy.copy().to_json() == whole.to_json()
+
+
+@pytest.mark.parametrize(
+    "dims, generators, margins, message",
+    [
+        ({k: 1 for k in range(-2, 4)}, [BasisKey(1, 0)], None, r"'dims' key 3 is outside the range \[-2, 2\]"),
+        ({k: 1 for k in range(-1, 3)}, [BasisKey(1, 0)], None, "range index -2 has no 'dims' entry"),
+        ({k: 1 for k in range(-2, 3)}, [BasisKey(1, 0), BasisKey(0, 0), BasisKey(1, 0)], None, r"generator BasisKey\(alpha=1, level=0\) is listed twice"),
+        ({k: 1 for k in range(-2, 3)}, [BasisKey(1, 0)], {k: [0] for k in range(-2, 4)}, r"'col_margins' key 3 is outside"),
+    ],
+)
+def test_window_constructor_refuses_inconsistent_shapes(dims, generators, margins, message):
+    with pytest.raises(ValueError, match=message):
+        WindowedModule(VIRASORO, F(0), -2, 2, dims, generators, lambda g, k: None, col_margins=margins)
+
+
+def test_assigning_into_a_copy_leaves_the_original_unchanged():
+    window = build_window(IntermediateSpec("Aab", F(1, 2), F(2)), -4, 4)
+    key = (BasisKey(1, 0), 0)
+    window.act(*key)
+    data = window.to_json()
+    copied = window.copy()
+    copied.actions[key] = RationalMatrix.from_rows([[F(77)]])
+    assert copied.act(*key).entry(0, 0) == 77
+    assert copied.copy().act(*key).entry(0, 0) == 77
+    assert window.act(*key).entry(0, 0) == F(5, 2)
+    assert window.to_json() == data
+    # and the other way round, for a copy that has read nothing yet
+    fresh = window.copy()
+    window.actions[key] = RationalMatrix.from_rows([[F(-1)]])
+    assert fresh.act(*key).entry(0, 0) == F(5, 2)
+    assert copied.act(*key).entry(0, 0) == 77
+
+
+def test_build_window_stores_no_zero_matrix():
+    # a + k + b i vanishes at 17 of the 289 level-0 actions of Aab 0, 1 on -8:8
+    spec = IntermediateSpec("Aab", F(0), F(1))
+    vir = build_window(spec, -8, 8)
+    classify_window(extend_trivially(vir, 2))
+    assert len(vir._actions) == 289 - 17
+    assert not any(m.is_zero() for m in vir._actions.values())
+    # the document still lists every action, as when each zero was stored
+    storing = WindowedModule(
+        VIRASORO, vir.offset, -8, 8, vir.dims, vir.generators, lambda g, k: {(0, 0): act_intermediate(spec, g, k)[0]}
+    )
+    assert build_window(spec, -8, 8).to_json() == storing.to_json()
 
 
 def test_act_builds_on_first_use_and_stores_no_zero_action():
@@ -436,7 +469,7 @@ def test_act_builds_on_first_use_and_stores_no_zero_action():
     with pytest.raises(KeyError):
         extended.act(BasisKey(2, 3), -1)  # level 3 is above 2 * level_cap
     with pytest.raises(KeyError):
-        WindowedModule.from_json(window.to_json()).act(BasisKey(1, 1), 0)  # an eager window has no level 1
+        WindowedModule.from_json(window.to_json()).act(BasisKey(1, 1), 0)  # a loaded Virasoro window has no level 1
 
 
 def test_extension_space_builds_only_the_bracketed_degrees():
@@ -527,6 +560,23 @@ def test_closure_stops_once_every_span_is_full(make, seed_index, fills):
 def test_extension_space_inconclusive_on_tiny_window():
     window = build_window(IntermediateSpec("Aab", F(1, 2), F(2)), 0, 0)
     assert extension_space(window, 1).inconclusive
+
+
+def test_extension_space_pins_the_x_squared_zero_case(monkeypatch):
+    # on A + A the quadratic constraints are, up to scale, the entries of X^2 = 0 for X = [[s0, s1], [s2, s3]]:
+    # the nilpotent cone, of dimension 2, so the stage is undecided and the linear kernel is reported
+    window = build_window(IntermediateSpec("Aab", F(1, 2), F(1)), -6, 6)
+    sizes = []
+
+    def recording(m):
+        reduction = row_reduce(m)
+        sizes.append((m.rows, m.cols, len(m.entries), reduction.rank))
+        return reduction
+
+    monkeypatch.setattr(modules, "row_reduce", recording)
+    report = extension_space(direct_sum(window, window), 1)
+    assert tuple(report) == (4, True, 944, 276, 4, False)
+    assert sizes[1:] == [(588, 14, 1176, 4)]
 
 
 def test_direct_sum_requires_matching_shape():
