@@ -30,9 +30,9 @@ _HOME = {
         ),
         "linalg": ("RationalMatrix", "RowReduction", "char_poly", "eval_poly_matrix", "row_reduce"),
         "modules": (
-            "IntermediateSpec", "WindowedModule", "act_intermediate", "adjoint_window", "build_window",
-            "check_module_axioms", "classify_window", "core_spanning_check", "direct_sum", "extend_trivially",
-            "extension_space", "find_intertwiner", "irreducible_verdict", "submodule_closure", "tensor",
+            "IntermediateSpec", "act_intermediate", "build_window", "check_module_axioms", "classify_window",
+            "core_spanning_check", "direct_sum", "extend_trivially", "extension_space", "find_intertwiner",
+            "irreducible_verdict", "submodule_closure", "tensor",
         ),
         "multipoly": ("MultiPoly",),
         "rationals": ("format_rational", "parse_rational"),
@@ -40,6 +40,7 @@ _HOME = {
             "WeightFunctional", "normal_order", "partition_dimensions", "quasifinite_report",
             "singular_vectors", "validate_positive_generators", "verma_basis", "verma_window",
         ),
+        "windows": ("WindowedModule", "adjoint_window"),
     }.items()
     for name in names
 }
@@ -67,6 +68,7 @@ multipoly = _lazy_module("multipoly")
 rationals = _lazy_module("rationals")
 reporting = _lazy_module("reporting")
 verma = _lazy_module("verma")
+windows = _lazy_module("windows")
 
 
 def __getattr__(name: str):

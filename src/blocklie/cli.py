@@ -27,7 +27,7 @@ import json
 import os
 import sys
 
-from . import algebra, identities, modules, verma
+from . import algebra, identities, modules, verma, windows
 from .rationals import check_keys, format_rational, parse_rational, read_int, read_int_key
 from .reporting import dumps_report, render_table, write_report
 
@@ -202,7 +202,7 @@ def _check_module_size(action: str, lo: int, hi: int, level_cap: int) -> None:
     elif action == "intertwiner":
         count += width * width
     elif action == "extension":
-        count += level_cap * sum(len(modules.interior(lo, hi, a)) for a in modules.EXTENSION_BAND)
+        count += level_cap * sum(len(windows.interior(lo, hi, a)) for a in modules.EXTENSION_BAND)
     if count > MODULE_MATRIX_CAP:
         raise UsageError(
             f"module {action} on {lo}:{hi} at level cap {level_cap} stores {count} matrices and unknowns,"
@@ -369,7 +369,7 @@ def _cmd_lemmas(args: argparse.Namespace) -> tuple[dict, str, int]:
 
 
 def _cmd_classify(args: argparse.Namespace) -> tuple[dict, str, int]:
-    window = modules.WindowedModule.from_json(_read_json(args.module_file, "module file"))
+    window = windows.WindowedModule.from_json(_read_json(args.module_file, "module file"))
     verdict = modules.classify_window(window)
     return {"command": "classify", "verdict": verdict}, verdict["verdict"], 0
 

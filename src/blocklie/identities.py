@@ -38,9 +38,9 @@ from typing import Sequence
 from . import algebra
 from .algebra import BasisKey, bracket, gen
 from .linalg import RationalMatrix, char_poly, eval_poly_matrix
-from .modules import WindowedModule, adjoint_window, interior
 from .multipoly import MultiPoly
 from .rationals import ZERO, accumulate, format_rational
+from .windows import WindowedModule, adjoint_window, interior
 
 ALPHABET = ("alpha", "beta", "i", "kt", "bp", "bq")
 

@@ -3,7 +3,10 @@
 A matrix stores only its nonzero entries in a dict keyed by (row, col)
 with ``fractions.Fraction`` values (the constructor converts any other
 value, such as an int), and every result below is an exact statement,
-not an approximation.  Matrices are treated as immutable after
+not an approximation.  A matrix built by ``from_sparse_rows`` holds the
+row dicts it was given instead, whose values may be ints, until
+``entries`` is first read; ``row_reduce`` reads only the rows and
+accepts int values.  Matrices are treated as immutable after
 construction; no operation mutates its operands.
 
 ``Echelon`` is the one elimination kernel over Q: a growing span of
@@ -61,14 +64,22 @@ from .rationals import ONE, ZERO, accumulate, check_keys, format_rational, parse
 
 
 class RationalMatrix:
-    __slots__ = ("rows", "cols", "entries")
+    """A rows x cols matrix over Q; ``entries`` maps (row, col) to each nonzero Fraction.
+
+    A matrix built by ``from_sparse_rows`` holds the given row dicts, int
+    values allowed, until ``entries`` is first read and built from them;
+    until then ``sparse_rows`` returns those dicts.
+    """
+
+    __slots__ = ("rows", "cols", "_entries", "_row_dicts")
 
     def __init__(self, rows: int, cols: int, entries: dict[tuple[int, int], Fraction] | None = None):
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
         self.rows = rows
         self.cols = cols
-        self.entries: dict[tuple[int, int], Fraction] = {}
+        self._entries: dict[tuple[int, int], Fraction] = {}
+        self._row_dicts = None
         if entries:
             for key, v in entries.items():
                 r, c = key
@@ -77,7 +88,18 @@ class RationalMatrix:
                 if type(v) is not Fraction:
                     v = Fraction(v)
                 if v:
-                    self.entries[key] = v
+                    self._entries[key] = v
+
+    @property
+    def entries(self) -> dict[tuple[int, int], Fraction]:
+        if self._entries is None:
+            self._entries = {
+                (r, c): v if type(v) is Fraction else Fraction(v)
+                for r, row in enumerate(self._row_dicts)
+                for c, v in row.items()
+            }
+            self._row_dicts = None
+        return self._entries
 
     # -- constructors ------------------------------------------------------
 
@@ -85,7 +107,7 @@ class RationalMatrix:
     def _make(cls, rows: int, cols: int, entries: dict[tuple[int, int], Fraction]) -> "RationalMatrix":
         """Wrap entries that are already valid: in bounds, nonzero Fractions."""
         m = object.__new__(cls)
-        m.rows, m.cols, m.entries = rows, cols, entries
+        m.rows, m.cols, m._entries, m._row_dicts = rows, cols, entries, None
         return m
 
     @classmethod
@@ -110,9 +132,26 @@ class RationalMatrix:
         return cls(rows, cols, entries)
 
     @classmethod
-    def from_sparse_rows(cls, rows: Sequence[dict[int, Fraction]], cols: int) -> "RationalMatrix":
-        """The len(rows) x cols matrix whose row r has the entries rows[r] (column -> value)."""
-        return cls(len(rows), cols, {(r, c): v for r, row in enumerate(rows) for c, v in row.items()})
+    def from_sparse_rows(cls, rows: Sequence[dict[int, Fraction | int]], cols: int) -> "RationalMatrix":
+        """The len(rows) x cols matrix whose row r has the entries rows[r] (column -> value).
+
+        The matrix holds the given dicts, not copies, so the caller must
+        not change them; a row holding a zero value is held as a copy
+        without it.  Raises ValueError for a column outside 0..cols-1.
+        """
+        if cols < 0:
+            raise ValueError("matrix dimensions must be nonnegative")
+        held = []
+        for r, row in enumerate(rows):
+            if row and (min(row) < 0 or max(row) >= cols):
+                c = next(c for c in row if not 0 <= c < cols)
+                raise ValueError(f"entry ({r},{c}) out of bounds for {len(rows)}x{cols}")
+            if not all(row.values()):
+                row = {c: v for c, v in row.items() if v}
+            held.append(row)
+        m = object.__new__(cls)
+        m.rows, m.cols, m._entries, m._row_dicts = len(held), cols, None, held
+        return m
 
     # -- access ------------------------------------------------------------
 
@@ -126,7 +165,9 @@ class RationalMatrix:
         return out
 
     def sparse_rows(self) -> list[dict[int, Fraction]]:
-        """Row r as a dict column -> nonzero value, for every r."""
+        """Row r as a dict column -> nonzero value, for every r: the held row dicts while there are any."""
+        if self._row_dicts is not None:
+            return list(self._row_dicts)
         rows: list[dict[int, Fraction]] = [{} for _ in range(self.rows)]
         for (r, c), v in self.entries.items():
             rows[r][c] = v

@@ -35,7 +35,7 @@ from math import lcm
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
-from . import algebra, linalg, modules
+from . import algebra, linalg, windows
 from .algebra import BasisKey, bracket_terms
 from .rationals import accumulate, check_keys, format_rational, parse_rational
 
@@ -260,20 +260,19 @@ def validate_positive_generators(n: int, degree_bound: int) -> bool:
 def _singular_system(action: VermaAction, basis: list[Monomial], depth: int) -> linalg.RationalMatrix:
     """The matrix of the positive generating set on the depth-d basis, times ``action.scale``.
 
-    One block of rows per generator, written straight into the matrix
-    entries; scaling every row by one factor leaves the kernel as it is.
+    One block of rows per generator, one row dict per target monomial,
+    holding the int images as they are; scaling every row by one factor
+    leaves the kernel as it is.
     """
-    generators = positive_generators(action.n)
-    targets = [verma_basis(action.n, depth - g.alpha) if depth - g.alpha >= 0 else [] for g in generators]
-    system = linalg.RationalMatrix(sum(map(len, targets)), len(basis))
-    top = 0
-    for g, target in zip(generators, targets):
-        row_index = {w: top + i for i, w in enumerate(target)}
-        top += len(target)
+    rows: list[dict[int, int]] = []
+    for g in positive_generators(action.n):
+        target = verma_basis(action.n, depth - g.alpha) if depth - g.alpha >= 0 else []
+        block: dict[Monomial, dict[int, int]] = {w: {} for w in target}
         for col, word in enumerate(basis):
             for w, c in action.act_generator(g.alpha, g.level, word).items():
-                system.entries[(row_index[w], col)] = Fraction(c)
-    return system
+                block[w][col] = c
+        rows += block.values()
+    return linalg.RationalMatrix.from_sparse_rows(rows, len(basis))
 
 
 def singular_vectors(lam: WeightFunctional, n: int, depth: int) -> list[dict[Monomial, Fraction]]:
@@ -317,7 +316,7 @@ def quasifinite_report(n: int, depth_cap: int) -> dict:
     }
 
 
-def verma_window(lam: WeightFunctional, n: int, depth_cap: int) -> modules.WindowedModule:
+def verma_window(lam: WeightFunctional, n: int, depth_cap: int) -> windows.WindowedModule:
     """Materialize the truncated module as a windowed module on [-depth_cap, 2].
 
     Index -d holds the depth-d space; indices 1 and 2 are visibly empty,
@@ -342,4 +341,4 @@ def verma_window(lam: WeightFunctional, n: int, depth_cap: int) -> modules.Windo
             for w, c in action.act_generator(g.alpha, g.level, word).items()
         }
 
-    return modules.WindowedModule(algebra.quotient(0, n), lam[0], lo, hi, dims, generators, entries, lam.c)
+    return windows.WindowedModule(algebra.quotient(0, n), lam[0], lo, hi, dims, generators, entries, lam.c)

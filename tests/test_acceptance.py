@@ -33,7 +33,6 @@ from blocklie.algebra import (
 )
 from blocklie.modules import (
     IntermediateSpec,
-    adjoint_window,
     build_window,
     check_module_axioms,
     core_spanning_check,
@@ -44,6 +43,7 @@ from blocklie.modules import (
 )
 from blocklie.reporting import dumps_report
 from blocklie.verma import WeightFunctional, partition_dimensions, singular_vectors, verma_basis
+from blocklie.windows import adjoint_window
 
 F = Fraction
 

@@ -23,9 +23,9 @@ from blocklie.modules import (  # noqa: E402
     decode_unknowns,
     direct_sum,
     extension_space,
-    interior,
     unknown_columns,
 )
+from blocklie.windows import interior  # noqa: E402
 
 
 def _decoded_quadratic_stage(vir_mod, level_cap, kernel, n_equations, n_unknowns):

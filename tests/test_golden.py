@@ -1,7 +1,7 @@
 """Golden outputs: frozen stdout digests and exit codes of the window-building paths.
 
 The digests were recorded before the window loops were rewritten onto
-``modules.interior``; any change in which indices a check visits, which
+``windows.interior``; any change in which indices a check visits, which
 actions a window stores or which linear system is built shows up here as
 a different byte stream.  The CLI cases cover every command that runs
 such a loop; the library cases cover the constructions the CLI does not
@@ -19,7 +19,6 @@ from blocklie.cli import main
 from blocklie.linalg import RationalMatrix
 from blocklie.modules import (
     IntermediateSpec,
-    adjoint_window,
     build_window,
     check_module_axioms,
     direct_sum,
@@ -28,6 +27,7 @@ from blocklie.modules import (
     tensor,
 )
 from blocklie.verma import WeightFunctional, verma_window
+from blocklie.windows import adjoint_window
 
 CLI_GOLDEN = [
     ("module --family Aab --a 1/2 --b 2 --range -8:8 check", 0, "bc19098f1885485700eaaa565bcc6f6c16c3bb6fd69ed8e158a2b13defe9ce74"),

@@ -6,8 +6,9 @@ import pytest
 
 from blocklie import identities as ident
 from blocklie.algebra import BLOCK_B, bracket, gen
-from blocklie.modules import IntermediateSpec, adjoint_window, build_window, extend_trivially
+from blocklie.modules import IntermediateSpec, build_window, extend_trivially
 from blocklie.rationals import accumulate
+from blocklie.windows import adjoint_window
 
 F = Fraction
 

@@ -17,7 +17,7 @@ import pytest
 import blocklie
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-LIBRARY = ("algebra", "identities", "linalg", "modules", "multipoly", "rationals", "reporting", "verma")
+LIBRARY = ("algebra", "identities", "linalg", "modules", "multipoly", "rationals", "reporting", "verma", "windows")
 
 PROBE = """
 import io, json, sys, types
@@ -78,7 +78,22 @@ def test_verma_singular_does_not_execute_modules():
         "assert main(['verma', '--n', '1', '--depth', '3', 'singular', '--lam', '1/2,2/3', '--c', '0']) == 0",
     )
     assert "verma" in executed_library(result)
+    assert not {"modules", "windows"} & executed_library(result)
+
+
+def test_lemmas_executes_windows_but_not_modules():
+    # identities reads the window type, the adjoint window and interior from windows
+    result = probe("from blocklie.cli import main", "assert main(['lemmas']) == 0")
+    assert {"identities", "windows"} <= executed_library(result)
     assert "modules" not in executed_library(result)
+
+
+def test_module_check_executes_windows_and_modules():
+    result = probe(
+        "from blocklie.cli import main",
+        "assert main(['module', '--a', '1/2', '--b', '2', '--range', '-4:4', 'check']) == 0",
+    )
+    assert {"modules", "windows"} <= executed_library(result)
 
 
 @pytest.mark.parametrize(

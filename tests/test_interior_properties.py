@@ -1,4 +1,4 @@
-"""Property test: ``modules.interior`` against the hand-written window filter it replaced."""
+"""Property test: ``windows.interior`` against the hand-written window filter it replaced."""
 
 import pytest
 
@@ -6,7 +6,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from blocklie.modules import interior  # noqa: E402
+from blocklie.windows import interior  # noqa: E402
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)

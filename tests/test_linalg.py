@@ -103,6 +103,41 @@ def test_constructor_still_validates():
         RationalMatrix(1, 1, {(1, 0): 1})
     with pytest.raises(ValueError):
         RationalMatrix.from_sparse_rows([{2: 1}], 2)
+    with pytest.raises(ValueError, match=r"entry \(1,-1\) out of bounds for 2x2"):
+        RationalMatrix.from_sparse_rows([{0: 1}, {0: 1, -1: 0}], 2)
+
+
+@pytest.mark.parametrize(
+    "first_read",
+    [lambda m: m.sparse_rows(), lambda m: m.entries, lambda m: m.to_json()],
+    ids=["sparse_rows", "entries", "to_json"],
+)
+def test_from_sparse_rows_equals_the_dict_built_matrix(first_read):
+    # int and Fraction values, an empty row and zero values
+    rows = [{0: 2, 3: Fraction(-1, 3)}, {}, {1: 0, 2: 5}, {2: Fraction(4), 1: Fraction(0)}, {3: Fraction(7, 2)}]
+    before = [dict(row) for row in rows]
+    want = RationalMatrix(5, 4, {(r, c): v for r, row in enumerate(rows) for c, v in row.items()})
+    m = RationalMatrix.from_sparse_rows(rows, 4)
+    first_read(m)
+    assert m.sparse_rows() == want.sparse_rows() == [{0: 2, 3: Fraction(-1, 3)}, {}, {2: 5}, {2: 4}, {3: Fraction(7, 2)}]
+    assert m.entries == want.entries and _entries_are_nonzero_fractions(m)
+    assert m == want and m.to_json() == want.to_json()
+    assert m.sparse_rows() == want.sparse_rows()
+    # the caller's rows are never changed, zeros included
+    assert rows == before
+
+
+def test_from_sparse_rows_holds_the_given_dicts_until_entries_is_read():
+    rows = [{0: 2, 1: Fraction(1, 2)}, {}, {0: 0, 1: 3}]
+    m = RationalMatrix.from_sparse_rows(rows, 2)
+    held = m.sparse_rows()
+    assert held[0] is rows[0] and held[1] is rows[1]
+    # a row holding a zero is held as a copy without it
+    assert held[2] == {1: 3} and held[2] is not rows[2]
+    assert row_reduce(m).rank == 2
+    assert all(a is b for a, b in zip(m.sparse_rows(), held))
+    assert m.entries == {(0, 0): 2, (0, 1): Fraction(1, 2), (2, 1): 3}
+    assert all(a is not b for a, b in zip(m.sparse_rows(), held))
 
 
 def test_char_poly_cayley_hamilton():

@@ -66,6 +66,23 @@ def _sparse_rows(draw):
     return cols, rows, probes
 
 
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(_sparse_rows())
+def test_row_reduce_keeps_the_rows_it_is_given(data):
+    cols, rows, _ = data
+    # integral values as ints, the others as Fractions
+    rows = [{c: v.numerator if v.denominator == 1 else v for c, v in row.items()} for row in rows]
+    before = [dict(row) for row in rows]
+    m = RationalMatrix.from_sparse_rows(rows, cols)
+    got = row_reduce(m)
+    held = m.sparse_rows()
+    assert len(held) == len(rows) and all(a is b for a, b in zip(held, rows))
+    assert rows == before and [list(row.items()) for row in rows] == [list(row.items()) for row in before]
+    want = _reference_row_reduce(RationalMatrix.from_sparse_rows(before, cols))
+    assert got.rref.to_json() == want.rref.to_json()
+    assert (got.rank, got.pivots, got.kernel) == (want.rank, want.pivots, want.kernel)
+
+
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
 @given(_sparse_rows())
 def test_echelon_matches_both_closure_references(data):

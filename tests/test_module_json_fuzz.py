@@ -1,0 +1,133 @@
+"""Fuzz: ``classify --module-file`` refuses a mutated module document with exit 2, never a traceback.
+
+Each example takes the ``to_json`` document of a built window and makes
+one mutation that ``WindowedModule.from_json`` must refuse: a value of
+the wrong JSON type (floats, bools and numeric strings where an integer
+is read; floats and bools where a rational is read; a container of the
+other kind), a required key or list element removed, or an unknown key
+added to an object.
+"""
+
+import copy
+import io
+import json
+from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from blocklie.cli import main  # noqa: E402
+from blocklie.modules import IntermediateSpec, build_window  # noqa: E402
+
+DOCUMENT = build_window(IntermediateSpec("Aab", Fraction(1, 2), Fraction(2)), -2, 2).to_json()
+
+# how from_json reads the children of each container kind
+CHILDREN = {
+    "module": {
+        "variant": "string", "offset": "rational", "central": "rational",
+        "range": "range", "dims": "dims", "generators": "generators", "actions": "actions",
+    },
+    "generator": {"alpha": "int", "level": "int"},
+    "action": {"alpha": "int", "level": "int", "source": "int", "matrix": "matrix"},
+    "matrix": {"rows": "int", "cols": "int", "entries": "entries"},
+}
+ELEMENTS = {"range": "int", "dims": "int", "generators": "generator", "actions": "action", "entries": "rational"}
+# the keys from_json reads with no default; any dims key or list element is required too
+REQUIRED = {
+    "module": {"variant", "offset", "range", "dims", "generators", "actions"},
+    "generator": {"alpha", "level"},
+    "action": {"alpha", "level", "source", "matrix"},
+    "matrix": {"rows", "cols"},
+    "dims": None,
+    "range": None,
+    "generators": None,
+    "actions": None,
+}
+OBJECTS = {"module", "generator", "action", "matrix", "dims", "entries"}
+
+
+def _sites(value, path=(), kind="module"):
+    """(path, kind) of the document and of every value inside it."""
+    yield path, kind
+    if kind in CHILDREN:
+        for key, child in CHILDREN[kind].items():
+            yield from _sites(value[key], path + (key,), child)
+    elif kind in ELEMENTS:
+        keys = value if isinstance(value, dict) else range(len(value))
+        for key in keys:
+            yield from _sites(value[key], path + (key,), ELEMENTS[kind])
+
+
+SITES = list(_sites(DOCUMENT))
+
+_scalars = st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=4)
+_json = st.recursive(_scalars, lambda inner: st.lists(inner, max_size=2) | st.dictionaries(st.text(max_size=3), inner, max_size=2), max_leaves=4)
+_floats = st.floats(allow_nan=False, allow_infinity=False)
+_containers = st.lists(_json, max_size=2) | st.dictionaries(st.text(max_size=3), _json, max_size=2)
+
+
+def _wrong_type(kind: str, value):
+    """Values of a JSON type that from_json refuses where it reads ``kind``."""
+    if kind == "int":
+        return _floats | st.booleans() | st.just(str(value)) | st.none() | _containers | st.text(max_size=4)
+    if kind == "rational":
+        return _floats | st.booleans() | st.none() | _containers
+    if kind == "string":
+        return _floats | st.booleans() | st.integers() | st.none() | _containers
+    other = st.lists(_json, max_size=2) if kind in OBJECTS else st.dictionaries(st.text(max_size=3), _json, max_size=2)
+    return other | _floats | st.booleans() | st.integers() | st.none() | st.text(max_size=4)
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+@st.composite
+def _mutations(draw):
+    doc = copy.deepcopy(DOCUMENT)
+    how = draw(st.sampled_from(["type", "type", "missing", "extra"]))
+    if how == "type":
+        path, kind = draw(st.sampled_from(SITES))
+        value = draw(_wrong_type(kind, _at(doc, path)))
+        if not path:
+            return value, f"document -> {value!r}"
+        _at(doc, path[:-1])[path[-1]] = value
+        return doc, f"{path} -> {value!r}"
+    if how == "missing":
+        path, kind = draw(st.sampled_from([(p, k) for p, k in SITES if k in REQUIRED]))
+        node = _at(doc, path)
+        keys = sorted(REQUIRED[kind]) if REQUIRED[kind] else list(node if isinstance(node, dict) else range(len(node)))
+        key = draw(st.sampled_from(keys))
+        del node[key]
+        return doc, f"{path} without {key!r}"
+    path, kind = draw(st.sampled_from([(p, k) for p, k in SITES if k in OBJECTS]))
+    key = "x" + draw(st.text(max_size=3))
+    _at(doc, path)[key] = draw(_json)
+    return doc, f"{path} with extra {key!r}"
+
+
+def test_the_unmutated_document_is_accepted(tmp_path, capsys):
+    path = tmp_path / "module.json"
+    path.write_text(json.dumps(DOCUMENT))
+    assert main(["classify", "--module-file", str(path)]) == 0
+    assert capsys.readouterr().out == "intermediate-series\n"
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(_mutations())
+def test_mutated_module_documents_exit_2_with_an_error_line(tmp_path_factory, mutation):
+    doc, what = mutation
+    path = tmp_path_factory.getbasetemp() / "mutated-module.json"
+    path.write_text(json.dumps(doc))
+    with redirect_stdout(io.StringIO()) as stdout, redirect_stderr(io.StringIO()) as stderr:
+        code = main(["classify", "--module-file", str(path)])
+    out, err = stdout.getvalue(), stderr.getvalue()
+    assert code == 2, what
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (what, err)
+    assert "Traceback" not in err

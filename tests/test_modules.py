@@ -12,9 +12,7 @@ from blocklie.modules import (
     EXTENSION_DEGREES,
     ExtensionReport,
     IntermediateSpec,
-    WindowedModule,
     act_intermediate,
-    adjoint_window,
     build_window,
     check_module_axioms,
     classify_window,
@@ -23,12 +21,12 @@ from blocklie.modules import (
     extend_trivially,
     extension_space,
     find_intertwiner,
-    interior,
     irreducible_verdict,
     submodule_closure,
     tensor,
 )
 from blocklie.verma import WeightFunctional, verma_window
+from blocklie.windows import WindowedModule, adjoint_window, interior
 
 F = Fraction
 
