@@ -21,11 +21,14 @@ depth by exactly -a.
 
 Straightening coefficients are ints, and so are the scaled images
 ``VermaAction`` works on (see its docstring); ``singular_vectors``
-builds its system from those images, which leaves the kernel unchanged.
-``VermaAction`` caches only what its recursion reads again, the images
-of degree >= 0 generators, and keeps one tuple per distinct monomial.
-A negative generator prepends its factor uncached, and a product whose
-new first factor is already in order skips ``normal_order``.
+builds its system from those images, which leaves the kernel unchanged,
+and checks its kernel on them too.  ``VermaAction`` caches only what its
+recursion reads again, the images of degree >= 0 generators, in one
+table per generator keyed by monomial, and keeps one tuple per distinct
+monomial.  A negative generator prepends its factor uncached, and a
+product whose new first factor is already in order skips
+``normal_order``.  ``verma_basis`` builds one tuple per factor per
+call.
 """
 
 from __future__ import annotations
@@ -76,9 +79,13 @@ class WeightFunctional(algebra.Frozen):
 
 
 def verma_basis(n: int, depth: int) -> list[Monomial]:
-    """All canonical monomials of the given depth over Q:0:n, sorted."""
+    """All canonical monomials of the given depth over Q:0:n, sorted.
+
+    Within one call every factor (alpha, level) is one tuple object.
+    """
     if n < 0 or depth < 0:
         raise ValueError("need n >= 0 and depth >= 0")
+    factors = {(alpha, level): (alpha, level) for alpha in range(1, depth + 1) for level in range(n + 1)}
 
     def build(remaining: int, max_factor: tuple[int, int]) -> list[Monomial]:
         if remaining == 0:
@@ -87,8 +94,8 @@ def verma_basis(n: int, depth: int) -> list[Monomial]:
         for alpha in range(min(remaining, max_factor[0]), 0, -1):
             top_level = max_factor[1] if alpha == max_factor[0] else n
             for level in range(top_level, -1, -1):
-                for tail in build(remaining - alpha, (alpha, level)):
-                    out.append(((alpha, level),) + tail)
+                factor = factors[alpha, level]
+                out += [(factor,) + tail for tail in build(remaining - alpha, factor)]
         return out
 
     return sorted(build(depth, (depth, n)))
@@ -174,10 +181,10 @@ class VermaAction:
     ``act_generator`` returns those scaled images; ``act`` and
     ``verma_window`` divide by ``scale``.
 
-    Only the images of degree >= 0 generators are cached, each zero
-    image as the one read-only ``NO_IMAGE``.  Every monomial a cache
-    key or a cached image holds is interned: one tuple object per
-    distinct monomial of the action.
+    The cache holds one table per degree >= 0 generator, (alpha, level)
+    -> {word: image}, each zero image as the one read-only ``NO_IMAGE``.
+    Every monomial a table key or a cached image holds is interned: one
+    tuple object per distinct monomial of the action.
     """
 
     def __init__(self, lam: WeightFunctional, n: int):
@@ -190,7 +197,7 @@ class VermaAction:
         # lam and c times scale, as ints
         self._values = [v.numerator * (self.scale // v.denominator) for v in lam.values]
         self._c = lam.c.numerator * (self.scale // lam.c.denominator)
-        self._cache: dict[tuple[int, int, Monomial], Mapping[Monomial, int]] = {}
+        self._cache: dict[tuple[int, int], dict[Monomial, Mapping[Monomial, int]]] = {}
         self._monomials: dict[Monomial, Monomial] = {}
 
     def act_generator(self, alpha: int, level: int, word: Monomial) -> Mapping[Monomial, int]:
@@ -198,13 +205,17 @@ class VermaAction:
 
         A level outside 0..n raises ValueError.
         """
-        cached = self._cache.get((alpha, level, word))
-        if cached is not None:
-            return cached
-        if not 0 <= level <= self.n:
+        table = self._cache.get((alpha, level))
+        if table is not None:
+            cached = table.get(word)
+            if cached is not None:
+                return cached
+        elif not 0 <= level <= self.n:
             raise ValueError(f"generator L_{{{alpha},{level}}} has a level outside the band 0..{self.n} of Q:0:{self.n}")
-        if alpha < 0:
+        elif alpha < 0:
             return _prepend((-alpha, level), word, self.scale, {}, self.n)
+        else:
+            table = self._cache[(alpha, level)] = {}
         intern = self._monomials.setdefault
         word = intern(word, word)
         out: dict[Monomial, int] = {}
@@ -224,10 +235,10 @@ class VermaAction:
             if central_coeff:
                 accumulate(out, ((rest, central_coeff * self._c),))
             out = {intern(w, w): c for w, c in out.items()}
-        image = self._cache[(alpha, level, word)] = out or NO_IMAGE
+        image = table[word] = out or NO_IMAGE
         return image
 
-    def act(self, generator: BasisKey | str, vector: dict[Monomial, Fraction]) -> dict[Monomial, Fraction]:
+    def act(self, generator: BasisKey | str, vector: dict[Monomial, Fraction | int]) -> dict[Monomial, Fraction]:
         out: dict[Monomial, Fraction] = {}
         for word, coeff in vector.items():
             if generator == "C":
@@ -262,12 +273,14 @@ def _singular_system(action: VermaAction, basis: list[Monomial], depth: int) -> 
 
     One block of rows per generator, one row dict per target monomial,
     holding the int images as they are; scaling every row by one factor
-    leaves the kernel as it is.
+    leaves the kernel as it is.  Each target basis is built once.
     """
+    targets: dict[int, list[Monomial]] = {}
     rows: list[dict[int, int]] = []
     for g in positive_generators(action.n):
-        target = verma_basis(action.n, depth - g.alpha) if depth - g.alpha >= 0 else []
-        block: dict[Monomial, dict[int, int]] = {w: {} for w in target}
+        if g.alpha not in targets:
+            targets[g.alpha] = verma_basis(action.n, depth - g.alpha) if depth - g.alpha >= 0 else []
+        block: dict[Monomial, dict[int, int]] = {w: {} for w in targets[g.alpha]}
         for col, word in enumerate(basis):
             for w, c in action.act_generator(g.alpha, g.level, word).items():
                 block[w][col] = c
@@ -281,21 +294,23 @@ def singular_vectors(lam: WeightFunctional, n: int, depth: int) -> list[dict[Mon
     Computes the joint kernel of the positive generating set, then
     checks each kernel vector against every positive-degree generator
     whose image depth is still nonnegative; a vector that fails raises
-    RuntimeError.
+    RuntimeError.  The check runs on ints: each kernel vector scaled by
+    the lcm of its denominators, against the scaled images.
     """
+    action = VermaAction(lam, n)
     if depth == 0:
         return [{(): Fraction(1)}]
-    action = VermaAction(lam, n)
     basis = verma_basis(n, depth)
     kernel = linalg.row_reduce(_singular_system(action, basis, depth)).kernel
 
     vectors = []
     for vec in kernel:
         v = {basis[i]: c for i, c in enumerate(vec) if c}
+        common = lcm(*[c.denominator for c in v.values()])
+        scaled = {w: c.numerator * (common // c.denominator) for w, c in v.items()}
         for alpha in range(1, depth + 1):
             for level in range(n + 1):
-                image = action.act(BasisKey(alpha, level), v)
-                if image:
+                if action.act(BasisKey(alpha, level), scaled):
                     raise RuntimeError(
                         f"depth-{depth} kernel vector not annihilated by L_{{{alpha},{level}}}"
                     )

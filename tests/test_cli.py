@@ -139,13 +139,14 @@ def test_verma_singular_unvalidated_generators_exit_one(capsys, monkeypatch):
 
 
 def test_verma_singular_failed_kernel_check_is_an_error_not_a_traceback(capsys, monkeypatch):
-    # every degree-2 generator now maps the depth-2 kernel vectors to the vacuum
-    original = verma.VermaAction.act
+    # L_{2,1} now fixes every monomial; it is outside the generating set, so the
+    # system and its kernel are untouched and only the annihilation check sees it
+    original = verma.VermaAction.act_generator
 
-    def corrupted(self, key, vec):
-        return {(): Fraction(1)} if key.alpha == 2 else original(self, key, vec)
+    def corrupted(self, alpha, level, word):
+        return {word: 1} if (alpha, level) == (2, 1) else original(self, alpha, level, word)
 
-    monkeypatch.setattr(verma.VermaAction, "act", corrupted)
+    monkeypatch.setattr(verma.VermaAction, "act_generator", corrupted)
     code, out, err = run(capsys, "verma", "--n", "1", "--depth", "2", "singular", "--lam", "0,0", "--c", "0")
     assert code == 1
     assert out == ""

@@ -1,5 +1,6 @@
 """Exact linear algebra: row reduction, kernels, matrix polynomials."""
 
+import functools
 import random
 from fractions import Fraction
 
@@ -317,9 +318,15 @@ def _reference_forward_insert(span, dense):
     return True
 
 
+# reference eliminations of the matrices the tests share, by id; each such
+# matrix is cached for the whole session, so its id is never reused
+_shared_eliminations: dict[int, list] = {}
+
+
 def _reference_row_reduce(m):
     """Rational Gauss-Jordan on every row, with no modular shortcut."""
-    return _reduction(_reference_eliminate(_rows(m)), m.rows, m.cols)
+    eliminated = _shared_eliminations[id(m)] if id(m) in _shared_eliminations else _reference_eliminate(_rows(m))
+    return _reduction(eliminated, m.rows, m.cols)
 
 
 def _assert_same(got, want):
@@ -520,6 +527,14 @@ def _verma_system(lam, c, n, depth):
     return _captured_system(linalg, lambda: verma.singular_vectors(weight, n, depth))
 
 
+@functools.cache
+def _verma_n1_depth10():
+    """The Verma n=1, depth-10 system and its reference elimination, built once for the tests that read them."""
+    m = _verma_system(("2/3", 0), "-5/2", 1, 10)
+    _shared_eliminations[id(m)] = _reference_eliminate(_rows(m))
+    return m
+
+
 def _extension_system(a, b, lo, hi):
     window = modules.build_window(modules.IntermediateSpec("Aab", Fraction(a), Fraction(b)), lo, hi)
     return _captured_system(modules, lambda: modules.extension_space(window, 2))
@@ -528,7 +543,7 @@ def _extension_system(a, b, lo, hi):
 @pytest.mark.parametrize(
     "build, kernel_dim",
     [
-        pytest.param(lambda: _verma_system(("2/3", 0), "-5/2", 1, 10), 6, id="verma-n1-depth10"),
+        pytest.param(_verma_n1_depth10, 6, id="verma-n1-depth10"),
         pytest.param(lambda: _verma_system(("1/3", "-5/2", 0), "-5/2", 2, 6), 7, id="verma-n2-depth6"),
         pytest.param(lambda: _extension_system(2, 0, -20, 20), 1, id="extension-a2-b0"),
     ],
@@ -543,8 +558,8 @@ def test_integer_kernel_on_real_systems(build, kernel_dim):
 
 def test_shuffled_real_system_matches_reference():
     """Row order changes nothing: a shuffled Verma n=1, depth 10 system against the reference."""
-    m = _verma_system(("2/3", 0), "-5/2", 1, 10)
-    want = _reference_eliminate(_rows(m))
+    m = _verma_n1_depth10()
+    want = _shared_eliminations[id(m)]
     rows = _rows(m)
     random.Random(37).shuffle(rows)
     assert rows != _rows(m)

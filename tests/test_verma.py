@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from blocklie import linalg, verma
 from blocklie.algebra import BasisKey, bracket_terms, quotient
 from blocklie.linalg import _eliminate, _reduction
 from blocklie.modules import check_module_axioms
@@ -200,6 +201,38 @@ def test_singular_vectors_generic_and_degenerate():
     trivial = WeightFunctional((F(0), F(0)), F(0))
     kernel = singular_vectors(trivial, 1, 1)
     assert len(kernel) == 2  # every depth-1 vector is annihilated
+
+
+def test_singular_vectors_check_the_weight_table_at_depth_zero():
+    # a 2-level table over Q:0:2 was refused from depth 1 but returned [{(): 1}] at depth 0
+    lam = WeightFunctional((F(1, 2), F(0)), F(0))
+    for depth in (0, 1):
+        with pytest.raises(ValueError, match=re.escape("weight table has 2 levels, expected 3")):
+            singular_vectors(lam, 2, depth)
+
+
+def test_singular_depths_of_the_zero_weight_are_the_pentagonal_numbers():
+    # at n = 0, lambda = 0, c = 0 the singular depths are the generalized
+    # pentagonal numbers k(3k -+ 1)/2, an oracle independent of the straightening
+    lam = WeightFunctional((F(0),), F(0))
+    pentagonal = sorted(k * (3 * k + sign) // 2 for k in (1, 2, 3) for sign in (-1, 1))
+    assert [d for d in range(1, 17) if singular_vectors(lam, 0, d)] == pentagonal == [1, 2, 5, 7, 12, 15]
+
+
+def test_a_kernel_vector_that_is_not_singular_is_an_error(monkeypatch):
+    real = linalg.row_reduce
+
+    def with_a_stray_vector(m):
+        # 1/3 L_{-1,0}^2 v + 2/5 L_{-2,1} v joins the true kernel, L_{-1,1}^2 v
+        red = real(m)
+        stray = [F(1, 3), F(0), F(0), F(0), F(2, 5)]
+        return red._replace(kernel=red.kernel + [stray])
+
+    monkeypatch.setattr(verma.linalg, "row_reduce", with_a_stray_vector)
+    lam = WeightFunctional((F(1, 2), F(0)), F(1, 3))
+    assert verma_basis(1, 2) == [((1, 0), (1, 0)), ((1, 1), (1, 0)), ((1, 1), (1, 1)), ((2, 0),), ((2, 1),)]
+    with pytest.raises(RuntimeError, match=re.escape("depth-2 kernel vector not annihilated by L_{1,0}")):
+        singular_vectors(lam, 1, 2)
 
 
 def test_positive_generator_set():

@@ -1,4 +1,4 @@
-"""Property test: ``VermaAction.act_generator`` against the straightening it replaced."""
+"""Property tests: ``verma_basis`` against brute force, ``VermaAction.act_generator`` against the straightening it replaced."""
 
 from fractions import Fraction
 
@@ -10,7 +10,30 @@ from hypothesis import strategies as st  # noqa: E402
 
 from blocklie.algebra import BasisKey, bracket_terms, quotient  # noqa: E402
 from blocklie.rationals import accumulate  # noqa: E402
-from blocklie.verma import VermaAction, WeightFunctional, normal_order  # noqa: E402
+from blocklie.verma import VermaAction, WeightFunctional, normal_order, verma_basis  # noqa: E402
+
+
+def _ordered_words(n, depth):
+    """Every sequence of factors (alpha, level) with alphas summing to depth, in any order."""
+    if depth == 0:
+        yield ()
+        return
+    for alpha in range(1, depth + 1):
+        for level in range(n + 1):
+            for rest in _ordered_words(n, depth - alpha):
+                yield ((alpha, level),) + rest
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(st.integers(0, 2), st.integers(0, 7))
+def test_verma_basis_is_every_canonical_monomial_in_order(n, depth):
+    basis = verma_basis(n, depth)
+    assert basis == sorted({tuple(sorted(w, reverse=True)) for w in _ordered_words(n, depth)})
+    # within one call each factor is one object
+    factors = {}
+    for word in basis:
+        for factor in word:
+            assert factors.setdefault(factor, factor) is factor
 
 
 class _StraightenEveryProduct(VermaAction):
@@ -72,9 +95,11 @@ def test_act_generator_matches_the_old_straightening(case):
         # the same pairs in the same order, so every report built on them is byte-identical
         assert list(action.act_generator(alpha, level, word).items()) == list(old.act_generator(alpha, level, word).items())
 
-    assert all(alpha >= 0 for alpha, _, _ in action._cache)
+    # one table per generator, (alpha, level) -> {word: image}
+    assert all(alpha >= 0 for alpha, _ in action._cache)
+    images = [(word, image) for table in action._cache.values() for word, image in table.items()]
     shared = {}
-    for (_, _, word), image in action._cache.items():
+    for word, image in images:
         for monomial in (word, *image):
             assert shared.setdefault(monomial, monomial) is monomial
     assert all(action._monomials[m] is m for m in shared)
@@ -82,4 +107,4 @@ def test_act_generator_matches_the_old_straightening(case):
     empty = action.act_generator(1, 0, ())
     with pytest.raises(TypeError):
         empty[()] = 1
-    assert not action.act_generator(1, 0, ()) and all(image or image is empty for image in action._cache.values())
+    assert not action.act_generator(1, 0, ()) and all(image or image is empty for _, image in images)
