@@ -370,6 +370,10 @@ def _cmd_lemmas(args: argparse.Namespace) -> tuple[dict, str, int]:
 
 def _cmd_classify(args: argparse.Namespace) -> tuple[dict, str, int]:
     window = windows.WindowedModule.from_json(_read_json(args.module_file, "module file"))
+    _parse_range(f"{window.lo}:{window.hi}")
+    k = max(window.indices(), key=window.dims.get)  # classify spans whole weight spaces
+    if window.dims[k] > VERMA_SPACE_CAP:
+        raise UsageError(f"weight space {k} of dimension {window.dims[k]} exceeds the cap of {VERMA_SPACE_CAP}")
     verdict = modules.classify_window(window)
     return {"command": "classify", "verdict": verdict}, verdict["verdict"], 0
 

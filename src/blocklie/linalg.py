@@ -1,13 +1,14 @@
 """Sparse exact-rational matrices with rank and kernel.
 
-A matrix stores only its nonzero entries in a dict keyed by (row, col)
-with ``fractions.Fraction`` values (the constructor converts any other
-value, such as an int), and every result below is an exact statement,
-not an approximation.  A matrix built by ``from_sparse_rows`` holds the
-row dicts it was given instead, whose values may be ints, until
-``entries`` is first read; ``row_reduce`` reads only the rows and
-accepts int values.  Matrices are treated as immutable after
-construction; no operation mutates its operands.
+A matrix stores only its nonzero rows: a dict row -> {column -> nonzero
+value}, so a zero row takes no space.  The constructors store
+``fractions.Fraction`` values (converting any other value, such as an
+int), except ``from_sparse_rows``, which holds the caller's row dicts,
+int values allowed, so results computed from them may hold ints too.
+Every accessor returns Fractions, and ``entries`` is a (row, col) ->
+Fraction view built on each read.  Every result below is an exact
+statement, not an approximation.  Matrices are treated as immutable
+after construction; no operation mutates its operands.
 
 ``Echelon`` is the one elimination kernel over Q: a growing span of
 sparse rows, kept fully reduced on Python ints.  ``row_reduce``
@@ -64,50 +65,44 @@ from .rationals import ONE, ZERO, accumulate, check_keys, format_rational, parse
 
 
 class RationalMatrix:
-    """A rows x cols matrix over Q; ``entries`` maps (row, col) to each nonzero Fraction.
+    """A rows x cols matrix over Q, stored as a dict row -> {column -> nonzero value} of its nonzero rows.
 
-    A matrix built by ``from_sparse_rows`` holds the given row dicts, int
-    values allowed, until ``entries`` is first read and built from them;
-    until then ``sparse_rows`` returns those dicts.
+    Values are Fractions or ints: rows given to ``from_sparse_rows``, and
+    results computed from them, may hold ints.  Row dicts may be shared
+    between matrices, so none is changed once its matrix is made.
     """
 
-    __slots__ = ("rows", "cols", "_entries", "_row_dicts")
+    __slots__ = ("rows", "cols", "_by_row")
 
     def __init__(self, rows: int, cols: int, entries: dict[tuple[int, int], Fraction] | None = None):
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
         self.rows = rows
         self.cols = cols
-        self._entries: dict[tuple[int, int], Fraction] = {}
-        self._row_dicts = None
+        self._by_row: dict[int, dict[int, Fraction | int]] = {}
         if entries:
-            for key, v in entries.items():
-                r, c = key
+            for (r, c), v in entries.items():
                 if not (0 <= r < rows and 0 <= c < cols):
                     raise ValueError(f"entry ({r},{c}) out of bounds for {rows}x{cols}")
                 if type(v) is not Fraction:
                     v = Fraction(v)
                 if v:
-                    self._entries[key] = v
+                    self._by_row.setdefault(r, {})[c] = v
 
     @property
     def entries(self) -> dict[tuple[int, int], Fraction]:
-        if self._entries is None:
-            self._entries = {
-                (r, c): v if type(v) is Fraction else Fraction(v)
-                for r, row in enumerate(self._row_dicts)
-                for c, v in row.items()
-            }
-            self._row_dicts = None
-        return self._entries
+        """Each nonzero entry by (row, col), in a new dict on each read."""
+        return {
+            (r, c): v if type(v) is Fraction else Fraction(v) for r, row in self._by_row.items() for c, v in row.items()
+        }
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def _make(cls, rows: int, cols: int, entries: dict[tuple[int, int], Fraction]) -> "RationalMatrix":
-        """Wrap entries that are already valid: in bounds, nonzero Fractions."""
+    def _make(cls, rows: int, cols: int, by_row: dict[int, dict[int, Fraction | int]]) -> "RationalMatrix":
+        """Wrap rows that are already valid: nonempty, in bounds, nonzero values."""
         m = object.__new__(cls)
-        m.rows, m.cols, m._entries, m._row_dicts = rows, cols, entries, None
+        m.rows, m.cols, m._by_row = rows, cols, by_row
         return m
 
     @classmethod
@@ -116,78 +111,66 @@ class RationalMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
-        return cls(n, n, {(i, i): Fraction(1) for i in range(n)})
+        return cls._make(n, n, {i: {i: ONE} for i in range(n)})
 
     @classmethod
     def from_rows(cls, data: Sequence[Sequence[Fraction | int]]) -> "RationalMatrix":
-        rows = len(data)
-        cols = len(data[0]) if rows else 0
-        entries = {}
-        for r, row in enumerate(data):
-            if len(row) != cols:
-                raise ValueError("ragged row data")
-            for c, v in enumerate(row):
-                if v:
-                    entries[(r, c)] = Fraction(v)
-        return cls(rows, cols, entries)
+        cols = len(data[0]) if data else 0
+        if any(len(row) != cols for row in data):
+            raise ValueError("ragged row data")
+        return cls.from_sparse_rows([{c: Fraction(v) for c, v in enumerate(row) if v} for row in data], cols)
 
     @classmethod
     def from_sparse_rows(cls, rows: Sequence[dict[int, Fraction | int]], cols: int) -> "RationalMatrix":
         """The len(rows) x cols matrix whose row r has the entries rows[r] (column -> value).
 
-        The matrix holds the given dicts, not copies, so the caller must
-        not change them; a row holding a zero value is held as a copy
-        without it.  Raises ValueError for a column outside 0..cols-1.
+        The matrix holds the given nonempty dicts, not copies, so the
+        caller must not change them; a row holding a zero value is held
+        as a copy without it.  Raises ValueError for a column outside
+        0..cols-1.
         """
         if cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        held = []
+        held = {}
         for r, row in enumerate(rows):
             if row and (min(row) < 0 or max(row) >= cols):
                 c = next(c for c in row if not 0 <= c < cols)
                 raise ValueError(f"entry ({r},{c}) out of bounds for {len(rows)}x{cols}")
             if not all(row.values()):
                 row = {c: v for c, v in row.items() if v}
-            held.append(row)
-        m = object.__new__(cls)
-        m.rows, m.cols, m._entries, m._row_dicts = len(held), cols, None, held
-        return m
+            if row:
+                held[r] = row
+        return cls._make(len(rows), cols, held)
 
     # -- access ------------------------------------------------------------
 
     def entry(self, r: int, c: int) -> Fraction:
-        return self.entries.get((r, c), ZERO)
+        v = self._by_row.get(r, {}).get(c, ZERO)
+        return v if type(v) is Fraction else Fraction(v)
 
     def to_rows(self) -> list[list[Fraction]]:
-        out = [[ZERO] * self.cols for _ in range(self.rows)]
-        for (r, c), v in self.entries.items():
-            out[r][c] = v
-        return out
+        return [[self.entry(r, c) for c in range(self.cols)] for r in range(self.rows)]
 
-    def sparse_rows(self) -> list[dict[int, Fraction]]:
-        """Row r as a dict column -> nonzero value, for every r: the held row dicts while there are any."""
-        if self._row_dicts is not None:
-            return list(self._row_dicts)
-        rows: list[dict[int, Fraction]] = [{} for _ in range(self.rows)]
-        for (r, c), v in self.entries.items():
-            rows[r][c] = v
-        return rows
+    def sparse_rows(self) -> list[dict[int, Fraction | int]]:
+        """Row r as a dict column -> nonzero value, for every r: the held dicts, not to be changed."""
+        return [self._by_row.get(r, {}) for r in range(self.rows)]
 
     def column_vector(self, c: int) -> list[Fraction]:
         return [self.entry(r, c) for r in range(self.rows)]
 
     def is_zero(self) -> bool:
-        return not self.entries
+        return not self._by_row
 
     # -- arithmetic --------------------------------------------------------
 
-    def _require_same_shape(self, other: "RationalMatrix") -> None:
+    def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} vs {other.rows}x{other.cols}")
-
-    def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
-        self._require_same_shape(other)
-        return RationalMatrix._make(self.rows, self.cols, accumulate(dict(self.entries), other.entries.items()))
+        by_row = {r: dict(row) for r, row in self._by_row.items()}
+        for r, row in other._by_row.items():
+            if not accumulate(by_row.setdefault(r, {}), row.items()):
+                del by_row[r]
+        return RationalMatrix._make(self.rows, self.cols, by_row)
 
     def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
         return self + other.scale(Fraction(-1))
@@ -199,36 +182,41 @@ class RationalMatrix:
         factor = Fraction(factor)
         if factor == 0:
             return RationalMatrix(self.rows, self.cols)
-        return RationalMatrix._make(self.rows, self.cols, {k: v * factor for k, v in self.entries.items()})
+        return RationalMatrix._make(
+            self.rows, self.cols, {r: {c: v * factor for c, v in row.items()} for r, row in self._by_row.items()}
+        )
 
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        by_row: dict[int, dict[int, Fraction]] = {}
-        for (k, c), w in other.entries.items():
-            by_row.setdefault(k, {})[c] = w
-        acc: dict[int, dict[int, Fraction]] = {}
-        for (r, k), v in self.entries.items():
-            if k in by_row:
-                accumulate(acc.setdefault(r, {}), by_row[k].items(), v)
-        return RationalMatrix._make(self.rows, other.cols, {(r, c): s for r, row in acc.items() for c, s in row.items()})
+        right = other._by_row
+        by_row = {}
+        for r, row in self._by_row.items():
+            acc: dict[int, Fraction | int] = {}
+            for k, v in row.items():
+                if k in right:
+                    accumulate(acc, right[k].items(), v)
+            if acc:
+                by_row[r] = acc
+        return RationalMatrix._make(self.rows, other.cols, by_row)
 
     def apply(self, vector: Sequence[Fraction]) -> list[Fraction]:
         if len(vector) != self.cols:
             raise ValueError("vector length does not match column count")
         out = [ZERO] * self.rows
-        for (r, c), v in self.entries.items():
-            if vector[c]:
-                out[r] += v * vector[c]
+        for r, row in self._by_row.items():
+            for c, v in row.items():
+                if vector[c]:
+                    out[r] += v * vector[c]
         return out
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RationalMatrix):
             return NotImplemented
-        return (self.rows, self.cols, self.entries) == (other.rows, other.cols, other.entries)
+        return (self.rows, self.cols, self._by_row) == (other.rows, other.cols, other._by_row)
 
     def __repr__(self) -> str:
-        return f"RationalMatrix({self.rows}x{self.cols}, nnz={len(self.entries)})"
+        return f"RationalMatrix({self.rows}x{self.cols}, nnz={sum(map(len, self._by_row.values()))})"
 
     # -- serialization -----------------------------------------------------
 
@@ -455,7 +443,7 @@ def _reduction(reduced: list[tuple[int, dict[int, Fraction]]], rows: int, cols: 
     """Rref, pivots and free-variable kernel basis of a reduced row-echelon list of (pivot, row)."""
     pivots = [p for p, _ in reduced]
     pivot_set = set(pivots)
-    rref = RationalMatrix._make(rows, cols, {(r, c): v for r, (_, row) in enumerate(reduced) for c, v in row.items()})
+    rref = RationalMatrix._make(rows, cols, {r: row for r, (_, row) in enumerate(reduced)})
 
     kernel: list[list[Fraction]] = []
     for free in range(cols):
@@ -479,7 +467,7 @@ def row_reduce(m: RationalMatrix) -> RowReduction:
     that lift is proven, and otherwise eliminated over Q (see the module
     docstring); the result is identical to eliminating every row over Q.
     """
-    rows = sorted(m.sparse_rows(), key=len)
+    rows = sorted(m._by_row.values(), key=len)
     reduced = _lifted_rref(rows, m.cols)
     # the residues are released before the fallback runs
     return _reduction(_eliminate(rows) if reduced is None else reduced, m.rows, m.cols)
@@ -515,6 +503,7 @@ def eval_poly_matrix(coeffs: Sequence[Fraction], m: RationalMatrix) -> RationalM
     for c in reversed(list(coeffs)):
         acc = acc @ m
         if c:
-            c = Fraction(c)
-            accumulate(acc.entries, [((i, i), c) for i in range(m.rows)])
+            for i in range(m.rows):
+                if not accumulate(acc._by_row.setdefault(i, {}), ((i, c),)):
+                    del acc._by_row[i]
     return acc

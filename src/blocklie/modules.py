@@ -134,13 +134,8 @@ def check_module_axioms(
                 diff = diff - mod.act(z, k).scale(coeff)
             if central_coeff and mod.central_scalar:
                 diff = diff - RationalMatrix.identity(mod.dims[k]).scale(central_coeff * mod.central_scalar)
-            if mod.col_margins is not None:
-                margins = mod.col_margins[k]
-                kept = {
-                    (r, c): v for (r, c), v in diff.entries.items() if margins[c] >= margin_needed
-                }
-                diff = RationalMatrix(diff.rows, diff.cols, kept)
-            if not diff.is_zero():
+            margins = None if mod.col_margins is None else mod.col_margins[k]
+            if any(margins is None or margins[c] >= margin_needed for row in diff.sparse_rows() for c in row):
                 violations.append({"pair": [list(x), list(y)], "index": k})
     if not compared:
         raise ValueError(
@@ -534,11 +529,10 @@ def direct_sum(ma: WindowedModule, mb: WindowedModule) -> WindowedModule:
     if ma.col_margins is not None or mb.col_margins is not None:
         raise ValueError("direct sum expects exact (unmasked) windows")
 
-    def entries(g: BasisKey, k: int) -> dict[tuple[int, int], Fraction]:
-        out = dict(ma.act(g, k).entries)
-        for (r, c), v in mb.act(g, k).entries.items():
-            out[(r + ma.dims[k + g.alpha], c + ma.dims[k])] = v
-        return out
+    def entries(g: BasisKey, k: int) -> RationalMatrix:
+        a, b = ma.act(g, k), mb.act(g, k)
+        shifted = [{c + a.cols: v for c, v in row.items()} for row in b.sparse_rows()]
+        return RationalMatrix.from_sparse_rows(a.sparse_rows() + shifted, a.cols + b.cols)
 
     dims = {k: ma.dims[k] + mb.dims[k] for k in ma.indices()}
     shared = sorted(set(ma.generators) & set(mb.generators))
@@ -613,19 +607,16 @@ def core_spanning_check(mod: WindowedModule) -> bool:
     for k in mod.indices():
         if -2 <= k <= 2 or mod.dims[k] == 0:
             continue
-        columns: list[list[Fraction]] = []
+        # the images side by side: row r of V_k across the columns of every source
+        rows: list[dict[int, Fraction]] = [{} for _ in range(mod.dims[k])]
+        cols = 0
         for i in range(-2, 3):
             g = BasisKey(k - i, 0)
-            if not mod.has_generator(g):
-                continue
-            mat = mod.act(g, i)
-            if mat is None:
-                continue
-            for c in range(mat.cols):
-                columns.append(mat.column_vector(c))
-        if not columns:
-            return False
-        rows = [{c: col[r] for c, col in enumerate(columns) if col[r]} for r in range(mod.dims[k])]
-        if row_reduce(RationalMatrix.from_sparse_rows(rows, len(columns))).rank != mod.dims[k]:
+            mat = mod.act(g, i) if mod.has_generator(g) else None
+            if mat is not None:
+                for row, image in zip(rows, mat.sparse_rows()):
+                    row.update((cols + c, v) for c, v in image.items())
+                cols += mat.cols
+        if not cols or row_reduce(RationalMatrix.from_sparse_rows(rows, cols)).rank != mod.dims[k]:
             return False
     return True

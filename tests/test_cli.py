@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from blocklie import algebra, cli, verma
+from blocklie import algebra, cli, verma, windows
 from blocklie.cli import main
 from blocklie.modules import IntermediateSpec, build_window, extend_trivially
 
@@ -214,6 +215,37 @@ def test_classify_reports_malformed_file(tmp_path, capsys):
     code, _, err = run(capsys, "classify", "--module-file", str(path))
     assert code == 2
     assert "offset" in err
+
+
+def _window_file(tmp_path, lo, hi, dims):
+    path = tmp_path / "window.json"
+    doc = {"variant": "Vir", "offset": "0", "range": [lo, hi], "dims": dims, "generators": [], "actions": []}
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "lo, hi, dims, message",
+    [
+        # a weight space one above the cap: classify spanned it in quadratic time and memory
+        # (dimension 3,000 took 9 s and 579 MB), so a missing cap fails here in about a second
+        (0, 1, {"0": 1001, "1": 0}, "weight space 0 of dimension 1001 exceeds the cap of 1000"),
+        (-3, 2, {str(k): 1 if k else 1001 for k in range(-3, 3)}, "weight space 0 of dimension 1001 exceeds the cap of 1000"),
+        (0, 500, {str(k): 0 for k in range(501)}, "range '0:500' of 501 indices exceeds the cap of 500 indices"),
+    ],
+    ids=["space", "inner-space", "range"],
+)
+def test_classify_refuses_an_oversize_module_file(tmp_path, capsys, lo, hi, dims, message):
+    code, out, err = run(capsys, "classify", "--module-file", _window_file(tmp_path, lo, hi, dims))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("lo, hi, dims, code", [(0, 1, [3, 0], 0), (0, 1, [0, 4], 2), (0, 2, [0, 0, 0], 2)])
+def test_classify_caps_are_exact(tmp_path, capsys, monkeypatch, lo, hi, dims, code):
+    monkeypatch.setattr(cli, "VERMA_SPACE_CAP", 3)
+    monkeypatch.setattr(cli, "RANGE_WIDTH_CAP", 2)
+    path = _window_file(tmp_path, lo, hi, {str(k): d for k, d in zip(range(lo, hi + 1), dims)})
+    assert run(capsys, "classify", "--module-file", path)[0] == code
 
 
 def _break_actions(data):
@@ -594,6 +626,52 @@ def test_module_matrix_cap_counts_exactly(capsys, monkeypatch, argv, count):
     code, out, err = run(capsys, "module", "--a", "1/2", "--b", "2", *argv)
     assert code == 2 and out == ""
     assert err.startswith("error: module ") and err.endswith(f" stores {count} matrices and unknowns, above the cap of {count - 1}\n")
+
+
+def _module_cap_count(action, lo, hi, level_cap):
+    """The count ``_check_module_size`` holds against the cap, read from its refusal at cap 0."""
+    with pytest.MonkeyPatch.context() as patch, pytest.raises(cli.UsageError) as refusal:
+        patch.setattr(cli, "MODULE_MATRIX_CAP", 0)
+        cli._check_module_size(action, lo, hi, level_cap)
+    return int(re.search(r" stores (\d+) matrices and unknowns", str(refusal.value)).group(1))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--a", "1/2", "--b", "2", "--range", "-4:4", "--level-cap", "0", "check"),
+        ("--a", "0", "--b", "1", "--range", "-3:5", "--level-cap", "2", "--pair-degree", "8", "check"),
+        ("--a", "1/2", "--b", "2", "--range", "-4:4", "--level-cap", "1", "classify"),
+        ("--a", "0", "--b", "0", "--range", "-2:3", "--level-cap", "3", "classify"),
+        ("--a", "1/2", "--b", "1", "--to-b", "0", "--range", "-4:4", "intertwiner"),
+        ("--a", "1/2", "--b", "2", "--range", "-4:4", "--level-cap", "1", "extension"),
+        ("--a", "2", "--b", "0", "--range", "-3:3", "--level-cap", "3", "extension"),
+        ("--a", "1/2", "--b", "2", "--range", "-8:8", "spanning"),
+        ("--a", "0", "--b", "1", "--range", "-4:4", "irreducible"),
+    ],
+    ids=["check", "check-level-2", "classify", "classify-level-3", "intertwiner", "extension", "extension-level-3",
+         "spanning", "irreducible"],
+)
+def test_module_cap_bounds_what_the_job_stores(capsys, monkeypatch, argv):
+    # every window the job makes, read after it ends: the matrices it stores, plus extension's unknowns
+    made = []
+    init = windows.WindowedModule.__init__
+
+    def record(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(windows.WindowedModule, "__init__", record)
+        code, out, err = run(capsys, "module", *argv, "--format", "json")
+    assert code in (0, 1), err
+    report = json.loads(out)
+    unknowns = report["grid"][0]["unknowns"] if argv[-1] == "extension" else 0
+    stored = sum(len(window._actions) for window in made)
+    lo, hi = map(int, argv[argv.index("--range") + 1].split(":"))
+    level_cap = int(argv[argv.index("--level-cap") + 1]) if "--level-cap" in argv else 2
+    assert made and stored > 0
+    assert stored + unknowns <= _module_cap_count(argv[-1], lo, hi, level_cap)
 
 
 def test_bracket_operand_variant_must_match_the_flag(capsys):

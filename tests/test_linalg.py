@@ -2,6 +2,7 @@
 
 import functools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -128,17 +129,44 @@ def test_from_sparse_rows_equals_the_dict_built_matrix(first_read):
     assert rows == before
 
 
-def test_from_sparse_rows_holds_the_given_dicts_until_entries_is_read():
+def test_from_sparse_rows_holds_the_given_dicts_and_entries_is_a_fresh_view():
     rows = [{0: 2, 1: Fraction(1, 2)}, {}, {0: 0, 1: 3}]
     m = RationalMatrix.from_sparse_rows(rows, 2)
     held = m.sparse_rows()
-    assert held[0] is rows[0] and held[1] is rows[1]
+    assert held[0] is rows[0] and held[1] == {}
     # a row holding a zero is held as a copy without it
     assert held[2] == {1: 3} and held[2] is not rows[2]
     assert row_reduce(m).rank == 2
-    assert all(a is b for a, b in zip(m.sparse_rows(), held))
+    view = m.entries
+    assert view == {(0, 0): 2, (0, 1): Fraction(1, 2), (2, 1): 3}
+    # the held rows stay held after entries is read
+    assert all(a is b for a, b in zip(m.sparse_rows(), held) if b)
+    # every reader gives Fractions, though the held rows keep their ints
+    assert _entries_are_nonzero_fractions(m) and type(m.entry(0, 0)) is Fraction
+    assert all(type(v) is Fraction for v in m.column_vector(0) + [v for row in m.to_rows() for v in row])
+    assert type(rows[0][0]) is int
+    # each read is a new dict, and changing it changes nothing
+    assert m.entries is not view
+    view[(1, 1)] = Fraction(5)
+    del view[(0, 0)]
     assert m.entries == {(0, 0): 2, (0, 1): Fraction(1, 2), (2, 1): 3}
-    assert all(a is not b for a, b in zip(m.sparse_rows(), held))
+    assert m.entry(1, 1) == 0 and m.entry(0, 0) == 2 and rows[0] == {0: 2, 1: Fraction(1, 2)}
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: RationalMatrix(10**6, 1), lambda: RationalMatrix.from_json({"rows": 10**6, "cols": 1, "entries": {}})],
+    ids=["constructor", "from_json"],
+)
+def test_zero_rows_take_no_space(build):
+    tracemalloc.start()
+    try:
+        m = build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert m.is_zero() and (m.rows, m.cols) == (10**6, 1)
+    assert peak < 1 << 20
 
 
 def test_char_poly_cayley_hamilton():

@@ -1,11 +1,17 @@
-"""Fuzz: ``classify --module-file`` refuses a mutated module document with exit 2, never a traceback.
+"""Fuzz: ``classify --module-file`` on a mutated module document exits 0 or 2, never with a traceback.
 
-Each example takes the ``to_json`` document of a built window and makes
-one mutation that ``WindowedModule.from_json`` must refuse: a value of
-the wrong JSON type (floats, bools and numeric strings where an integer
-is read; floats and bools where a rational is read; a container of the
-other kind), a required key or list element removed, or an unknown key
-added to an object.
+Each example of the first fuzz takes the ``to_json`` document of a built
+window and makes one mutation that ``WindowedModule.from_json`` must
+refuse: a value of the wrong JSON type (floats, bools and numeric
+strings where an integer is read; floats and bools where a rational is
+read; a container of the other kind), a required key or list element
+removed, or an unknown key added to an object.  The second fuzz changes
+one value within its type (a range bound, a weight-space dimension, a
+matrix shape, a column-margin list length or an action source), which
+from_json or a size cap may refuse, or which may still classify.
+
+Each example writes a new file: truncating the same file again can cost
+tens of milliseconds, more than the example itself.
 """
 
 import copy
@@ -13,6 +19,7 @@ import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -20,6 +27,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from blocklie import cli  # noqa: E402
 from blocklie.cli import main  # noqa: E402
 from blocklie.modules import IntermediateSpec, build_window  # noqa: E402
 
@@ -112,22 +120,68 @@ def _mutations(draw):
     return doc, f"{path} with extra {key!r}"
 
 
-def test_the_unmutated_document_is_accepted(tmp_path, capsys):
-    path = tmp_path / "module.json"
-    path.write_text(json.dumps(DOCUMENT))
-    assert main(["classify", "--module-file", str(path)]) == 0
-    assert capsys.readouterr().out == "intermediate-series\n"
+# the value fuzz lowers classify's weight-space cap to SPACE_CAP, so that every
+# window it accepts classifies in milliseconds (tests/test_cli.py holds the real cap)
+SPACE_CAP = 6
+# DOCUMENT with column margins, and a window whose one generator acts at no index, so
+# that its weight spaces take any size
+MARGINED = dict(DOCUMENT, col_margins={k: [1] * d for k, d in DOCUMENT["dims"].items()})
+OPEN = {
+    "variant": "Vir", "offset": "1/2", "range": [0, 1], "central": "0", "dims": {"0": 1, "1": 1},
+    "generators": [{"alpha": 3, "level": 0}], "actions": [],
+}
+_ints = st.integers(-3, 2 * SPACE_CAP + 2) | st.integers(-(10**12), 10**12)
+
+
+@st.composite
+def _value_mutations(draw):
+    doc = copy.deepcopy(draw(st.sampled_from([MARGINED, OPEN])))
+    kind = draw(st.sampled_from(["range", "dims"] + (["rows", "cols", "margins", "source"] if doc["actions"] else [])))
+    if kind == "range":
+        doc["range"][draw(st.integers(0, 1))] = value = draw(_ints)
+    elif kind == "dims":
+        doc["dims"][draw(st.sampled_from(sorted(doc["dims"])))] = value = draw(_ints)
+    elif kind == "margins":
+        doc["col_margins"][draw(st.sampled_from(sorted(doc["col_margins"])))] = value = [1] * draw(st.integers(0, 3))
+    else:
+        action = draw(st.sampled_from(doc["actions"]))
+        target = action if kind == "source" else action["matrix"]
+        target[kind] = value = draw(_ints)
+    return doc, f"{kind} -> {value!r}"
+
+
+def _classify(tmp_path_factory, doc) -> tuple[int, str, str]:
+    path = tmp_path_factory.mktemp("mutated") / "module.json"
+    path.write_text(json.dumps(doc))
+    with redirect_stdout(io.StringIO()) as stdout, redirect_stderr(io.StringIO()) as stderr:
+        code = main(["classify", "--module-file", str(path)])
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+def test_the_unmutated_document_is_accepted(tmp_path_factory):
+    for doc in (DOCUMENT, MARGINED):
+        assert _classify(tmp_path_factory, doc) == (0, "intermediate-series\n", "")
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(_mutations())
 def test_mutated_module_documents_exit_2_with_an_error_line(tmp_path_factory, mutation):
     doc, what = mutation
-    path = tmp_path_factory.getbasetemp() / "mutated-module.json"
-    path.write_text(json.dumps(doc))
-    with redirect_stdout(io.StringIO()) as stdout, redirect_stderr(io.StringIO()) as stderr:
-        code = main(["classify", "--module-file", str(path)])
-    out, err = stdout.getvalue(), stderr.getvalue()
+    code, out, err = _classify(tmp_path_factory, doc)
     assert code == 2, what
     assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (what, err)
     assert "Traceback" not in err
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(_value_mutations())
+def test_value_mutations_exit_0_or_2_with_at_most_an_error_line(tmp_path_factory, mutation):
+    doc, what = mutation
+    with mock.patch.object(cli, "VERMA_SPACE_CAP", SPACE_CAP):
+        code, out, err = _classify(tmp_path_factory, doc)
+    assert code in (0, 2), what
+    if code == 2:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (what, err)
+    else:
+        assert err == "" and out.count("\n") == 1, (what, out, err)
+    assert "Traceback" not in out + err
