@@ -454,7 +454,6 @@ def verify_algebra_axioms(
     variant: AlgebraVariant,
     degree_bound: int,
     level_cap: int = 0,
-    bracket_fn=None,
 ) -> list[dict]:
     """Exhaustive antisymmetry and Jacobi sweep over a basis window.
 
@@ -464,8 +463,6 @@ def verify_algebra_axioms(
     no check.  Returns a list of violation records, antisymmetry pairs
     (x <= y) before Jacobi triples (x <= y <= z), each in window order;
     empty means the window passed; an empty window raises ValueError.
-    ``bracket_fn`` exists so tests can inject corrupted structure
-    constants.
 
     Keys are integer codes: the window keys are 0..n-1, each further key
     gets the next free code when a bracket first produces it, and the
@@ -474,12 +471,11 @@ def verify_algebra_axioms(
     codes produced by a bracket of two window keys.  An entry is a tuple
     of (code, coefficient) pairs with zeros dropped, and each row ends
     with the empty entry [keys[u], C] = 0, which index -1 reads.  Every
-    (u, w) is bracketed through ``bracket_fn`` exactly once.  A Jacobi
+    (u, w) is bracketed through ``bracket_terms`` exactly once.  A Jacobi
     term [x, [y, z]] reads [y, z] from row y, window column z, and the
     outer brackets from row x; codes are decoded to keys only for a
     violation's residual.
     """
-    fn = bracket_fn or bracket_terms
     keys = window_keys(variant, degree_bound, level_cap)
     if not keys:
         raise ValueError(f"empty axiom window for {variant} at degree {degree_bound}, level {level_cap}")
@@ -488,7 +484,7 @@ def verify_algebra_axioms(
     code = {k: u for u, k in enumerate(keys)}
 
     def encode(x: BasisKey, w: BasisKey) -> tuple:
-        terms, c = fn(variant, x, w)
+        terms, c = bracket_terms(variant, x, w)
         entry = []
         for key, v in terms.items():
             if v:

@@ -5,10 +5,11 @@ value}, so a zero row takes no space.  The constructors store
 ``fractions.Fraction`` values (converting any other value, such as an
 int), except ``from_sparse_rows``, which holds the caller's row dicts,
 int values allowed, so results computed from them may hold ints too.
-Every accessor returns Fractions, and ``entries`` is a (row, col) ->
-Fraction view built on each read.  Every result below is an exact
-statement, not an approximation.  Matrices are treated as immutable
-after construction; no operation mutates its operands.
+``entry``, ``to_rows`` and ``entries`` return Fractions; ``entries``
+is a (row, col) -> Fraction view built on each read.  Every result
+below is an exact statement, not an approximation.  Matrices are
+treated as immutable after construction; no operation mutates its
+operands.
 
 ``Echelon`` is the one elimination kernel over Q: a growing span of
 sparse rows, kept fully reduced on Python ints.  ``row_reduce``
@@ -27,11 +28,13 @@ changes no result: the reduced row-echelon form is unique, so its
 rref, pivots and kernel are the same for every order,
 and so is the rref mod p below.
 
+Vectors are sparse, as in ``rationals``: dicts index -> nonzero value.
 Row reduction returns the reduced row-echelon form together with the
 rank and a basis of the right kernel.  The kernel basis follows the
 standard free-variable construction: for each non-pivot column f the
-basis vector has a 1 in slot f and minus the rref entries in the pivot
-slots, so e.g. rref [[1, 2]] yields the kernel vector (-2, 1).
+basis vector is 1 at f and minus the rref entry of column f at the
+pivot of each rref row that holds one, so e.g. rref [[1, 2]] yields
+the kernel vector {0: -2, 1: 1}.
 
 ``row_reduce`` first computes the rref modulo the prime p = 2^30 - 35
 and uses it only where it is a proof, so every result is still exact
@@ -155,8 +158,9 @@ class RationalMatrix:
         """Row r as a dict column -> nonzero value, for every r: the held dicts, not to be changed."""
         return [self._by_row.get(r, {}) for r in range(self.rows)]
 
-    def column_vector(self, c: int) -> list[Fraction]:
-        return [self.entry(r, c) for r in range(self.rows)]
+    def column(self, c: int) -> dict[int, Fraction | int]:
+        """Column c as a sparse vector row -> nonzero value."""
+        return {r: row[c] for r, row in self._by_row.items() if c in row}
 
     def is_zero(self) -> bool:
         return not self._by_row
@@ -200,14 +204,14 @@ class RationalMatrix:
                 by_row[r] = acc
         return RationalMatrix._make(self.rows, other.cols, by_row)
 
-    def apply(self, vector: Sequence[Fraction]) -> list[Fraction]:
-        if len(vector) != self.cols:
-            raise ValueError("vector length does not match column count")
-        out = [ZERO] * self.rows
+    def apply(self, vector: dict[int, Fraction | int]) -> dict[int, Fraction | int]:
+        """The sparse vector m @ vector; an index of ``vector`` outside 0..cols-1 raises ValueError."""
+        if vector and (min(vector) < 0 or max(vector) >= self.cols):
+            raise ValueError(f"vector index outside 0..{self.cols - 1}")
+        out = {}
         for r, row in self._by_row.items():
-            for c, v in row.items():
-                if vector[c]:
-                    out[r] += v * vector[c]
+            if value := sum(v * vector[c] for c, v in row.items() if c in vector):
+                out[r] = value
         return out
 
     def __eq__(self, other: object) -> bool:
@@ -247,7 +251,7 @@ class RowReduction(NamedTuple):
     rref: RationalMatrix
     rank: int
     pivots: list[int]
-    kernel: list[list[Fraction]]
+    kernel: list[dict[int, Fraction]]
 
 
 class Echelon(dict):
@@ -442,21 +446,16 @@ def _lifted_rref(rows: list[dict[int, Fraction]], cols: int) -> Optional[list[tu
 def _reduction(reduced: list[tuple[int, dict[int, Fraction]]], rows: int, cols: int) -> RowReduction:
     """Rref, pivots and free-variable kernel basis of a reduced row-echelon list of (pivot, row)."""
     pivots = [p for p, _ in reduced]
-    pivot_set = set(pivots)
     rref = RationalMatrix._make(rows, cols, {r: row for r, (_, row) in enumerate(reduced)})
-
-    kernel: list[list[Fraction]] = []
-    for free in range(cols):
-        if free in pivot_set:
-            continue
-        vec = [ZERO] * cols
-        vec[free] = ONE
-        for pivot, row in reduced:
-            coeff = row.get(free)
-            if coeff:
-                vec[pivot] = -coeff
-        kernel.append(vec)
-    return RowReduction(rref=rref, rank=len(pivots), pivots=pivots, kernel=kernel)
+    kernel = {f: {f: ONE} for f in range(cols)}
+    for pivot in pivots:
+        del kernel[pivot]
+    # every other column a reduced row holds is free
+    for pivot, row in reduced:
+        for free, coeff in row.items():
+            if free != pivot:
+                kernel[free][pivot] = -coeff
+    return RowReduction(rref=rref, rank=len(pivots), pivots=pivots, kernel=list(kernel.values()))
 
 
 def row_reduce(m: RationalMatrix) -> RowReduction:

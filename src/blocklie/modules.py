@@ -178,10 +178,10 @@ def unknown_columns(shapes: dict) -> dict[tuple, int]:
     return {cell: column for column, cell in enumerate(cells)}
 
 
-def decode_unknowns(shapes: dict, index: dict[tuple, int], vec: Sequence[Fraction]) -> dict:
-    """The matrix of each block that the solution vector ``vec`` assigns, laid out by ``unknown_columns``."""
+def decode_unknowns(shapes: dict, index: dict[tuple, int], vec: dict[int, Fraction]) -> dict:
+    """The matrix of each block that the sparse solution vector ``vec`` assigns, laid out by ``unknown_columns``."""
     return {
-        block: RationalMatrix(rows, cols, {(r, c): vec[index[(block, r, c)]] for r in range(rows) for c in range(cols)})
+        block: RationalMatrix(rows, cols, {(r, c): vec.get(index[(block, r, c)], ZERO) for r in range(rows) for c in range(cols)})
         for block, (rows, cols) in shapes.items()
     }
 
@@ -297,7 +297,10 @@ def extension_space(vir_mod: WindowedModule, level_cap: int) -> ExtensionReport:
     for m in range(kdim):
         mono_index[("s", m)] = len(mono_index)
     z = [[mono_index[("z", min(m, l), max(m, l))] for l in range(kdim)] for m in range(kdim)]
-    forms = [[(m, x) for m, x in enumerate(column) if x] for column in zip(*kernel)]
+    forms: list[list[tuple[int, Fraction]]] = [[] for _ in range(n_unknowns)]
+    for m, vec in enumerate(kernel):
+        for column, x in vec.items():
+            forms[column].append((m, x))
 
     def form(block: tuple, u: int, v: int) -> list[tuple[int, Fraction]]:
         return forms[index[(block, u, v)]]
@@ -335,7 +338,7 @@ def extension_space(vir_mod: WindowedModule, level_cap: int) -> ExtensionReport:
     # dies whenever the monomial kernel forces either s_m or its square z_mm
     # to zero, so the variety is {0} once every coordinate is dead
     def forced_zero(position: int) -> bool:
-        return all(vec[position] == 0 for vec in qreduction.kernel)
+        return all(position not in vec for vec in qreduction.kernel)
 
     all_dead = all(
         forced_zero(mono_index[("s", m)]) or forced_zero(mono_index[("z", m, m)])
@@ -347,39 +350,37 @@ def extension_space(vir_mod: WindowedModule, level_cap: int) -> ExtensionReport:
     return ExtensionReport(kdim, True, n_equations, n_unknowns, linear_kernel=kdim, quadratic_decided=False)
 
 
-def submodule_closure(mod: WindowedModule, seeds: dict[int, list[Sequence[Fraction]]]) -> dict[int, int]:
+def submodule_closure(mod: WindowedModule, seeds: dict[int, list[dict[int, Fraction | int]]]) -> dict[int, int]:
     """Dimensions of the subspace generated from seed vectors under the window's actions.
 
-    Applies generators breadth first until the spans stabilize or all
-    are full; growth is monotone.  A target whose span is already the
-    whole weight space contains every image, so it is skipped.
+    Each seed is a sparse vector (coordinate -> Fraction or int) in the
+    weight space of its index; an index outside the window, or a
+    coordinate outside its weight space, raises ValueError.  Applies
+    generators breadth first until the spans stabilize or all are full;
+    growth is monotone.  A target whose span is already the whole
+    weight space contains every image, so it is skipped.
     """
     spans = {k: Echelon() for k in mod.indices()}
-
-    def insert(k: int, dense: Sequence[Fraction]) -> bool:
-        return spans[k].insert(dict(enumerate(dense)))
-
-    frontier: list[tuple[int, list[Fraction]]] = []
+    frontier: list[tuple[int, dict[int, Fraction | int]]] = []
     for k, vectors in seeds.items():
         if not mod.in_range(k):
             raise ValueError(f"seed index {k} outside window")
         for vec in vectors:
-            dense = [Fraction(v) for v in vec]
-            if len(dense) != mod.dims[k]:
-                raise ValueError("seed vector length does not match weight-space dimension")
-            if insert(k, dense):
-                frontier.append((k, dense))
+            if vec and (min(vec) < 0 or max(vec) >= mod.dims[k]):
+                raise ValueError(f"seed coordinate outside the {mod.dims[k]}-dimensional weight space {k}")
+            if spans[k].insert(vec):
+                frontier.append((k, vec))
 
     unfilled = mod.total_dim() - len(frontier)
-    for k, dense in frontier:  # the frontier grows while it is read
+    for k, vec in frontier:  # the frontier grows while it is read
         for g in mod.generators:
             if not unfilled:
                 break
             t = k + g.alpha
             if not mod.in_range(t) or len(spans[t]) == mod.dims[t]:
                 continue
-            image = mod.act(g, k).apply(dense)
-            if any(image) and insert(t, image):
+            image = mod.act(g, k).apply(vec)
+            if image and spans[t].insert(image):
                 frontier.append((t, image))
                 unfilled -= 1
     return {k: len(spans[k]) for k in mod.indices()}
@@ -405,7 +406,7 @@ def irreducible_verdict(spec: IntermediateSpec, lo: int, hi: int) -> dict:
     full = {k: 1 for k in mod.indices()}
     bruteforce = True
     for k0 in mod.indices():
-        closure = submodule_closure(mod, {k0: [[Fraction(1)]]})
+        closure = submodule_closure(mod, {k0: [{0: 1}]})
         if closure != full:
             bruteforce = False
             break
@@ -456,11 +457,9 @@ def find_intertwiner(ma: WindowedModule, mb: WindowedModule) -> Optional[dict[in
 
     candidates = list(kernel)
     for weight_power in (0, 1, 2, 3):
-        combo = [ZERO] * len(index)
+        combo: dict[int, Fraction] = {}
         for j, vec in enumerate(kernel, start=1):
-            w = Fraction(j**weight_power)
-            for i, v in enumerate(vec):
-                combo[i] += w * v
+            accumulate(combo, vec.items(), j**weight_power)
         candidates.append(combo)
     for vec in candidates:
         blocks = decode_unknowns(shapes, index, vec)
@@ -507,10 +506,10 @@ def tensor(ma: WindowedModule, mb: WindowedModule) -> WindowedModule:
         out: dict[tuple[int, int], Fraction] = {}
         for col, (p, ia, q, ib) in enumerate(pairs[k]):
             if ma.in_range(p + d):
-                image = enumerate(ma.act(g, p).column_vector(ia))
+                image = ma.act(g, p).column(ia).items()
                 accumulate(out, (((position[(p + d, r, q, ib)], col), v) for r, v in image))
             if mb.in_range(q + d):
-                image = enumerate(mb.act(g, q).column_vector(ib))
+                image = mb.act(g, q).column(ib).items()
                 accumulate(out, (((position[(p, ia, q + d, r)], col), v) for r, v in image))
         return out
 
@@ -584,8 +583,7 @@ def classify_window(mod: WindowedModule) -> dict:
 
     def generates(k: int) -> bool:
         # does the whole weight space V_k generate the window?
-        basis = [[Fraction(1) if i == j else ZERO for i in range(dims[k])] for j in range(dims[k])]
-        return submodule_closure(mod, {k: basis}) == dims
+        return submodule_closure(mod, {k: [{i: 1} for i in range(dims[k])]}) == dims
 
     k_top, k_bot = max(nonzero), min(nonzero)
     if k_top < mod.hi and generates(k_top):

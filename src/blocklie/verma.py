@@ -305,7 +305,7 @@ def singular_vectors(lam: WeightFunctional, n: int, depth: int) -> list[dict[Mon
 
     vectors = []
     for vec in kernel:
-        v = {basis[i]: c for i, c in enumerate(vec) if c}
+        v = {basis[i]: c for i, c in vec.items()}
         common = lcm(*[c.denominator for c in v.values()])
         scaled = {w: c.numerator * (common // c.denominator) for w, c in v.items()}
         for alpha in range(1, depth + 1):

@@ -179,7 +179,7 @@ def test_axiom_sweeps_clean():
     assert verify_algebra_axioms(W_INF, 3, 3) == []
 
 
-def test_axiom_sweep_detects_corruption():
+def test_axiom_sweep_detects_corruption(monkeypatch):
     def corrupted(variant, x, y):
         terms, c = bracket_terms(variant, x, y)
         if x == BasisKey(1, 0) and y == BasisKey(2, 0):
@@ -187,13 +187,14 @@ def test_axiom_sweep_detects_corruption():
         return terms, c
 
     # the exact residuals are frozen so the reported witness cannot drift
-    assert verify_algebra_axioms(BLOCK_B, 2, 1, bracket_fn=corrupted) == [
+    monkeypatch.setattr(algebra, "bracket_terms", corrupted)
+    assert verify_algebra_axioms(BLOCK_B, 2, 1) == [
         {"check": "antisymmetry", "pair": [[1, 0], [2, 0]], "residual": "C"},
         {"check": "jacobi", "triple": [[0, 0], [1, 0], [2, 0]], "residual": "-2*C"},
     ]
 
 
-def test_axiom_sweep_accepts_fraction_structure_constants():
+def test_axiom_sweep_accepts_fraction_structure_constants(monkeypatch):
     def corrupted(variant, x, y):
         terms, c = bracket_terms(variant, x, y)
         if x == BasisKey(1, 1) and y == BasisKey(-1, 0):
@@ -202,7 +203,8 @@ def test_axiom_sweep_accepts_fraction_structure_constants():
             c = c + Fraction(-1, 2)
         return terms, c
 
-    violations = verify_algebra_axioms(quotient(0, 2), 1, 2, bracket_fn=corrupted)
+    monkeypatch.setattr(algebra, "bracket_terms", corrupted)
+    violations = verify_algebra_axioms(quotient(0, 2), 1, 2)
     assert [(v["check"], v["residual"]) for v in violations] == [
         ("antisymmetry", "1/3*L_{0,1} - 1/2*C"),
         ("jacobi", "2/3*L_{-1,1}"),
@@ -311,12 +313,13 @@ def _corrupted(kind: str, keys, rng: random.Random):
     "name, degree, level",
     [("Vir", 6, 0), ("B", 3, 2), ("Bbar", 2, 2), ("W1inf", 2, 2), ("Winf", 2, 3), ("Q:0:2", 3, 2), ("Q:1:3", 2, 3)],
 )
-def test_axiom_sweep_matches_reference_under_corruption(name, degree, level, kind):
+def test_axiom_sweep_matches_reference_under_corruption(monkeypatch, name, degree, level, kind):
     variant = parse_variant(name)
     rng = random.Random(f"sweep:{name}:{kind}")
     fn = _corrupted(kind, window_keys(variant, degree, level), rng)
     expected = _reference_sweep(variant, degree, level, bracket_fn=fn)
-    assert verify_algebra_axioms(variant, degree, level, bracket_fn=fn) == expected
+    monkeypatch.setattr(algebra, "bracket_terms", fn)
+    assert verify_algebra_axioms(variant, degree, level) == expected
     if kind == "zero":
         assert expected == []
     else:
@@ -332,7 +335,7 @@ _IMAGE_WINDOWS = [("Vir", 5, 0), ("B", 3, 2), ("Bbar", 2, 2), ("W1inf", 2, 2), (
 
 
 @pytest.mark.parametrize("name, degree, level", _IMAGE_WINDOWS)
-def test_axiom_sweep_matches_reference_on_shifted_degrees(name, degree, level):
+def test_axiom_sweep_matches_reference_on_shifted_degrees(monkeypatch, name, degree, level):
     # a term at degree a+b+1 is no image of the true bracket, and its outer
     # brackets produce keys that first appear while the table's rows are built
     variant = parse_variant(name)
@@ -348,12 +351,13 @@ def test_axiom_sweep_matches_reference_on_shifted_degrees(name, degree, level):
         return terms, c
 
     expected = _reference_sweep(variant, degree, level, bracket_fn=fn)
-    assert verify_algebra_axioms(variant, degree, level, bracket_fn=fn) == expected
+    monkeypatch.setattr(algebra, "bracket_terms", fn)
+    assert verify_algebra_axioms(variant, degree, level) == expected
     assert {v["check"] for v in expected} == {"antisymmetry", "jacobi"}
 
 
 @pytest.mark.parametrize("name, degree, level", _IMAGE_WINDOWS)
-def test_axiom_sweep_matches_reference_on_image_central_terms(name, degree, level):
+def test_axiom_sweep_matches_reference_on_image_central_terms(monkeypatch, name, degree, level):
     # only brackets [x, w] with w outside the window change, and only in C,
     # so antisymmetry cannot see it and Jacobi must read the table's image columns
     variant = parse_variant(name)
@@ -366,12 +370,13 @@ def test_axiom_sweep_matches_reference_on_image_central_terms(name, degree, leve
         return terms, c + 1 if (x, y) in hit else c
 
     expected = _reference_sweep(variant, degree, level, bracket_fn=fn)
-    assert verify_algebra_axioms(variant, degree, level, bracket_fn=fn) == expected
+    monkeypatch.setattr(algebra, "bracket_terms", fn)
+    assert verify_algebra_axioms(variant, degree, level) == expected
     assert {v["check"] for v in expected} == {"jacobi"}
 
 
 @pytest.mark.parametrize("name, degree, level", _IMAGE_WINDOWS)
-def test_axiom_sweep_brackets_each_pair_once(name, degree, level):
+def test_axiom_sweep_brackets_each_pair_once(monkeypatch, name, degree, level):
     variant = parse_variant(name)
     seen = set()
 
@@ -380,7 +385,8 @@ def test_axiom_sweep_brackets_each_pair_once(name, degree, level):
         seen.add((x, y))
         return bracket_terms(variant, x, y)
 
-    assert verify_algebra_axioms(variant, degree, level, bracket_fn=counting) == _reference_sweep(variant, degree, level)
+    monkeypatch.setattr(algebra, "bracket_terms", counting)
+    assert verify_algebra_axioms(variant, degree, level) == _reference_sweep(variant, degree, level)
     keys = window_keys(variant, degree, level)
     # one row per window key, one column per window key and per image key
     assert seen == {(x, w) for x in keys for w in keys + _image_keys(variant, keys)}

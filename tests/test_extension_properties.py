@@ -91,7 +91,8 @@ def _decoded_quadratic_stage(vir_mod, level_cap, kernel, n_equations, n_unknowns
     system = RationalMatrix.from_sparse_rows(quad_rows, len(mono_index))
     qkernel = row_reduce(system).kernel
     all_dead = all(
-        all(vec[mono_index[("s", m)]] == 0 for vec in qkernel) or all(vec[mono_index[("z", m, m)]] == 0 for vec in qkernel)
+        all(vec.get(mono_index[("s", m)], 0) == 0 for vec in qkernel)
+        or all(vec.get(mono_index[("z", m, m)], 0) == 0 for vec in qkernel)
         for m in range(kdim)
     )
     if all_dead:

@@ -40,10 +40,11 @@ def test_rank_one_kernel_vector():
     m = RationalMatrix.from_rows([[1, 2], [2, 4]])
     red = row_reduce(m)
     assert red.rank == 1
-    assert red.kernel == [[Fraction(-2), Fraction(1)]]
-    assert red == RowReduction(rref=red.rref, rank=1, pivots=[0], kernel=[[Fraction(-2), Fraction(1)]])
+    assert red.kernel == [{0: Fraction(-2), 1: Fraction(1)}]
+    assert red == RowReduction(rref=red.rref, rank=1, pivots=[0], kernel=[{0: Fraction(-2), 1: Fraction(1)}])
     assert red != RowReduction(red.rref, 1, [1], red.kernel)
-    assert repr(red) == f"RowReduction(rref={red.rref!r}, rank=1, pivots=[0], kernel=[[Fraction(-2, 1), Fraction(1, 1)]])"
+    # a kernel vector holds its free column first, then its pivots
+    assert repr(red) == f"RowReduction(rref={red.rref!r}, rank=1, pivots=[0], kernel=[{{1: Fraction(1, 1), 0: Fraction(-2, 1)}}])"
 
 
 def _random_matrix(rng, rows, cols, density=0.6):
@@ -62,7 +63,7 @@ def test_kernel_vectors_annihilate():
         red = row_reduce(m)
         assert red.rank + len(red.kernel) == m.cols
         for vec in red.kernel:
-            assert all(v == 0 for v in m.apply(vec))
+            assert m.apply(vec) == {}
 
 
 def test_rank_invariant_under_row_shuffle():
@@ -143,7 +144,10 @@ def test_from_sparse_rows_holds_the_given_dicts_and_entries_is_a_fresh_view():
     assert all(a is b for a, b in zip(m.sparse_rows(), held) if b)
     # every reader gives Fractions, though the held rows keep their ints
     assert _entries_are_nonzero_fractions(m) and type(m.entry(0, 0)) is Fraction
-    assert all(type(v) is Fraction for v in m.column_vector(0) + [v for row in m.to_rows() for v in row])
+    assert all(type(v) is Fraction for row in m.to_rows() for v in row)
+    # a sparse column, like a sparse row, gives the held values
+    assert m.column(0) == {0: 2} and type(m.column(0)[0]) is int
+    assert m.column(1) == {0: Fraction(1, 2), 2: 3}
     assert type(rows[0][0]) is int
     # each read is a new dict, and changing it changes nothing
     assert m.entries is not view
@@ -167,6 +171,27 @@ def test_zero_rows_take_no_space(build):
         tracemalloc.stop()
     assert m.is_zero() and (m.rows, m.cols) == (10**6, 1)
     assert peak < 1 << 20
+
+
+def test_a_wide_kernel_is_sparse():
+    # dense, these 2,999 kernel vectors would hold 3,000 slots each
+    m = RationalMatrix.from_sparse_rows([{0: 1}], 3000)
+    tracemalloc.start()
+    try:
+        kernel = row_reduce(m).kernel
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 << 20
+    assert kernel == [{f: 1} for f in range(1, 3000)]
+
+
+def test_apply_refuses_an_index_outside_the_columns():
+    m = RationalMatrix.from_rows([[1, 2], [0, 3]])
+    assert m.apply({1: 1}) == {0: 2, 1: 3} and m.apply({}) == {}
+    for vec in ({2: 1}, {-1: 1}, {0: 1, 5: 0}):
+        with pytest.raises(ValueError, match=r"vector index outside 0\.\.1"):
+            m.apply(vec)
 
 
 def test_char_poly_cayley_hamilton():
@@ -351,10 +376,31 @@ def _reference_forward_insert(span, dense):
 _shared_eliminations: dict[int, list] = {}
 
 
+def _reference_reduction(reduced, rows, cols):
+    """``_reduction`` with the kernel built as it was, one dense vector per free column, then made sparse.
+
+    For each free column f the vector is 1 in slot f and minus the rref
+    entry of column f in the pivot slot of each rref row.
+    """
+    red = _reduction(reduced, rows, cols)
+    kernel = []
+    for free in range(cols):
+        if free in red.pivots:
+            continue
+        vec = [ZERO] * cols
+        vec[free] = Fraction(1)
+        for pivot, row in reduced:
+            coeff = row.get(free)
+            if coeff:
+                vec[pivot] = -coeff
+        kernel.append({i: v for i, v in enumerate(vec) if v})
+    return red._replace(kernel=kernel)
+
+
 def _reference_row_reduce(m):
     """Rational Gauss-Jordan on every row, with no modular shortcut."""
     eliminated = _shared_eliminations[id(m)] if id(m) in _shared_eliminations else _reference_eliminate(_rows(m))
-    return _reduction(eliminated, m.rows, m.cols)
+    return _reference_reduction(eliminated, m.rows, m.cols)
 
 
 def _assert_same(got, want):
@@ -410,7 +456,7 @@ def test_certificate_degenerate_shapes():
         RationalMatrix.zero(4, 1),
     ):
         _assert_matches_reference(m)
-    assert row_reduce(RationalMatrix.zero(0, 3)).kernel == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert row_reduce(RationalMatrix.zero(0, 3)).kernel == [{0: 1}, {1: 1}, {2: 1}]
     assert row_reduce(RationalMatrix.zero(3, 0)).rank == 0
 
 
@@ -419,7 +465,7 @@ def test_certificate_denominator_divisible_by_prime():
     m = RationalMatrix.from_rows([[1, Fraction(1, _PRIME)], [_PRIME, 1]])
     assert _rref_mod_p(_rows(m), m.cols) is None
     red = _assert_matches_reference(m)
-    assert red.rank == 1 and red.kernel == [[Fraction(-1, _PRIME), Fraction(1)]]
+    assert red.rank == 1 and red.kernel == [{0: Fraction(-1, _PRIME), 1: Fraction(1)}]
 
 
 def test_certificate_prime_entry_has_rank_one():
@@ -444,7 +490,7 @@ def test_false_lift_is_rejected_by_the_exact_check():
     assert _rref_mod_p(_rows(m), m.cols) == {0: {0: 1, 1: 1}}
     assert _lifted_rref(_rows(m), m.cols) is None
     red = _assert_matches_reference(m)
-    assert red.kernel == [[Fraction(-(1 + _PRIME)), Fraction(1)]]
+    assert red.kernel == [{0: Fraction(-(1 + _PRIME)), 1: Fraction(1)}]
 
 
 def test_certificate_unlucky_prime_keeps_kernel():
@@ -453,7 +499,7 @@ def test_certificate_unlucky_prime_keeps_kernel():
     m = RationalMatrix.from_rows([[1, 1, 1], [1, 1, 1 + _PRIME], [2, 2, 2]])
     assert len(_rref_mod_p(_rows(m), m.cols)) == 1
     red = _assert_matches_reference(m)
-    assert red.rank == 2 and red.kernel == [[Fraction(-1), Fraction(1), Fraction(0)]]
+    assert red.rank == 2 and red.kernel == [{0: Fraction(-1), 1: Fraction(1)}]
 
 
 # -- the fraction-free integer kernel --------------------------------------------
@@ -581,7 +627,7 @@ def test_integer_kernel_on_real_systems(build, kernel_dim):
     red = _assert_matches_reference(m)
     assert len(red.kernel) == kernel_dim
     for vec in red.kernel:
-        assert not any(m.apply(vec))
+        assert m.apply(vec) == {}
 
 
 def test_shuffled_real_system_matches_reference():

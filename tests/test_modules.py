@@ -1,6 +1,7 @@
 """Windowed modules: construction, axioms, closures, verdicts, extensions."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -32,8 +33,7 @@ F = Fraction
 
 
 def seed_basis(mod, k):
-    dim = mod.dims[k]
-    return {k: [[F(1) if i == j else F(0) for i in range(dim)] for j in range(dim)]}
+    return {k: [{j: F(1)} for j in range(mod.dims[k])]}
 
 
 def test_act_intermediate_rows():
@@ -150,6 +150,28 @@ def test_submodule_closure_irreducible():
     window = build_window(IntermediateSpec("Aab", F(1, 2), F(2)), -8, 8)
     for k0 in (-8, 0, 5):
         assert submodule_closure(window, seed_basis(window, k0)) == {k: 1 for k in window.indices()}
+
+
+def test_submodule_closure_refuses_a_seed_coordinate_outside_its_weight_space():
+    window = build_window(IntermediateSpec("Aab", F(1, 2), F(2)), -3, 3)
+    for vec in ({1: F(1)}, {-1: F(1)}, {0: F(1), 1: F(0)}):
+        with pytest.raises(ValueError, match="seed coordinate outside the 1-dimensional weight space 0"):
+            submodule_closure(window, {0: [vec]})
+
+
+def test_classify_a_wide_weight_space_in_linear_memory():
+    # one 1,000-dimensional space and no generator: its unit vectors seed the closure,
+    # where a dense identity held 1,000,000 entries
+    doc = {"variant": "Vir", "offset": "0", "range": [0, 1], "dims": {"0": 1000, "1": 0}, "generators": [], "actions": []}
+    mod = WindowedModule.from_json(doc)
+    tracemalloc.start()
+    try:
+        verdict = classify_window(mod)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict == {"verdict": "highest-weight", "top": 0}
+    assert peak < 5 << 20
 
 
 def test_irreducible_verdicts():
@@ -507,8 +529,7 @@ def test_extend_trivially_refuses_a_negative_level_cap():
 def _closure_without_stop(mod, seeds):
     """The closure as it ran before it stopped at full spans: every frontier vector meets every generator."""
     spans = {k: Echelon() for k in mod.indices()}
-    frontier = [(k, [F(v) for v in vec]) for k, vectors in seeds.items() for vec in vectors]
-    frontier = [(k, vec) for k, vec in frontier if spans[k].insert(dict(enumerate(vec)))]
+    frontier = [(k, vec) for k, vectors in seeds.items() for vec in vectors if spans[k].insert(vec)]
     while frontier:
         new_frontier = []
         for k, vec in frontier:
@@ -517,7 +538,7 @@ def _closure_without_stop(mod, seeds):
                 if not mod.in_range(t) or len(spans[t]) == mod.dims[t]:
                     continue
                 image = mod.act(g, k).apply(vec)
-                if any(image) and spans[t].insert(dict(enumerate(image))):
+                if image and spans[t].insert(image):
                     new_frontier.append((t, image))
         frontier = new_frontier
     return {k: len(spans[k]) for k in mod.indices()}
