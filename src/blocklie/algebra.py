@@ -38,7 +38,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from . import linalg
-from .rationals import ZERO, accumulate, check_keys, format_rational, parse_rational, read_int, read_int_key
+from .rationals import ZERO, accumulate, check_keys, format_rational, parse_rational, read_int, read_int_key, read_list
 
 
 class BasisKey(NamedTuple):
@@ -322,7 +322,8 @@ class AlgebraElement:
         try:
             check_keys(data, ("variant", "terms", "central"))
             variant = parse_variant(data["variant"])
-            terms = {BasisKey.from_json(t, "coeff"): parse_rational(t["coeff"]) for t in data.get("terms", [])}
+            terms = read_list(data.get("terms", []), "'terms'")
+            terms = {BasisKey.from_json(t, "coeff"): parse_rational(t["coeff"]) for t in terms}
             central = parse_rational(data.get("central", "0"))
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed element JSON: {exc}") from exc
@@ -337,18 +338,16 @@ def central(variant: AlgebraVariant, coeff: Fraction | int = 1) -> AlgebraElemen
     return AlgebraElement(variant, central=coeff)
 
 
-def _bilinear(fn, variant: AlgebraVariant, xterms, yterms, terms: dict | None = None) -> tuple[dict, int | Fraction]:
+def _bilinear(fn, variant: AlgebraVariant, xterms, yterms) -> tuple[dict, int | Fraction]:
     """Bilinear extension of the structure constants ``fn`` to sparse combinations.
 
     ``xterms`` and ``yterms`` are (key, coefficient) pairs, such as
-    ``dict.items()``; ``yterms`` is iterated once per x term.  Adds the
-    generator terms of [x, y] into ``terms`` (a new dict by default) and
-    returns it with the C coefficient.  Coefficients keep the type the
-    arithmetic gives them: ints stay ints.  C brackets to zero, so only
-    the generator parts of x and y are read.
+    ``dict.items()``; ``yterms`` is iterated once per x term.  Returns
+    the generator terms of [x, y] as a new dict, with the C coefficient.
+    Coefficients keep the type the arithmetic gives them: ints stay ints.
+    C brackets to zero, so only the generator parts of x and y are read.
     """
-    if terms is None:
-        terms = {}
+    terms = {}
     central_total = 0
     for kx, cx in xterms:
         for ky, cy in yterms:

@@ -91,7 +91,7 @@ def build_window(spec: IntermediateSpec, lo: int, hi: int) -> WindowedModule:
     generators = [BasisKey(i, 0) for i in range(lo - hi, hi - lo + 1)]
     return WindowedModule(
         VIRASORO, spec.weight_offset(), lo, hi, dims, generators,
-        lambda g, k: {(0, 0): c} if (c := act_intermediate(spec, g, k)[0]) else None,
+        lambda g, k: {(0, 0): act_intermediate(spec, g, k)[0]},
     )
 
 
@@ -160,11 +160,10 @@ def extend_trivially(vir_mod: WindowedModule, level_cap: int = 2) -> WindowedMod
         raise ValueError(f"level cap must be >= 0, got {level_cap}")
     degrees = sorted({g.alpha for g in vir_mod.generators if g.level == 0})
     generators = [BasisKey(a, level) for level in range(2 * level_cap + 1) for a in degrees]
-    margins = None if vir_mod.col_margins is None else {k: list(v) for k, v in vir_mod.col_margins.items()}
     return WindowedModule(
-        BLOCK_B, vir_mod.offset, vir_mod.lo, vir_mod.hi, dict(vir_mod.dims), generators,
+        BLOCK_B, vir_mod.offset, vir_mod.lo, vir_mod.hi, vir_mod.dims, generators,
         lambda g, k: None if g.level else vir_mod.act(g, k),
-        vir_mod.central_scalar / 2, margins,
+        vir_mod.central_scalar / 2, vir_mod.col_margins,
     )
 
 

@@ -8,10 +8,10 @@ integral coefficients of polynomials are plain ints; a polynomial
 keeps a ``Fraction`` only for a non-integral coefficient.
 The wire format is the compact string ``"p/q"``, shortened to ``"p"``
 when the denominator is one, for an int and a Fraction alike.  An
-integer field of a JSON document is read with ``read_int`` and an
-integer object key with ``read_int_key``.  ``check_keys`` refuses an
-unknown key in any object of a module, matrix, element, operand or
-weight-functional document.
+integer field of a JSON document is read with ``read_int``, an
+integer object key with ``read_int_key`` and an array with
+``read_list``.  ``check_keys`` refuses an unknown key in any object of
+a module, matrix, element, operand or weight-functional document.
 
 Sparse vectors are dicts from keys to nonzero coefficients, and every
 sum into one goes through ``accumulate``, which adds scaled values and
@@ -57,6 +57,13 @@ def read_int(value: object, what: str) -> int:
     """Return ``value`` if it is a JSON integer; a bool, float or string raises ValueError."""
     if type(value) is not int:
         raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def read_list(value: object, what: str) -> list:
+    """Return ``value`` if it is a JSON array; an object, string or scalar raises ValueError."""
+    if type(value) is not list:
+        raise ValueError(f"{what} must be a list, got {value!r}")
     return value
 
 

@@ -40,7 +40,7 @@ from typing import Mapping, Sequence
 
 from . import algebra, linalg, windows
 from .algebra import BasisKey, bracket_terms
-from .rationals import accumulate, check_keys, format_rational, parse_rational
+from .rationals import accumulate, check_keys, format_rational, parse_rational, read_list
 
 Monomial = tuple[tuple[int, int], ...]
 
@@ -67,9 +67,7 @@ class WeightFunctional(algebra.Frozen):
     def from_json(cls, data: dict) -> "WeightFunctional":
         try:
             check_keys(data, ("lambda", "c"))
-            if type(data["lambda"]) is not list:
-                raise ValueError(f"'lambda' must be a list, got {data['lambda']!r}")
-            values = tuple(parse_rational(v) for v in data["lambda"])
+            values = tuple(parse_rational(v) for v in read_list(data["lambda"], "'lambda'"))
             c = parse_rational(data.get("c", "0"))
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed weight functional JSON: {exc}") from exc

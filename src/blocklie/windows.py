@@ -8,9 +8,11 @@ entries mean the target leaves the window; relations are only ever
 asserted where every intermediate index stays inside (interior
 checking, defined once by ``interior``), so windows approximate
 infinite modules without false negatives.  Every window is given a
-callback for the matrix entries; ``WindowedModule.act`` builds each
-matrix the first time it is asked for and keeps it, except a zero action
-(the callback gives None), so a check stores only matrices it reads.
+callback that gives each action matrix or its entries;
+``WindowedModule.act`` is the only reader of the callback and the only
+writer of the window's store: it builds each matrix the first time it
+is asked for and keeps it unless it is zero, so a check stores only the
+nonzero matrices it reads.
 
 The verdicts on windows live in ``modules``, which a job that only
 builds windows, such as ``lemmas``, never executes.
@@ -25,7 +27,7 @@ from typing import Callable, Optional, Sequence
 from . import algebra
 from .algebra import AlgebraVariant, BasisKey, bracket_terms, parse_variant
 from .linalg import RationalMatrix
-from .rationals import ZERO, check_keys, format_rational, parse_rational, read_int, read_int_key
+from .rationals import ZERO, check_keys, format_rational, parse_rational, read_int, read_int_key, read_list
 
 # adjoint_window: generators have degrees -2..2
 ADJOINT_DEGREE = 2
@@ -50,11 +52,13 @@ class WindowedModule:
     Nothing is built here: ``act(g, k)`` builds the dims[k + g.alpha] x
     dims[k] matrix for a generator g at an index k of
     ``interior(lo, hi, g.alpha)`` the first time it is asked for.
-    ``entries`` returns the (row, col) -> value map, zeros allowed, a
-    ``RationalMatrix`` of that shape to keep as it is, or None for the
-    zero matrix, which is never stored.  Raises ValueError for dims or
-    col_margins keys that do not match [lo, hi], a negative dimension, a
-    margin list of the wrong length or a generator listed twice.
+    ``entries`` gives that matrix as a ``RationalMatrix`` of that shape,
+    as its (row, col) -> value map (zeros allowed) or as None for the
+    zero matrix; a zero result is never stored.  The window is read only
+    through ``act``, so it never changes after construction.  Raises
+    ValueError for dims or col_margins keys that do not match [lo, hi], a
+    negative dimension, a margin list of the wrong length or a generator
+    listed twice.
     """
 
     def __init__(
@@ -111,9 +115,9 @@ class WindowedModule:
     def act(self, generator: BasisKey, k: int) -> Optional[RationalMatrix]:
         """The matrix V_k -> V_{k+alpha}, or None when the target leaves the window.
 
-        Built on first use and kept, except a zero action (``entries`` gives
-        None); a ``RationalMatrix`` that ``entries`` gives is kept as it is.
-        Raises KeyError for a generator outside the window's.
+        Built from ``entries`` on first use and kept unless it is zero; a
+        ``RationalMatrix`` that ``entries`` gives is kept as it is.  Raises
+        KeyError for a generator outside the window's.
         """
         generator = BasisKey(*generator)
         if not self.in_range(k) or not self.in_range(k + generator.alpha):
@@ -123,42 +127,20 @@ class WindowedModule:
         if m is None:
             if generator not in self._generator_set:
                 raise KeyError(key)
-            values = self._entries(generator, k)
-            m = values
-            if not isinstance(values, RationalMatrix):
-                m = RationalMatrix(self.dims[k + generator.alpha], self.dims[k], values)
-            if values is not None:
+            m = self._entries(generator, k)
+            if not isinstance(m, RationalMatrix):
+                m = RationalMatrix(self.dims[k + generator.alpha], self.dims[k], m)
+            if not m.is_zero():
                 self._actions[key] = m
         return m
 
     @property
     def actions(self) -> dict[tuple[BasisKey, int], RationalMatrix]:
-        """Every action matrix by (generator, source index), zeros included; reading it builds the missing ones.
-
-        The dict is the store ``act`` reads first, so a matrix assigned into
-        it is what ``act`` returns.
-        """
-        for g in self.generators:
-            for k in interior(self.lo, self.hi, g.alpha):
-                self._actions[(g, k)] = self.act(g, k)
-        return self._actions
+        """Every action matrix by (generator, source index), zeros included, in a new dict on each read."""
+        return {(g, k): self.act(g, k) for g in self.generators for k in interior(self.lo, self.hi, g.alpha)}
 
     def has_generator(self, generator: BasisKey) -> bool:
         return BasisKey(*generator) in self._generator_set
-
-    def copy(self) -> "WindowedModule":
-        snapshot = dict(self.actions)
-        return WindowedModule(
-            self.variant,
-            self.offset,
-            self.lo,
-            self.hi,
-            dict(self.dims),
-            list(self.generators),
-            lambda g, k: snapshot[(g, k)],
-            self.central_scalar,
-            None if self.col_margins is None else {k: list(v) for k, v in self.col_margins.items()},
-        )
 
     def total_dim(self) -> int:
         return sum(self.dims.values())
@@ -194,19 +176,21 @@ class WindowedModule:
             check_keys(data, _MODULE_KEYS)
             variant = parse_variant(data["variant"])
             offset = parse_rational(data["offset"])
-            lo, hi = (read_int(v, "'range' entry") for v in data["range"])
+            lo, hi = (read_int(v, "'range' entry") for v in read_list(data["range"], "'range'"))
             central = parse_rational(data.get("central", "0"))
             dims = {read_int_key(k, "'dims' key"): read_int(v, "'dims' value") for k, v in data["dims"].items()}
-            generators = [BasisKey.from_json(g) for g in data["generators"]]
+            generators = [BasisKey.from_json(g) for g in read_list(data["generators"], "'generators'")]
             stored = {}
-            for item in data.get("actions", []):
+            for item in read_list(data.get("actions", []), "'actions'"):
                 key = (BasisKey.from_json(item, "source", "matrix"), read_int(item["source"], "'source'"))
                 if key in stored:
                     raise ValueError(f"action of {key[0]} at index {key[1]} is stored twice")
                 stored[key] = RationalMatrix.from_json(item["matrix"])
             margins = data.get("col_margins")
             col_margins = None if margins is None else {
-                read_int_key(k, "'col_margins' key"): [read_int(x, "'col_margins' entry") for x in v]
+                read_int_key(k, "'col_margins' key"): [
+                    read_int(x, "'col_margins' entry") for x in read_list(v, "'col_margins' value")
+                ]
                 for k, v in margins.items()
             }
         except (AttributeError, KeyError, TypeError, ValueError) as exc:

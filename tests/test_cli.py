@@ -286,6 +286,27 @@ def _drop_dim(data):
     del data["dims"]["0"]
 
 
+def _replace(doc):
+    """A corruption that replaces the whole document by ``doc``."""
+
+    def corrupt(data):
+        data.clear()
+        data.update(doc)
+
+    return corrupt
+
+
+# each of these passed as a window with no generators, no actions or no margins, and classified
+_TWO_INDICES = {"variant": "Vir", "offset": "0", "range": [0, 1]}
+_OBJECTS_FOR_LISTS = _replace({**_TWO_INDICES, "dims": {"0": 1, "1": 0}, "generators": {}, "actions": {}})
+_ACTIONS_OBJECT = _replace(
+    {**_TWO_INDICES, "dims": {"0": 1, "1": 1}, "generators": [{"alpha": 5, "level": 0}], "actions": {}}
+)
+_MARGINS_OBJECT = _replace(
+    {**_TWO_INDICES, "dims": {"0": 0, "1": 1}, "generators": [], "actions": [], "col_margins": {"0": {}, "1": [3]}}
+)
+
+
 def _set(*path):
     """A corruption that stores the last item of ``path`` under the keys before it."""
     *keys, last, value = path
@@ -324,12 +345,16 @@ def _set(*path):
         (_drop_dim, "range index 0 has no 'dims' entry"),
         # refused before a weight space of the two-billion-index range is made
         (_set("range", [-1000000000, 1000000000]), "range index -1000000000 has no 'dims' entry"),
+        (_OBJECTS_FOR_LISTS, "'generators' must be a list, got {}"),
+        (_ACTIONS_OBJECT, "'actions' must be a list, got {}"),
+        (_MARGINS_OBJECT, "'col_margins' value must be a list, got {}"),
     ],
     ids=[
         "deleted-actions", "wrong-shape", "outside-action", "negative-dim", "margins-length", "float-range", "float-dim",
         "dims-not-object", "bool-alpha", "string-alpha", "unknown-key", "float-rows", "spaced-entry-key",
         "generator-unknown-key", "action-unknown-key", "matrix-unknown-key", "duplicate-action", "duplicate-generator",
-        "dims-key-outside", "margins-key-outside", "missing-dim", "huge-range",
+        "dims-key-outside", "margins-key-outside", "missing-dim", "huge-range", "objects-for-lists", "actions-object",
+        "margins-object",
     ],
 )
 def test_classify_rejects_inconsistent_module(tmp_path, capsys, corrupt, message):
@@ -410,6 +435,12 @@ def test_bracket_operands_are_read_strictly(capsys, operand):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "unknown keys ['junk']" in err
+
+
+def test_bracket_operand_terms_must_be_a_list(capsys):
+    # an object of terms passed as the zero element
+    code, out, err = run(capsys, "bracket", "--variant", "B", "--x", '{"variant":"B","terms":{}}', "--y", '{"alpha":1}')
+    assert (code, out, err) == (2, "", "error: malformed element JSON: 'terms' must be a list, got {}\n")
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,4 @@
-"""Fuzz: ``module`` and ``verma`` argument lists exit 0, 1 or 2, never with a traceback.
+"""Fuzz: argument lists and --config files exit 0, 1 or 2, never with a traceback.
 
 Each example draws an action and a value, or none, for each option of
 ``cli.OPTION_READERS`` that the subcommand has, so an option often goes
@@ -9,6 +9,14 @@ the drawn job counts (the run is at the cap), to one less (the run is
 one above it) or left as they are.  So every boundary is hit, and no
 run does more than a few milliseconds of work.  ``tests/test_cli.py``
 holds the counts against the real caps.
+
+The second fuzz draws ``axioms`` and ``bracket`` jobs: variants that
+parse or not, degrees, levels and --vir-degree small, zero or negative,
+bracket operands in either JSON form with one key of the wrong type,
+missing or unknown, and half the time a --config file of the
+subcommand's keys and unknown ones, with values of the right or the
+wrong JSON type.  ``AXIOM_KEY_CAP`` and ``VIR_DEGREE_CAP`` are set in
+the same way, from the counts of the parsed job.
 """
 
 import io
@@ -122,3 +130,166 @@ def test_module_and_verma_arguments_exit_0_1_or_2_without_a_traceback(tmp_path_f
         assert out == "" and [line for line in err.splitlines() if "error:" in line] == err.splitlines()[-1:], what
     else:
         assert err == "" and out.endswith("\n"), what
+
+
+# axioms and bracket: variants that parse_variant reads, and Q:m:n and other forms that it refuses
+VARIANTS = ["B", "Vir", "Bbar", "W1inf", "Winf", "Q:0:1", "Q:1:2", "Q:0:0"]
+BAD_VARIANTS = ["Q:2:1", "Q:-1:1", "Q:0:01", "Q:0", "b"]
+# degrees and levels small, zero and negative, and a value argparse refuses
+DEGREES = ["2", "1", "0", "-1", "2", "1", "x"]
+LEVELS = ["1", "2", "0", "-1", "1", "0", "1.5"]
+# the --vir-degree default reads 441 pairs, so the flag is drawn small and mostly given
+VIR_DEGREES = ["2", "3", "2", "1", "0", "-1", "2", None, None]
+# JSON values of the wrong type wherever an integer, a rational, a string or a list is read
+_wrong = st.sampled_from([1.5, True, None, [], {}, [1], {"alpha": 1}, "1", "", "x"])
+_small = st.integers(-3, 3)
+_variants = st.sampled_from(VARIANTS * 2 + BAD_VARIANTS + VARIANTS)
+_term = {"alpha": _small, "level": st.integers(-1, 2), "coeff": st.sampled_from(["1", "-1/2", "0", "1/0", 3])}
+NOT_OPERANDS = ["{}", "[]", "3", "null", '"B"', "{", '{"terms": {}}', '{"alpha": 1, "terms": []}']
+
+
+@st.composite
+def _operand(draw, variant: str, defect: bool) -> str:
+    """A bracket operand in ``variant``, the shorthand {"alpha", "level", "coeff"} or the element form
+    {"variant", "terms", "central"}; with ``defect``, one key of it is of the wrong type, missing or
+    unknown, or the operand is no such object."""
+    if draw(st.booleans()):
+        operand = draw(st.fixed_dictionaries({"alpha": _small}, optional={k: _term[k] for k in ("level", "coeff")}))
+    else:
+        operand = {"variant": variant, "terms": draw(st.lists(st.fixed_dictionaries(_term), max_size=2))}
+        if draw(st.booleans()):
+            operand["central"] = draw(st.sampled_from(["1", "0", "2/3"]))
+    if defect:
+        # an operand key, or a key of one of its terms
+        holders = [operand] + operand.get("terms", [])
+        holder = draw(st.sampled_from(holders))
+        how = draw(st.sampled_from(["type", "missing", "unknown", "document"] if holder else ["unknown", "document"]))
+        if how == "type":
+            holder[draw(st.sampled_from(sorted(holder)))] = draw(_wrong)
+        elif how == "missing":
+            del holder[draw(st.sampled_from(sorted(holder)))]
+        elif how == "unknown":
+            holder["junk"] = 1
+        else:
+            return draw(st.sampled_from(NOT_OPERANDS))
+    return json.dumps(operand)
+
+
+def _mostly(valid):
+    """A value of ``valid``, or one time in four a JSON value of the wrong type."""
+    return st.one_of(valid, valid, valid, _wrong)
+
+
+# --config keys of each subcommand: its options, the parser's own names and unknown ones
+CONFIG_KEYS = {
+    "axioms": ["variant", "degree", "level", "vir_degree", "format", "out", "config", "command", "nope", "strict"],
+    "bracket": ["variant", "x", "y", "format", "out", "config", "command", "nope", "degree"],
+}
+_config_values = {
+    "variant": _mostly(_variants) | _small,
+    "degree": _mostly(_small | st.sampled_from(DEGREES)),
+    "level": _mostly(_small | st.sampled_from(LEVELS)),
+    "vir_degree": _mostly(st.integers(-1, 3) | st.sampled_from(VIR_DEGREES[:-2])),
+    "format": _mostly(st.sampled_from(["json", "table", "xml"])),
+    "out": _mostly(st.sampled_from(["report.json", "missing/report.json"])),
+    "config": _mostly(st.just("config.json")),
+    # bracket's argv always gives --x and --y, which win over these
+    "x": _mostly(_operand("B", False)),
+    "y": _mostly(_operand("B", True)),
+}
+
+
+@st.composite
+def _other_jobs(draw):
+    """argv, --config file content and cap boundaries for one axioms or bracket job."""
+    command = draw(st.sampled_from(["axioms", "axioms", "bracket"]))
+    argv = [command]
+    variant = draw(_variants)
+    if variant != "B" or draw(st.booleans()):
+        argv += ["--variant", variant]
+    if command == "axioms":
+        argv += ["--degree", draw(st.sampled_from(DEGREES)), "--level", draw(st.sampled_from(LEVELS))]
+        vir_degree = draw(st.sampled_from(VIR_DEGREES))
+        if vir_degree is not None:
+            argv += ["--vir-degree", vir_degree]
+    else:
+        defective = draw(st.sampled_from([None, None, "x", "y"]))
+        for name in ("x", "y"):
+            argv += [f"--{name}", draw(_operand(variant, defective == name))]
+    config = None
+    if draw(st.booleans()):
+        keys = draw(st.lists(st.sampled_from(CONFIG_KEYS[command]), max_size=3, unique=True))
+        config = {key: draw(_config_values.get(key, _small)) for key in keys}
+        if draw(st.sampled_from([False] * 5 + [True] + [False] * 4)):
+            config = draw(st.sampled_from([[], 3, "axioms", False]))  # not a JSON object
+        argv += ["--config", "config.json"]
+    if draw(st.booleans()):
+        argv += ["--format", "json"]
+    return argv, config, draw(st.sampled_from(BOUNDARIES)), draw(st.sampled_from(BOUNDARIES))
+
+
+def _run(argv):
+    with redirect_stdout(io.StringIO()) as stdout, redirect_stderr(io.StringIO()) as stderr:
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses a malformed value
+            code = exc.code
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+# each axioms cap, the caps that make its check refuse any count, and the refusal that names the count
+AXIOM_CAPS = [
+    ("AXIOM_KEY_CAP", {"AXIOM_KEY_CAP": -(10**9)}, r"axiom window of (-?\d+) keys exceeds"),
+    ("VIR_DEGREE_CAP", {"AXIOM_KEY_CAP": 10**9, "VIR_DEGREE_CAP": -(10**9)}, r"--vir-degree (-?\d+) exceeds"),
+]
+
+
+def _capped(handler, boundaries, caps):
+    """``handler`` run with each axioms cap set at its boundary of the count that its refusal names.
+
+    The counts are read from the parsed arguments, after the --config
+    file is merged, so the job is parsed once.  ``caps`` records the caps set.
+    """
+
+    def run(args):
+        with pytest.MonkeyPatch.context() as patch:
+            for (name, probe, refusal), boundary in zip(AXIOM_CAPS, boundaries):
+                with pytest.MonkeyPatch.context() as probing:
+                    for cap, value in probe.items():
+                        probing.setattr(cli, cap, value)
+                    try:
+                        handler(args)
+                        found = None
+                    except (cli.UsageError, ValueError) as exc:  # refused at the cap, or before it
+                        found = re.search(refusal, str(exc))
+                if found:
+                    caps[name] = _cap(boundary, int(found.group(1)), getattr(cli, name))
+                    patch.setattr(cli, name, caps[name])
+            return handler(args)
+
+    return run
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(_other_jobs())
+def test_axioms_bracket_and_config_exit_0_1_or_2_without_a_traceback(tmp_path_factory, job):
+    argv, config, *boundaries = job
+    if config is not None:
+        base = tmp_path_factory.mktemp("job")
+        if isinstance(config, dict):
+            config = {k: str(base / v) if isinstance(v, str) and v.endswith(".json") else v for k, v in config.items()}
+        (base / "config.json").write_text(json.dumps(config))
+        argv = [str(base / token) if token.endswith(".json") else token for token in argv]
+    caps = {}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(cli.HANDLERS, "axioms", _capped(cli.HANDLERS["axioms"], boundaries, caps))
+        code, out, err = _run(argv)
+    what = (argv, config, caps, err)
+    assert code in (0, 1, 2), what
+    assert "Traceback" not in out + err, what
+    if err:
+        # a refusal, or a report that cannot be written (exit 1)
+        assert code in (1, 2) and out == "", what
+        assert [line for line in err.splitlines() if "error:" in line] == err.splitlines()[-1:], what
+    else:
+        assert code in (0, 1) and out.endswith("\n"), what

@@ -28,6 +28,7 @@ from blocklie.modules import (
 )
 from blocklie.verma import WeightFunctional, verma_window
 from blocklie.windows import adjoint_window
+from test_modules import with_actions
 
 CLI_GOLDEN = [
     ("module --family Aab --a 1/2 --b 2 --range -8:8 check", 0, "bc19098f1885485700eaaa565bcc6f6c16c3bb6fd69ed8e158a2b13defe9ce74"),
@@ -59,8 +60,7 @@ def test_cli_output_is_frozen(capsys, command, exit_code, digest):
 
 def _broken():
     window = build_window(IntermediateSpec("Aab", F(1, 2), F(2)), -6, 6)
-    window.actions[(BasisKey(1, 0), 0)] = RationalMatrix(1, 1, {(0, 0): F(5)})
-    return window
+    return with_actions(window, {(BasisKey(1, 0), 0): RationalMatrix(1, 1, {(0, 0): F(5)})})
 
 
 LIBRARY_GOLDEN = {

@@ -9,6 +9,7 @@ from blocklie.algebra import BLOCK_B, bracket, gen
 from blocklie.modules import IntermediateSpec, build_window, extend_trivially
 from blocklie.rationals import accumulate
 from blocklie.windows import adjoint_window
+from test_modules import with_actions
 
 F = Fraction
 
@@ -240,9 +241,7 @@ def test_nilpotency_chain_scalar_fixture():
     from blocklie.algebra import BasisKey
     from blocklie.linalg import RationalMatrix
 
-    fixture = window.copy()
-    for k in fixture.indices():
-        fixture.actions[(BasisKey(0, 1), k)] = RationalMatrix.from_rows([[F(3)]])
+    fixture = with_actions(window, {(BasisKey(0, 1), k): RationalMatrix.from_rows([[F(3)]]) for k in window.indices()})
     report = ident.nilpotency_chain_check(fixture, level=1)
     assert report.details["core_annihilated"]
     assert report.passed

@@ -4,8 +4,9 @@ Each example of the first fuzz takes the ``to_json`` document of a built
 window and makes one mutation that ``WindowedModule.from_json`` must
 refuse: a value of the wrong JSON type (floats, bools and numeric
 strings where an integer is read; floats and bools where a rational is
-read; a container of the other kind), a required key or list element
-removed, or an unknown key added to an object.  The second fuzz changes
+read; a container of the other kind, such as an empty object for an
+empty array), a required key or list element removed, or an unknown key
+added to an object.  The second fuzz changes
 one value within its type (a range bound, a weight-space dimension, a
 matrix shape, a column-margin list length or an action source), which
 from_json or a size cap may refuse, or which may still classify.
@@ -32,6 +33,16 @@ from blocklie.cli import main  # noqa: E402
 from blocklie.modules import IntermediateSpec, build_window  # noqa: E402
 
 DOCUMENT = build_window(IntermediateSpec("Aab", Fraction(1, 2), Fraction(2)), -2, 2).to_json()
+# DOCUMENT's arrays are all nonempty; these windows classify with an empty array, where
+# an empty object passed as the empty list: no generator, no action and no column margin
+BARE = {"variant": "Vir", "offset": "0", "range": [0, 1], "dims": {"0": 1, "1": 0}, "generators": [], "actions": []}
+# a window whose one generator acts at no index, so that its weight spaces take any size
+OPEN = {
+    "variant": "Vir", "offset": "1/2", "range": [0, 1], "central": "0", "dims": {"0": 1, "1": 1},
+    "generators": [{"alpha": 3, "level": 0}], "actions": [],
+}
+EMPTY_SPACE = dict(BARE, dims={"0": 0, "1": 1}, col_margins={"0": [], "1": [3]})
+EMPTY_ARRAYS = [(BARE, ("generators",)), (BARE, ("actions",)), (OPEN, ("actions",)), (EMPTY_SPACE, ("col_margins", "0"))]
 
 # how from_json reads the children of each container kind
 CHILDREN = {
@@ -99,7 +110,12 @@ def _at(doc, path):
 @st.composite
 def _mutations(draw):
     doc = copy.deepcopy(DOCUMENT)
-    how = draw(st.sampled_from(["type", "type", "missing", "extra"]))
+    how = draw(st.sampled_from(["type", "type", "empty", "missing", "extra"]))
+    if how == "empty":
+        source, path = draw(st.sampled_from(EMPTY_ARRAYS))
+        doc = copy.deepcopy(source)
+        _at(doc, path[:-1])[path[-1]] = {}
+        return doc, f"{path} -> {{}} in {source}"
     if how == "type":
         path, kind = draw(st.sampled_from(SITES))
         value = draw(_wrong_type(kind, _at(doc, path)))
@@ -123,13 +139,8 @@ def _mutations(draw):
 # the value fuzz lowers classify's weight-space cap to SPACE_CAP, so that every
 # window it accepts classifies in milliseconds (tests/test_cli.py holds the real cap)
 SPACE_CAP = 6
-# DOCUMENT with column margins, and a window whose one generator acts at no index, so
-# that its weight spaces take any size
+# DOCUMENT with column margins
 MARGINED = dict(DOCUMENT, col_margins={k: [1] * d for k, d in DOCUMENT["dims"].items()})
-OPEN = {
-    "variant": "Vir", "offset": "1/2", "range": [0, 1], "central": "0", "dims": {"0": 1, "1": 1},
-    "generators": [{"alpha": 3, "level": 0}], "actions": [],
-}
 _ints = st.integers(-3, 2 * SPACE_CAP + 2) | st.integers(-(10**12), 10**12)
 
 
@@ -161,6 +172,8 @@ def _classify(tmp_path_factory, doc) -> tuple[int, str, str]:
 def test_the_unmutated_document_is_accepted(tmp_path_factory):
     for doc in (DOCUMENT, MARGINED):
         assert _classify(tmp_path_factory, doc) == (0, "intermediate-series\n", "")
+    for doc in (BARE, OPEN, EMPTY_SPACE):
+        assert _classify(tmp_path_factory, doc)[0] == 0
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)

@@ -36,6 +36,15 @@ def seed_basis(mod, k):
     return {k: [{j: F(1)} for j in range(mod.dims[k])]}
 
 
+def with_actions(window, changed):
+    """``window`` with the matrix ``changed[(g, k)]`` as the action of g at k, and ``window.act`` elsewhere."""
+    return WindowedModule(
+        window.variant, window.offset, window.lo, window.hi, window.dims, window.generators,
+        lambda g, k: changed[(g, k)] if (g, k) in changed else window.act(g, k),
+        window.central_scalar, window.col_margins,
+    )
+
+
 def test_act_intermediate_rows():
     assert act_intermediate(IntermediateSpec("Aab", F(1, 2), F(2)), BasisKey(2, 0), 3) == (F(15, 2), 5)
     assert act_intermediate(IntermediateSpec("Aa", F(1, 3)), BasisKey(3, 0), 0) == (F(10), 3)
@@ -68,8 +77,7 @@ def test_module_axioms_families():
 
 def test_module_axioms_detect_corruption():
     window = build_window(IntermediateSpec("Aab", F(1, 2), F(2)), -6, 6)
-    bad = window.copy()
-    bad.actions[(BasisKey(1, 0), 0)] = RationalMatrix.from_rows([[F(77)]])
+    bad = with_actions(window, {(BasisKey(1, 0), 0): RationalMatrix.from_rows([[F(77)]])})
     violations = check_module_axioms(bad, 2)
     assert violations
     assert any(v["index"] in range(-3, 3) for v in violations)
@@ -77,8 +85,9 @@ def test_module_axioms_detect_corruption():
 
 def test_module_axioms_reject_a_check_that_cannot_fail():
     # below degree 1 only (L_0, L_0) is compared, and it commutes on every window
-    window = build_window(IntermediateSpec("Aab", F(1, 2), F(1)), -8, 8)
-    window.actions[(BasisKey(1, 0), 0)] = RationalMatrix.from_rows([[F(77)]])
+    window = with_actions(
+        build_window(IntermediateSpec("Aab", F(1, 2), F(1)), -8, 8), {(BasisKey(1, 0), 0): RationalMatrix.from_rows([[F(77)]])}
+    )
     for degree in (-1, 0):
         with pytest.raises(ValueError, match="compares no two distinct generators"):
             check_module_axioms(window, degree)
@@ -103,8 +112,7 @@ def test_extend_trivially_passes_block_pairs():
 
 def test_extension_failure_propagates():
     window = build_window(IntermediateSpec("Aab", F(1, 2), F(2)), -6, 6)
-    bad = window.copy()
-    bad.actions[(BasisKey(2, 0), 1)] = RationalMatrix.from_rows([[F(123)]])
+    bad = with_actions(window, {(BasisKey(2, 0), 1): RationalMatrix.from_rows([[F(123)]])})
     assert check_module_axioms(bad, 2)
     assert check_module_axioms(extend_trivially(bad, 1), 2)
 
@@ -303,9 +311,7 @@ def test_core_spanning():
     assert core_spanning_check(build_window(IntermediateSpec("Aab", F(1, 2), F(2)), -8, 8))
     assert core_spanning_check(build_window(IntermediateSpec("Aab", F(0), F(0)), -8, 8))
     window = build_window(IntermediateSpec("Aab", F(0), F(1)), -8, 8)
-    broken = window.copy()
-    for i in range(-2, 3):
-        broken.actions[(BasisKey(5 - i, 0), i)] = RationalMatrix.zero(1, 1)
+    broken = with_actions(window, {(BasisKey(5 - i, 0), i): RationalMatrix.zero(1, 1) for i in range(-2, 3)})
     assert core_spanning_check(broken) is False
 
 
@@ -427,7 +433,6 @@ def test_lazy_windows_equal_eager_construction(name):
     assert lazy.actions == whole.actions == in_order
     assert all(lazy.act(g, k) == whole.act(g, k) for g, k in keys)
     assert lazy.to_json() == whole.to_json()
-    assert lazy.copy().to_json() == whole.to_json()
 
 
 @pytest.mark.parametrize(
@@ -444,22 +449,16 @@ def test_window_constructor_refuses_inconsistent_shapes(dims, generators, margin
         WindowedModule(VIRASORO, F(0), -2, 2, dims, generators, lambda g, k: None, col_margins=margins)
 
 
-def test_assigning_into_a_copy_leaves_the_original_unchanged():
+def test_writing_into_actions_changes_nothing():
     window = build_window(IntermediateSpec("Aab", F(1, 2), F(2)), -4, 4)
     key = (BasisKey(1, 0), 0)
-    window.act(*key)
     data = window.to_json()
-    copied = window.copy()
-    copied.actions[key] = RationalMatrix.from_rows([[F(77)]])
-    assert copied.act(*key).entry(0, 0) == 77
-    assert copied.copy().act(*key).entry(0, 0) == 77
+    read = window.actions
+    read[key] = RationalMatrix.from_rows([[F(77)]])
+    del read[(BasisKey(2, 0), 0)]
     assert window.act(*key).entry(0, 0) == F(5, 2)
+    assert window.actions is not read and window.actions[key].entry(0, 0) == F(5, 2)
     assert window.to_json() == data
-    # and the other way round, for a copy that has read nothing yet
-    fresh = window.copy()
-    window.actions[key] = RationalMatrix.from_rows([[F(-1)]])
-    assert fresh.act(*key).entry(0, 0) == F(5, 2)
-    assert copied.act(*key).entry(0, 0) == 77
 
 
 def test_build_window_stores_no_zero_matrix():
@@ -474,6 +473,25 @@ def test_build_window_stores_no_zero_matrix():
         VIRASORO, vir.offset, -8, 8, vir.dims, vir.generators, lambda g, k: {(0, 0): act_intermediate(spec, g, k)[0]}
     )
     assert build_window(spec, -8, 8).to_json() == storing.to_json()
+
+
+def test_a_window_stores_no_zero_matrix_whatever_its_callback_gives():
+    def stored(window):
+        return len(window._actions), sum(m.is_zero() for m in window._actions.values())
+
+    # the base window gives 17 zero 1x1 matrices, which extend_trivially passes on
+    vir = build_window(IntermediateSpec("Aab", F(0), F(1)), -8, 8)
+    extended = extend_trivially(vir, 2)
+    classify_window(extended)
+    assert stored(extended) == (272, 0)
+    extended.to_json()  # reads all 1,445 actions, 1,173 of them zero
+    assert stored(extended) == (272, 0)
+    assert len(vir.actions) == 289
+    assert stored(vir) == (272, 0)
+    for zero in (None, {(0, 0): F(0)}, RationalMatrix.zero(1, 1)):
+        window = WindowedModule(VIRASORO, F(0), 0, 1, {0: 1, 1: 1}, [BasisKey(1, 0)], lambda g, k: zero)
+        assert window.act(BasisKey(1, 0), 0).is_zero()
+        assert window._actions == {}
 
 
 def test_act_builds_on_first_use_and_stores_no_zero_action():
