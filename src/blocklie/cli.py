@@ -2,22 +2,27 @@
 
 Subcommands: bracket, axioms, module, verma, lemmas, classify.  Every
 path is a thin composition of library calls; no computation lives only
-here.  A JSON config file (--config) can predefine option values: its
-keys are the subcommand's option names with "_" for "-" (vir_degree,
-pair_degree, level_cap, to_b, lambda_file, ...), its values JSON
-strings or integers, each read exactly like the same flag typed on the
-command line, and explicit flags win over the file.  An unknown key, a
-boolean or a float exits 2, so --strict cannot be set from a file.
-Reports are emitted as canonical JSON (byte-identical across reruns of
-the same configuration) and as text.
+here.  Each option is declared once, in OPTIONS (its subcommands,
+reader, default and the module or verma actions that read it); the
+parser, the --config merge and the check that the chosen action reads
+every given option come from it.  Flags are not abbreviated.  A JSON
+config file (--config) can predefine option values: its keys are the
+subcommand's option names with "_" for "-" (vir_degree, level_cap,
+module_file, ...), its values JSON strings or integers, each read by
+the flag's own reader (a JSON integer as its decimal, so 3 and "3"
+alike), and explicit flags win over the file.  A required option may
+come from the file.  An unknown key (config too), a boolean, a float or
+a value for --strict, which can only be typed, exits 2.  Reports are
+emitted as canonical JSON (byte-identical across reruns of the same
+configuration) and as text.
 
 Exit codes: 0 when every requested check passes, 1 when a check fails
 or (under --strict) a lemma report records a discrepancy, 2 for usage
-errors (a flag the chosen action would not read among them), malformed
-inputs, sizes above AXIOM_KEY_CAP, VIR_DEGREE_CAP, VERMA_SPACE_CAP,
-VERMA_WORK_CAP, RANGE_WIDTH_CAP or MODULE_MATRIX_CAP, and a stdout
-closed by its reader before the report was written (an error line, no
-traceback).
+errors (a flag the chosen action would not read, an irreducible window
+too narrow to decide), malformed inputs, sizes above AXIOM_KEY_CAP,
+VIR_DEGREE_CAP, VERMA_SPACE_CAP, VERMA_WORK_CAP, RANGE_WIDTH_CAP or
+MODULE_MATRIX_CAP, and a stdout closed by its reader before the report
+was written (an error line, no traceback).
 """
 
 from __future__ import annotations
@@ -61,9 +66,13 @@ def _parse_range(text: str) -> tuple[int, int]:
         raise UsageError(f"malformed range {text!r}, expected lo:hi") from exc
     if lo > hi:
         raise UsageError(f"empty range {text!r}")
-    if hi - lo + 1 > RANGE_WIDTH_CAP:
-        raise UsageError(f"range {text!r} of {hi - lo + 1} indices exceeds the cap of {RANGE_WIDTH_CAP} indices")
+    _check_width(lo, hi)
     return lo, hi
+
+
+def _check_width(lo: int, hi: int) -> None:
+    if hi - lo + 1 > RANGE_WIDTH_CAP:
+        raise UsageError(f"range '{lo}:{hi}' of {hi - lo + 1} indices exceeds the cap of {RANGE_WIDTH_CAP} indices")
 
 
 def _parse_operand(text: str, variant) -> algebra.AlgebraElement:
@@ -93,40 +102,6 @@ def _read_json(path: str, what: str):
         raise UsageError(f"cannot read {what}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise UsageError(f"{what} is not valid JSON: {exc}") from exc
-
-
-def _config_flags(args: argparse.Namespace) -> list[str]:
-    """The --config file's values as "--flag=value" tokens, for the subcommand's own parser to read."""
-    data = _read_json(args.config, "config file")
-    if not isinstance(data, dict):
-        raise UsageError("config file must hold a JSON object")
-    flags = []
-    for key, value in data.items():
-        if key not in vars(args):
-            raise UsageError(f"config key {key!r} is not an option of {args.command}")
-        if type(value) not in (int, str):
-            raise UsageError(f"config value of {key!r} must be a JSON string or integer, got {json.dumps(value)}")
-        flags.append(f"--{key.replace('_', '-')}={value}")
-    return flags
-
-
-# the module and verma actions that read each option (every action reads the
-# others); none has an argparse default, so a typed value elsewhere is seen
-OPTION_READERS = {
-    "pair_degree": ("check",),
-    "level_cap": ("check", "extension", "classify"),
-    "to_b": ("intertwiner",),
-    "lam": ("singular",),
-    "c": ("singular",),
-    "lambda_file": ("singular",),
-}
-
-
-def _check_readers(args: argparse.Namespace) -> None:
-    for option, readers in OPTION_READERS.items():
-        if getattr(args, option, None) is not None and args.action not in readers:
-            flag = "--" + option.replace("_", "-")
-            raise UsageError(f"{flag} is read only by the {'/'.join(readers)} action, not {args.action}")
 
 
 def _cmd_bracket(args: argparse.Namespace) -> tuple[dict, str, int]:
@@ -222,9 +197,8 @@ def _grid_report(grid: list[modules.IntermediateSpec], member) -> tuple[list[dic
 
 def _cmd_module(args: argparse.Namespace) -> tuple[dict, str, int]:
     lo, hi = _parse_range(args.range)
-    action = args.action
+    action, level_cap = args.action, args.level_cap
     grid = _spec_grid(args)
-    level_cap = 2 if args.level_cap is None else args.level_cap
     if level_cap < 0:
         raise UsageError(f"need --level-cap >= 0, got {level_cap}")
     _check_module_size(action, lo, hi, level_cap)
@@ -257,13 +231,12 @@ def _cmd_module(args: argparse.Namespace) -> tuple[dict, str, int]:
     spec = grid[0]
     window = modules.build_window(spec, lo, hi)
     if action == "check":
-        pair_degree = 4 if args.pair_degree is None else args.pair_degree
-        if pair_degree < 1:
-            raise UsageError(f"need --pair-degree >= 1, got {pair_degree}: a lower degree compares no two distinct generators")
-        violations = modules.check_module_axioms(window, pair_degree)
+        if args.pair_degree < 1:
+            raise UsageError(f"need --pair-degree >= 1, got {args.pair_degree}: a lower degree compares no two distinct generators")
+        violations = modules.check_module_axioms(window, args.pair_degree)
         extended = modules.extend_trivially(window, level_cap)
         extra = [algebra.BasisKey(1, i) for i in range(1, level_cap + 1)]
-        violations += modules.check_module_axioms(extended, pair_degree, extra_keys=extra)
+        violations += modules.check_module_axioms(extended, args.pair_degree, extra_keys=extra)
         rows = [{"check": "module-axioms", "result": "ok" if not violations else "failed"}]
         payload = {"command": "module.check", "violations": violations, "passed": not violations}
         return payload, render_table(rows, ["check", "result"]), 0 if not violations else 1
@@ -284,10 +257,8 @@ def _cmd_module(args: argparse.Namespace) -> tuple[dict, str, int]:
         ok = modules.core_spanning_check(window)
         text = "core spans window" if ok else "core does not span window"
         return {"command": "module.spanning", "passed": ok}, text, 0 if ok else 1
-    if action == "classify":
-        verdict = modules.classify_window(modules.extend_trivially(window, level_cap))
-        return {"command": "module.classify", "verdict": verdict}, verdict["verdict"], 0
-    raise UsageError(f"unknown module action {action!r}")
+    verdict = modules.classify_window(modules.extend_trivially(window, level_cap))  # the classify action
+    return {"command": "module.classify", "verdict": verdict}, verdict["verdict"], 0
 
 
 def _check_verma_size(n: int, depth: int) -> int:
@@ -319,48 +290,42 @@ def _cmd_verma(args: argparse.Namespace) -> tuple[dict, str, int]:
         report = verma.quasifinite_report(n, depth)
         payload = {"command": "verma.dims", "report": report, "passed": report["match"]}
         return payload, ", ".join(str(d) for d in report["dimensions"][1:]), 0 if report["match"] else 1
-    if args.action == "singular":
-        if depth < 1:
-            raise UsageError("singular vectors need depth >= 1, got depth=0")
-        # each depth-d kernel vector is acted on by the (n+1)*d positive generators
-        work = (n + 1) * depth * space
-        if work > VERMA_WORK_CAP:
-            raise UsageError(
-                f"singular vectors of Q:0:{n} at depth {depth} need up to {n + 1}*{depth}*{space} = {work}"
-                f" checking actions, above the cap of {VERMA_WORK_CAP}"
-            )
-        if args.lambda_file:
-            if args.lam is not None or args.c is not None:
-                raise UsageError("--lambda-file gives lambda and c, so --lam and --c would go unread")
-            lam = verma.WeightFunctional.from_json(_read_json(args.lambda_file, "lambda file"))
-        else:
-            values = tuple(parse_rational(v) for v in (args.lam or "0," * n + "0").split(","))
-            lam = verma.WeightFunctional(values, parse_rational("0" if args.c is None else args.c))
-        if lam.n != n:
-            raise UsageError(f"lambda table has {lam.n + 1} entries but n={n} needs {n + 1}")
-        found = []
-        for d in range(1, depth + 1):
-            for vec in verma.singular_vectors(lam, n, d):
-                pairs = [[verma.monomial_repr(w), format_rational(c)] for w, c in sorted(vec.items())]
-                found.append({"depth": d, "vector": pairs})
-        generators_ok = verma.validate_positive_generators(n, depth + 2)
-        payload = {
-            "command": "verma.singular",
-            "lambda": lam.to_json(),
-            "singular": found,
-            "positive_generators_validated_to_degree": depth + 2 if generators_ok else None,
-        }
-        return payload, f"singular vectors through depth {depth}: {len(found)}", 0 if generators_ok else 1
-    raise UsageError(f"unknown verma action {args.action!r}")
+    if depth < 1:
+        raise UsageError("singular vectors need depth >= 1, got depth=0")
+    # each depth-d kernel vector is acted on by the (n+1)*d positive generators
+    work = (n + 1) * depth * space
+    if work > VERMA_WORK_CAP:
+        raise UsageError(
+            f"singular vectors of Q:0:{n} at depth {depth} need up to {n + 1}*{depth}*{space} = {work}"
+            f" checking actions, above the cap of {VERMA_WORK_CAP}"
+        )
+    if args.lambda_file:
+        if args.lam is not None or args.c is not None:
+            raise UsageError("--lambda-file gives lambda and c, so --lam and --c would go unread")
+        lam = verma.WeightFunctional.from_json(_read_json(args.lambda_file, "lambda file"))
+    else:
+        values = tuple(parse_rational(v) for v in (args.lam or "0," * n + "0").split(","))
+        lam = verma.WeightFunctional(values, parse_rational("0" if args.c is None else args.c))
+    if lam.n != n:
+        raise UsageError(f"lambda table has {lam.n + 1} entries but n={n} needs {n + 1}")
+    found = []
+    for d in range(1, depth + 1):
+        for vec in verma.singular_vectors(lam, n, d):
+            pairs = [[verma.monomial_repr(w), format_rational(c)] for w, c in sorted(vec.items())]
+            found.append({"depth": d, "vector": pairs})
+    generators_ok = verma.validate_positive_generators(n, depth + 2)
+    payload = {
+        "command": "verma.singular",
+        "lambda": lam.to_json(),
+        "singular": found,
+        "positive_generators_validated_to_degree": depth + 2 if generators_ok else None,
+    }
+    return payload, f"singular vectors through depth {depth}: {len(found)}", 0 if generators_ok else 1
 
 
 def _cmd_lemmas(args: argparse.Namespace) -> tuple[dict, str, int]:
     reports = identities.run_standard_suite()
-    payload = {
-        "command": "lemmas",
-        "strict": bool(args.strict),
-        "reports": [r.to_json() for r in reports],
-    }
+    payload = {"command": "lemmas", "strict": args.strict, "reports": [r.to_json() for r in reports]}
     rows = [{"claim": r.claim, "status": r.status, "passed": r.passed} for r in reports]
     ok = all(r.passed for r in reports)
     if args.strict:
@@ -370,7 +335,7 @@ def _cmd_lemmas(args: argparse.Namespace) -> tuple[dict, str, int]:
 
 def _cmd_classify(args: argparse.Namespace) -> tuple[dict, str, int]:
     window = windows.WindowedModule.from_json(_read_json(args.module_file, "module file"))
-    _parse_range(f"{window.lo}:{window.hi}")
+    _check_width(window.lo, window.hi)
     k = max(window.indices(), key=window.dims.get)  # classify spans whole weight spaces
     if window.dims[k] > VERMA_SPACE_CAP:
         raise UsageError(f"weight space {k} of dimension {window.dims[k]} exceeds the cap of {VERMA_SPACE_CAP}")
@@ -378,94 +343,129 @@ def _cmd_classify(args: argparse.Namespace) -> tuple[dict, str, int]:
     return {"command": "classify", "verdict": verdict}, verdict["verdict"], 0
 
 
-# flags whose values may start with "-" (negative degrees, rationals, ranges)
-_VALUE_FLAGS = {"--range", "--a", "--b", "--to-b", "--lam", "--c", "--x", "--y"}
+# each subcommand: its handler, its help line and the actions it takes
+COMMANDS = {
+    "bracket": (_cmd_bracket, "evaluate one bracket from JSON operands", ()),
+    "axioms": (_cmd_axioms, "antisymmetry/Jacobi sweep and Virasoro consistency", ()),
+    "module": (
+        _cmd_module,
+        "build and analyze intermediate-series windows",
+        ("check", "irreducible", "intertwiner", "extension", "spanning", "classify"),
+    ),
+    "verma": (_cmd_verma, "truncated highest-weight module data", ("dims", "singular")),
+    "lemmas": (_cmd_lemmas, "run the identity-verification suite", ()),
+    "classify": (_cmd_classify, "classify a windowed module from its JSON file", ()),
+}
+EVERY = tuple(COMMANDS)
+REQUIRED = object()
+
+
+def _text(value, flag: str) -> str:
+    return str(value)
+
+
+def _int(value, flag: str) -> int:
+    return read_int_key(str(value), flag)  # a JSON integer reads as its decimal: 3 and "3" alike
+
+
+def _switch(value, flag: str) -> bool:
+    if value is not True:  # argparse stores True for the typed switch; a config value is refused
+        raise UsageError(f"{flag} can only be typed, not set from a config file")
+    return value
+
+
+# every option, once: name -> (subcommands, reader, default, actions, help).  A reader takes
+# the typed string or the --config value and the flag; a tuple of choices is a reader too.
+# ``actions`` are the module or verma actions that read the option, None for all of them.
+OPTIONS = {
+    "config": (EVERY, _text, None, None, "JSON file with default option values"),
+    "out": (EVERY, _text, None, None, "write the canonical JSON report to this path"),
+    "format": (EVERY, ("json", "table"), "table", None, None),
+    "variant": (("bracket", "axioms"), _text, "B", None, None),
+    "x": (("bracket",), _text, REQUIRED, None, None),
+    "y": (("bracket",), _text, REQUIRED, None, None),
+    "degree": (("axioms",), _int, 5, None, None),
+    "level": (("axioms",), _int, 3, None, None),
+    "vir_degree": (("axioms",), _int, 10, None, None),
+    "family": (("module",), ("Aab", "Aa", "Ba"), "Aab", None, None),
+    "a": (("module",), _text, "0", None, None),
+    "b": (("module",), _text, None, None, None),  # "0" for family Aab, which alone reads it
+    "to_b": (("module",), _text, None, ("intertwiner",), None),
+    "range": (("module",), _text, "-8:8", None, None),
+    "pair_degree": (("module",), _int, 4, ("check",), None),
+    "level_cap": (("module",), _int, 2, ("check", "extension", "classify"), None),
+    "n": (("verma",), _int, 1, None, None),
+    "depth": (("verma",), _int, 3, None, None),
+    "lambda_file": (("verma",), _text, None, ("singular",), None),
+    "lam": (("verma",), _text, None, ("singular",), "comma-separated rational values for the degree-zero levels"),
+    "c": (("verma",), _text, None, ("singular",), "central charge for singular (default 0)"),
+    "strict": (("lemmas",), _switch, False, None, None),
+    "module_file": (("classify",), _text, REQUIRED, None, None),
+}
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+def _read_options(args: argparse.Namespace) -> None:
+    """Set each option of the subcommand to its --config value, then to its typed one, each read by its reader."""
+    names = [name for name, row in OPTIONS.items() if args.command in row[0]]
+    config = _read_json(args.config, "config file") if args.config else {}
+    if not isinstance(config, dict):
+        raise UsageError("config file must hold a JSON object")
+    for key, value in config.items():
+        if key not in names or key == "config":
+            raise UsageError(f"config key {key!r} is not an option of {args.command} that a config file can set")
+        if type(value) not in (int, str):
+            raise UsageError(f"config value of {key!r} must be a JSON string or integer, got {json.dumps(value)}")
+    for name in names:
+        _, reader, value, actions, _ = OPTIONS[name]
+        for given in (v for v in (config.get(name), getattr(args, name)) if v is not None):
+            if actions is not None and args.action not in actions:
+                raise UsageError(f"{_flag(name)} is read only by the {'/'.join(actions)} action, not {args.action}")
+            if isinstance(reader, tuple) and given not in reader:
+                raise UsageError(f"{_flag(name)} must be one of {', '.join(reader)}, got {given!r}")
+            value = given if isinstance(reader, tuple) else reader(given, _flag(name))
+        if value is REQUIRED:
+            raise UsageError(f"{args.command} needs {_flag(name)}, typed or from --config")
+        setattr(args, name, value)
 
 
 def _normalize_argv(argv: list[str]) -> list[str]:
+    """Join each value flag with its value ("--range=-4:4"), so that a value may start with "-", but not "--"."""
+    value_flags = {_flag(name) for name, row in OPTIONS.items() if row[1] is not _switch}
     out = []
-    skip = False
-    for pos, token in enumerate(argv):
-        if skip:
-            skip = False
-            continue
-        if token in _VALUE_FLAGS and pos + 1 < len(argv):
-            out.append(f"{token}={argv[pos + 1]}")
-            skip = True
+    for token in argv:
+        if out and out[-1] in value_flags and not token.startswith("--"):
+            out[-1] += "=" + token
         else:
             out.append(token)
     return out
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON file with default option values")
-    common.add_argument("--out", help="write the canonical JSON report to this path")
-    common.add_argument("--format", choices=["json", "table"], default="table")
-
-    parser = argparse.ArgumentParser(prog="blocklie", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser = argparse.ArgumentParser(
+        prog="blocklie", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter, allow_abbrev=False
+    )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("bracket", parents=[common], help="evaluate one bracket from JSON operands")
-    p.add_argument("--variant", default="B")
-    p.add_argument("--x", required=True)
-    p.add_argument("--y", required=True)
-
-    p = sub.add_parser("axioms", parents=[common], help="antisymmetry/Jacobi sweep and Virasoro consistency")
-    p.add_argument("--variant", default="B")
-    p.add_argument("--degree", type=int, default=5)
-    p.add_argument("--level", type=int, default=3)
-    p.add_argument("--vir-degree", dest="vir_degree", type=int, default=10)
-
-    p = sub.add_parser("module", parents=[common], help="build and analyze intermediate-series windows")
-    p.add_argument("--family", choices=["Aab", "Aa", "Ba"], default="Aab")
-    p.add_argument("--a", default="0")
-    p.add_argument("--b")
-    p.add_argument("--to-b", dest="to_b")
-    p.add_argument("--range", default="-8:8")
-    p.add_argument("--pair-degree", dest="pair_degree", type=int)
-    p.add_argument("--level-cap", dest="level_cap", type=int)
-    p.add_argument("action", choices=["check", "irreducible", "intertwiner", "extension", "spanning", "classify"])
-
-    p = sub.add_parser("verma", parents=[common], help="truncated highest-weight module data")
-    p.add_argument("--n", type=int, default=1)
-    p.add_argument("--depth", type=int, default=3)
-    p.add_argument("--lambda-file", dest="lambda_file")
-    p.add_argument("--lam", help="comma-separated rational values for the degree-zero levels")
-    p.add_argument("--c", help="central charge for singular (default 0)")
-    p.add_argument("action", choices=["dims", "singular"])
-
-    p = sub.add_parser("lemmas", parents=[common], help="run the identity-verification suite")
-    p.add_argument("--strict", action="store_true")
-
-    p = sub.add_parser("classify", parents=[common], help="classify a windowed module from its JSON file")
-    p.add_argument("--module-file", dest="module_file", required=True)
-
+    for command, (_, help_line, actions) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_line, allow_abbrev=False)
+        for name, (commands, reader, _, _, help_text) in OPTIONS.items():
+            if reader is _switch and command in commands:
+                p.add_argument(_flag(name), action="store_true", default=None)
+            elif command in commands:
+                p.add_argument(_flag(name), choices=reader if isinstance(reader, tuple) else None, help=help_text)
+        if actions:
+            p.add_argument("action", choices=actions)
     return parser
 
 
-HANDLERS = {
-    "bracket": _cmd_bracket,
-    "axioms": _cmd_axioms,
-    "module": _cmd_module,
-    "verma": _cmd_verma,
-    "lemmas": _cmd_lemmas,
-    "classify": _cmd_classify,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    argv = _normalize_argv(sys.argv[1:] if argv is None else list(argv))
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(_normalize_argv(sys.argv[1:] if argv is None else list(argv)))
     try:
-        if args.config:
-            # config values go through the same parser as flags; the user's flags come last and win
-            pos = argv.index(args.command) + 1
-            args = parser.parse_args([*argv[:pos], *_config_flags(args), *argv[pos:]])
-        del parser
-        _check_readers(args)
-        payload, text, code = HANDLERS[args.command](args)
+        _read_options(args)
+        payload, text, code = COMMANDS[args.command][0](args)
         # the one place a report is written
         if args.out:
             write_report(payload, args.out)

@@ -391,16 +391,36 @@ def irreducible_verdict(spec: IntermediateSpec, lo: int, hi: int) -> dict:
     The family criterion: irreducible iff a is not an integer, or a is
     an integer and b is neither 0 nor 1.  The brute-force verdict holds
     when the closure from every single basis vector fills the window.
-    A one-index window, on which every verdict would be vacuous, raises
-    ValueError.
+    A window decides when it has at least 3 indices and, where the
+    criterion says reducible, holds -a; any other window raises
+    ValueError naming the smallest range that holds it and decides.
+
+    Why that is all: L_i x_k = (a + k + b*i) x_{k+i}.  For a fixed
+    target t the coefficient a + b*t + (1 - b)*k vanishes for at most
+    one source k, unless b = 1 and t = -a; for a fixed source it
+    vanishes for at most one target, unless b = 0 and k = -a.  So where
+    the criterion says irreducible, the zero coefficients form a partial
+    matching, and a complete digraph on w >= 3 vertices minus a partial
+    matching is strongly connected: if u -> v is missing, then for any x
+    outside {u, v} both u -> x and x -> v are present, since v's one
+    missing in-edge comes from u.  Where it says reducible, x_{-a} is a
+    fixed point (b = 0) or unreachable (b = 1), which the window shows
+    exactly when it holds -a.
     """
     if spec.family != "Aab":
         raise ValueError("irreducible_verdict applies to the Aab family")
-    if lo == hi:
-        raise ValueError(f"range {lo}:{hi} has one index, where no generator acts; irreducible needs two, such as {lo}:{lo + 1}")
     a = Fraction(spec.a)
     b = Fraction(spec.b)
     criterion = a.denominator != 1 or b not in (0, 1)
+    held = () if criterion else (int(-a),)  # the index a deciding window must hold
+    wide_lo, wide_hi = min((lo, *held)), max((hi, *held))
+    wide_hi = max(wide_hi, wide_lo + 2)
+    if (wide_lo, wide_hi) != (lo, hi):
+        raise ValueError(
+            f"range {lo}:{hi} cannot decide irreducibility at a={a}, b={b}, which needs at least 3 indices"
+            + "".join(f", index {k} among them" for k in held)
+            + f"; the smallest range holding {lo}:{hi} that decides is {wide_lo}:{wide_hi}"
+        )
     mod = build_window(spec, lo, hi)
     full = {k: 1 for k in mod.indices()}
     bruteforce = True

@@ -520,7 +520,7 @@ def test_irreducible_refuses_level_cap_and_pair_degree(capsys):
 
 @pytest.mark.parametrize("fmt", ["table", "json"])
 def test_check_defaults_are_pair_degree_4_and_level_cap_2(capsys, monkeypatch, fmt):
-    # the two options have no argparse default, so check must fill in the documented ones
+    # the two options have no argparse default; check must read the documented ones from cli.OPTIONS
     calls = []
 
     def spy(name):
@@ -762,6 +762,162 @@ def test_config_value_may_start_with_a_dash(tmp_path, capsys):
     assert run(capsys, "module", "--config", str(cfg), "check", "--format", "json") == typed
 
 
+def _run_exit(capsys, *argv):
+    """``run``, with an argparse refusal read as its exit code."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("form", ["flag", "config"])
+@pytest.mark.parametrize(
+    "argv, option, value",
+    [
+        (("axioms", "--variant", "Q:0:1", "--level", "0"), "degree", "1_0"),
+        (("axioms", "--variant", "Q:0:1", "--degree", "1"), "level", " 0"),
+        (("axioms", "--variant", "Q:0:1", "--level", "0"), "degree", "+2"),
+        (("axioms", "--variant", "Q:0:1", "--level", "0"), "vir_degree", "02"),
+        (("verma", "--depth", "3", "dims"), "n", " 1"),
+        (("verma", "--n", "1", "dims"), "depth", "0_3"),
+        (("module", "--a", "1/2", "--b", "2", "--range", "-4:4", "check"), "level_cap", "02"),
+        (("module", "--a", "1/2", "--b", "2", "--range", "-4:4", "check"), "pair_degree", "+4"),
+    ],
+    ids=["degree-underscore", "level-space", "degree-plus", "vir-degree-zero", "n-space", "depth-underscore",
+         "level-cap-zero", "pair-degree-plus"],
+)
+def test_int_options_read_only_canonical_decimals(tmp_path, capsys, monkeypatch, form, argv, option, value):
+    # int() read each of these: --degree 1_0 ran at degree 10, --level " 0" at level 0
+    monkeypatch.chdir(tmp_path)
+    flag = "--" + option.replace("_", "-")
+    (tmp_path / "cfg.json").write_text(json.dumps({option: value}))
+    extra = (flag, value) if form == "flag" else ("--config", "cfg.json")
+    code, out, err = _run_exit(capsys, *argv, *extra)
+    assert (code, out, err) == (2, "", f"error: {flag} {value!r} is not an integer in canonical decimal\n")
+
+
+@pytest.mark.parametrize(
+    "argv, refusal",
+    [
+        (("axioms", "--variant", "Q:0:1", "--deg", "1", "--level", "0"), "unrecognized arguments: --deg 1"),
+        (("axioms", "--variant", "Q:0:1", "--level", "0", "--vir", "2"), "unrecognized arguments: --vir 2"),
+        (("module", "--ran", "1:3", "--a", "1/2", "check"), "argument action: invalid choice: '1:3'"),
+        (("module", "--ran", "-3:3", "--a", "1/2", "check"), "unrecognized arguments: --ran -3:3"),
+        (("verma", "--dep", "2", "dims"), "argument action: invalid choice: '2'"),
+    ],
+    ids=["deg", "vir", "ran", "ran-negative", "dep"],
+)
+def test_flags_are_not_abbreviated(capsys, argv, refusal):
+    # argparse read each prefix as its flag; --ran -3:3 failed with "expected one argument",
+    # since only the full --range was joined with a value that starts with "-"
+    code, out, err = _run_exit(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1].startswith("blocklie") and refusal in err.splitlines()[-1]
+
+
+@pytest.mark.parametrize("argv", [("lemmas", "--out", "--strict"), ("bracket", "--x", "--y", '{"alpha":1}')])
+def test_a_flag_is_not_read_as_the_value_of_the_flag_before_it(tmp_path, capsys, monkeypatch, argv):
+    # --x took "--y" as its value; a value flag is joined with the next token unless that starts with "--"
+    monkeypatch.chdir(tmp_path)
+    code, out, err = _run_exit(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1].endswith(f"argument {argv[1]}: expected one argument") and not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (("lemmas",), "config"),
+        (("axioms", "--variant", "Q:0:1", "--degree", "1", "--level", "0"), "command"),
+        (("module", "--a", "1/2", "--range", "-3:3", "irreducible"), "action"),
+    ],
+)
+def test_a_config_file_sets_only_options(tmp_path, capsys, monkeypatch, argv, key):
+    # {"config": "missing.json"} was ignored, and lemmas exited 0
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps({key: "missing.json"}))
+    code, out, err = _run_exit(capsys, *argv, "--config", "cfg.json")
+    assert (code, out) == (2, "")
+    assert err == f"error: config key {key!r} is not an option of {argv[0]} that a config file can set\n"
+
+
+def test_a_config_file_cannot_set_a_switch(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for value in (1, "true", True):
+        (tmp_path / "cfg.json").write_text(json.dumps({"strict": value}))
+        code, out, err = _run_exit(capsys, "lemmas", "--config", "cfg.json")
+        assert (code, out) == (2, "") and err.startswith("error: ") and "strict" in err and err.count("\n") == 1
+
+
+_OPERANDS = {"x": '{"alpha":2,"level":0}', "y": '{"alpha":-2,"level":0}'}
+
+
+def test_required_options_may_come_from_the_config_file(tmp_path, capsys, monkeypatch):
+    # argparse asked for --x, --y and --module-file before the file was read, and exited 2
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "operands.json").write_text(json.dumps(_OPERANDS))
+    typed = run(capsys, "bracket", "--x", _OPERANDS["x"], "--y", _OPERANDS["y"])
+    assert typed == (0, "-4*L_{0,0} + C\n", "")
+    assert run(capsys, "bracket", "--config", "operands.json") == typed
+    window = build_window(IntermediateSpec("Aab", Fraction(1, 2), Fraction(2)), -4, 4)
+    (tmp_path / "module.json").write_text(json.dumps(window.to_json()))
+    (tmp_path / "classify.json").write_text('{"module_file": "module.json"}')
+    typed = run(capsys, "classify", "--module-file", "module.json")
+    assert typed == (0, "intermediate-series\n", "")
+    assert run(capsys, "classify", "--config", "classify.json") == typed
+    # and one given nowhere is refused with one error line
+    assert run(capsys, "bracket", "--y", _OPERANDS["y"]) == (2, "", "error: bracket needs --x, typed or from --config\n")
+    assert run(capsys, "classify") == (2, "", "error: classify needs --module-file, typed or from --config\n")
+
+
+# a value for each option of cli.OPTIONS, and a quick job of each subcommand that reads it
+_ROW_VALUES = {
+    "out": "report.json", "format": "json", "variant": "Vir", **_OPERANDS, "degree": "2", "level": "1",
+    "vir_degree": "3", "family": "Aa", "a": "1/3", "b": "2", "to_b": "0", "range": "-4:4", "pair_degree": "2",
+    "level_cap": "1", "n": "0", "depth": "4", "lambda_file": "lambda.json", "lam": "1/2,2/3", "c": "1/3",
+    "module_file": "module.json",
+}
+_ROW_JOBS = {
+    "bracket": {**_OPERANDS},
+    "axioms": {"variant": "Q:0:1", "degree": "1", "level": "0", "vir_degree": "2"},
+    "module": {"a": "1/2", "range": "-3:3"},
+    "verma": {"n": "1", "depth": "2"},
+    "classify": {"module_file": "module.json"},
+}
+_ROW_ACTIONS = {"module": "classify", "verma": "dims"}
+
+
+@pytest.mark.parametrize("name", [name for name in cli.OPTIONS if name not in ("config", "strict")])
+def test_each_option_reads_the_same_typed_and_from_a_config_file(tmp_path, capsys, monkeypatch, name):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "lambda.json").write_text('{"lambda": ["1/2", "0"], "c": "2"}')
+    window = build_window(IntermediateSpec("Aab", Fraction(1, 2), Fraction(2)), -4, 4)
+    (tmp_path / "module.json").write_text(json.dumps(window.to_json()))
+    commands, reader, _, actions, _ = cli.OPTIONS[name]
+    command = commands[0]
+    action = actions[0] if actions else _ROW_ACTIONS.get(command)
+    argv = [command]
+    for option, value in _ROW_JOBS[command].items():
+        if option != name:
+            argv += ["--" + option.replace("_", "-"), value]
+    value = _ROW_VALUES[name]
+
+    def report(*extra):
+        result = run(capsys, *argv, *extra, *([action] if action else []))
+        written = tmp_path / "report.json"
+        return result, written.read_bytes() if written.exists() else None
+
+    typed = report("--" + name.replace("_", "-"), value)
+    assert typed[0][0] == 0, typed
+    configs = [{name: value}] + ([{name: int(value)}] if reader is cli._int else [])
+    for config in configs:
+        (tmp_path / "report.json").unlink(missing_ok=True)
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        assert report("--config", "cfg.json") == typed, config
+
+
 def test_out_of_variant_key_diagnostic(capsys):
     code, _, err = run(
         capsys, "bracket", "--variant", "Q:1:2",
@@ -849,8 +1005,22 @@ def test_one_index_check_is_a_usage_error(capsys):
 
 @pytest.mark.parametrize("a", ["1/2", "0"])
 def test_one_index_irreducible_is_a_usage_error(capsys, a):
-    # a one-index window holds no bracket, so either verdict would be vacuous
+    # a one-index window holds no bracket, so either verdict would be vacuous; at a = 0, b = 1 a
+    # deciding window also holds index 0, which nothing else reaches
     code, out, err = run(capsys, "module", "--a", a, "--b", "1", "--range", "3:3", "irreducible")
     assert code == 2
     assert out == ""
-    assert err.startswith("error: ") and "range 3:3" in err and "3:4" in err
+    wide = {"1/2": "3:5", "0": "0:3"}[a]
+    assert err.startswith("error: ") and "range 3:3" in err and err.endswith(f" decides is {wide}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, wide",
+    [(("--a", "0", "--b", "2", "--range", "-2:-1"), "-2:0"), (("--a", "0", "--b", "0", "--range", "1:5"), "0:5")],
+    ids=["two-indices", "misses-minus-a"],
+)
+def test_irreducible_refuses_a_window_that_cannot_decide(capsys, argv, wide):
+    # each exited 1, as a failed check: bruteforce=false criterion=true, then bruteforce=true criterion=false
+    code, out, err = run(capsys, "module", *argv, "irreducible")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: range ") and err.endswith(f" decides is {wide}\n") and err.count("\n") == 1

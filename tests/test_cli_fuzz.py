@@ -1,22 +1,28 @@
 """Fuzz: argument lists and --config files exit 0, 1 or 2, never with a traceback.
 
-Each example draws an action and a value, or none, for each option of
-``cli.OPTION_READERS`` that the subcommand has, so an option often goes
-to an action that does not read it.  Sizes are drawn small, zero and
-negative, and the size caps (``RANGE_WIDTH_CAP``, ``MODULE_MATRIX_CAP``,
-``VERMA_SPACE_CAP``, ``VERMA_WORK_CAP``) are set, per example, to what
-the drawn job counts (the run is at the cap), to one less (the run is
-one above it) or left as they are.  So every boundary is hit, and no
-run does more than a few milliseconds of work.  ``tests/test_cli.py``
-holds the counts against the real caps.
+Each example draws an action and a value, or none, for each option in
+``cli.OPTIONS`` that only some of the subcommand's actions read, so an
+option often goes to an action that does not read it.  Sizes are drawn
+small, zero and negative, and the size caps (``RANGE_WIDTH_CAP``,
+``MODULE_MATRIX_CAP``, ``VERMA_SPACE_CAP``, ``VERMA_WORK_CAP``) are set,
+per example, to what the drawn job counts (the run is at the cap), to
+one less (the run is one above it) or left as they are.  So every
+boundary is hit, and no run does more than a few milliseconds of work.
+``tests/test_cli.py`` holds the counts against the real caps.
 
 The second fuzz draws ``axioms`` and ``bracket`` jobs: variants that
 parse or not, degrees, levels and --vir-degree small, zero or negative,
 bracket operands in either JSON form with one key of the wrong type,
 missing or unknown, and half the time a --config file of the
-subcommand's keys and unknown ones, with values of the right or the
-wrong JSON type.  ``AXIOM_KEY_CAP`` and ``VIR_DEGREE_CAP`` are set in
-the same way, from the counts of the parsed job.
+subcommand's keys, unknown ones and the parser's own, with values of
+the right or the wrong JSON type.  ``AXIOM_KEY_CAP`` and
+``VIR_DEGREE_CAP`` are set in the same way, from the counts of the
+parsed job.
+
+Every option, action and config key is read from ``cli.OPTIONS`` and
+``cli.COMMANDS``.  An int option is drawn now and then in a spelling
+that is not a canonical decimal ("1_0", " 1", "+1", "01"), and a job
+that holds one exits 2.
 """
 
 import io
@@ -33,19 +39,19 @@ from hypothesis import strategies as st  # noqa: E402
 from blocklie import cli, verma  # noqa: E402
 from blocklie.cli import main  # noqa: E402
 
-PARSER_OPTIONS = {
-    "module": {"pair_degree", "level_cap", "to_b"},
-    "verma": {"lam", "c", "lambda_file"},
-}
-ACTIONS = {
-    "module": ["check", "irreducible", "intertwiner", "extension", "spanning", "classify"],
-    "verma": ["dims", "singular"],
-}
+
+def _options(command: str) -> dict:
+    """The options of ``command`` in ``cli.OPTIONS``, each with the actions that read it (None: all)."""
+    return {name: row[3] for name, row in cli.OPTIONS.items() if command in row[0]}
+
+
+# int spellings that int() reads and the CLI refuses: each exits 2, typed or from a config file
+NONCANONICAL = ["1_0", " 1", "+1", "01"]
 # option values, the valid ones drawn more often: ints for the int options (and
-# one that argparse refuses), rationals and grids otherwise
+# ones that the int reader refuses), rationals and grids otherwise
 VALUES = {
-    "pair_degree": ["1", "2", "4", "-1", "0", "x"],
-    "level_cap": ["0", "1", "3", "-1", "1.5"],
+    "pair_degree": ["1", "2", "4", "-1", "0", "x", *NONCANONICAL],
+    "level_cap": ["0", "1", "3", "-1", "1.5", *NONCANONICAL],
     "to_b": ["1", "2", "2", "0,1", "x"],
     "lam": ["1/2,0", "1/2,0", "0", "0,-1/3,0", "1/0", ""],
     "c": ["0", "-2", "1/3", "c"],
@@ -71,14 +77,15 @@ def _cap(boundary: str, count: int, real: int) -> int:
 @st.composite
 def _jobs(draw):
     """argv and the caps to set for one module or verma job."""
-    command = draw(st.sampled_from(sorted(ACTIONS)))
-    action = draw(st.sampled_from(ACTIONS[command]))
+    command = draw(st.sampled_from(["module", "verma"]))
+    action = draw(st.sampled_from(cli.COMMANDS[command][2]))
     argv = [command]
     options = {}
     # the options the action reads, each half the time, and now and then one it does not read
-    foreign = draw(st.sampled_from([None] * 6 + sorted(PARSER_OPTIONS[command])))
-    for option, readers in sorted(cli.OPTION_READERS.items()):
-        if option == foreign or (option in PARSER_OPTIONS[command] and action in readers and draw(st.booleans())):
+    selective = {name: readers for name, readers in _options(command).items() if readers is not None}
+    foreign = draw(st.sampled_from([None] * 6 + sorted(selective)))
+    for option, readers in sorted(selective.items()):
+        if option == foreign or (action in readers and draw(st.booleans())):
             options[option] = draw(st.sampled_from(VALUES[option]))
             argv += ["--" + option.replace("_", "-"), options[option]]
     caps = {}
@@ -126,6 +133,7 @@ def test_module_and_verma_arguments_exit_0_1_or_2_without_a_traceback(tmp_path_f
     what = (argv, caps, err)
     assert code in (0, 1, 2), what
     assert "Traceback" not in out + err, what
+    assert code == 2 or not set(NONCANONICAL) & set(argv), what
     if code == 2:
         assert out == "" and [line for line in err.splitlines() if "error:" in line] == err.splitlines()[-1:], what
     else:
@@ -135,11 +143,11 @@ def test_module_and_verma_arguments_exit_0_1_or_2_without_a_traceback(tmp_path_f
 # axioms and bracket: variants that parse_variant reads, and Q:m:n and other forms that it refuses
 VARIANTS = ["B", "Vir", "Bbar", "W1inf", "Winf", "Q:0:1", "Q:1:2", "Q:0:0"]
 BAD_VARIANTS = ["Q:2:1", "Q:-1:1", "Q:0:01", "Q:0", "b"]
-# degrees and levels small, zero and negative, and a value argparse refuses
-DEGREES = ["2", "1", "0", "-1", "2", "1", "x"]
-LEVELS = ["1", "2", "0", "-1", "1", "0", "1.5"]
+# degrees and levels small, zero and negative, and values the int reader refuses
+DEGREES = ["2", "1", "0", "-1", "2", "1", "x", *NONCANONICAL]
+LEVELS = ["1", "2", "0", "-1", "1", "0", "1.5", *NONCANONICAL]
 # the --vir-degree default reads 441 pairs, so the flag is drawn small and mostly given
-VIR_DEGREES = ["2", "3", "2", "1", "0", "-1", "2", None, None]
+VIR_DEGREES = ["2", "3", "2", "1", "0", "-1", "2", *NONCANONICAL, None, None]
 # JSON values of the wrong type wherever an integer, a rational, a string or a list is read
 _wrong = st.sampled_from([1.5, True, None, [], {}, [1], {"alpha": 1}, "1", "", "x"])
 _small = st.integers(-3, 3)
@@ -180,11 +188,13 @@ def _mostly(valid):
     return st.one_of(valid, valid, valid, _wrong)
 
 
-# --config keys of each subcommand: its options, the parser's own names and unknown ones
-CONFIG_KEYS = {
-    "axioms": ["variant", "degree", "level", "vir_degree", "format", "out", "config", "command", "nope", "strict"],
-    "bracket": ["variant", "x", "y", "format", "out", "config", "command", "nope", "degree"],
-}
+def _config_keys(command: str) -> list[str]:
+    """--config keys for ``command``: its options, the parser's own names, an unknown key and another
+    subcommand's option."""
+    foreign = next(name for name, row in cli.OPTIONS.items() if command not in row[0])
+    return [*_options(command), "command", "action", "nope", foreign]
+
+
 _config_values = {
     "variant": _mostly(_variants) | _small,
     "degree": _mostly(_small | st.sampled_from(DEGREES)),
@@ -218,7 +228,7 @@ def _other_jobs(draw):
             argv += [f"--{name}", draw(_operand(variant, defective == name))]
     config = None
     if draw(st.booleans()):
-        keys = draw(st.lists(st.sampled_from(CONFIG_KEYS[command]), max_size=3, unique=True))
+        keys = draw(st.lists(st.sampled_from(_config_keys(command)), max_size=3, unique=True))
         config = {key: draw(_config_values.get(key, _small)) for key in keys}
         if draw(st.sampled_from([False] * 5 + [True] + [False] * 4)):
             config = draw(st.sampled_from([[], 3, "axioms", False]))  # not a JSON object
@@ -282,11 +292,14 @@ def test_axioms_bracket_and_config_exit_0_1_or_2_without_a_traceback(tmp_path_fa
         argv = [str(base / token) if token.endswith(".json") else token for token in argv]
     caps = {}
     with pytest.MonkeyPatch.context() as patch:
-        patch.setitem(cli.HANDLERS, "axioms", _capped(cli.HANDLERS["axioms"], boundaries, caps))
+        handler, *rest = cli.COMMANDS["axioms"]
+        patch.setitem(cli.COMMANDS, "axioms", (_capped(handler, boundaries, caps), *rest))
         code, out, err = _run(argv)
     what = (argv, config, caps, err)
     assert code in (0, 1, 2), what
     assert "Traceback" not in out + err, what
+    spellings = set(argv) | {v for v in (config.values() if isinstance(config, dict) else ()) if isinstance(v, str)}
+    assert code == 2 or not set(NONCANONICAL) & spellings, what
     if err:
         # a refusal, or a report that cannot be written (exit 1)
         assert code in (1, 2) and out == "", what

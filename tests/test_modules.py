@@ -1,5 +1,6 @@
 """Windowed modules: construction, axioms, closures, verdicts, extensions."""
 
+import inspect
 import random
 import tracemalloc
 from fractions import Fraction
@@ -192,6 +193,62 @@ def test_irreducible_verdicts():
     assert irreducible_verdict(IntermediateSpec("Aab", F(0), F(2)), -8, 8)["bruteforce"] is True
     with pytest.raises(ValueError):
         irreducible_verdict(IntermediateSpec("Aa", F(0)), -4, 4)
+
+
+# every Aab window of 2-7 indices starting in -5..2, over a grid of integral and non-integral a and of b
+_GRID_A = [F(1, 2), F(0), F(1), F(-3), F(2, 3), F(2)]
+_GRID_B = [F(0), F(1), F(2), F(1, 2), F(-1), F(3, 2)]
+_GRID_WINDOWS = [(lo, lo + width - 1) for lo in range(-5, 3) for width in range(2, 8)]
+
+
+def _grid_faults(verdict):
+    """The grid windows where ``verdict`` disagrees with itself, or refuses or decides against the rule.
+
+    A window decides when it has at least 3 indices and, for an integral
+    a with b in {0, 1}, holds -a.
+    """
+    for a in _GRID_A:
+        for b in _GRID_B:
+            for lo, hi in _GRID_WINDOWS:
+                decides = hi - lo >= 2 and (a.denominator != 1 or b not in (0, 1) or lo <= -a <= hi)
+                try:
+                    agree = verdict(IntermediateSpec("Aab", a, b), lo, hi)["agree"]
+                except ValueError:
+                    agree = None
+                if agree is not (True if decides else None):
+                    yield a, b, lo, hi, agree
+
+
+def test_irreducible_decides_every_wide_enough_window_and_refuses_the_rest():
+    # 217 of these 1,728 windows disagreed before narrow ones were refused, as a failed check
+    assert list(_grid_faults(irreducible_verdict)) == []
+
+
+def test_a_mutated_irreducible_criterion_fails_the_grid():
+    # the criterion with b in {0, 2} for b in {0, 1}, in a copy of irreducible_verdict
+    source = inspect.getsource(modules.irreducible_verdict)
+    assert source.count("b not in (0, 1)") == 1
+    namespace = dict(vars(modules))
+    exec(source.replace("b not in (0, 1)", "b not in (0, 2)"), namespace)
+    assert next(_grid_faults(namespace["irreducible_verdict"]), None) is not None
+
+
+@pytest.mark.parametrize(
+    "a, b, lo, hi, message",
+    [
+        (F(0), F(2), -2, -1, "the smallest range holding -2:-1 that decides is -2:0"),
+        (F(0), F(0), 1, 5, "index 0 among them; the smallest range holding 1:5 that decides is 0:5"),
+        (F(2), F(1), 0, 4, "index -2 among them; the smallest range holding 0:4 that decides is -2:4"),
+        (F(1, 2), F(1), 3, 3, "the smallest range holding 3:3 that decides is 3:5"),
+    ],
+    ids=["two-indices", "misses-minus-a-below", "misses-minus-a-above", "one-index"],
+)
+def test_a_window_that_cannot_decide_names_the_least_one_that_does(a, b, lo, hi, message):
+    with pytest.raises(ValueError) as refusal:
+        irreducible_verdict(IntermediateSpec("Aab", a, b), lo, hi)
+    assert str(refusal.value).endswith(message)
+    wide_lo, wide_hi = map(int, message.rsplit(" ", 1)[1].split(":"))
+    assert irreducible_verdict(IntermediateSpec("Aab", a, b), wide_lo, wide_hi)["agree"] is True
 
 
 def test_intertwiner_existence():
