@@ -152,9 +152,8 @@ def _parameter_grid(text: str) -> list:
 def _spec_grid(args: argparse.Namespace) -> list[modules.IntermediateSpec]:
     grid_a = _parameter_grid(args.a)
     if args.family == "Aab":
-        grid_b = _parameter_grid("0" if args.b is None else args.b)
-        return [modules.IntermediateSpec("Aab", a, b) for a in grid_a for b in grid_b]
-    if args.b is not None or args.to_b is not None:
+        return [modules.IntermediateSpec("Aab", a, b) for a in grid_a for b in _parameter_grid(args.b)]
+    if {"b", "to_b"} & args.given:
         raise UsageError(f"--b and --to-b are parameters of family Aab, not {args.family}")
     return [modules.IntermediateSpec(args.family, a) for a in grid_a]
 
@@ -300,12 +299,12 @@ def _cmd_verma(args: argparse.Namespace) -> tuple[dict, str, int]:
             f" checking actions, above the cap of {VERMA_WORK_CAP}"
         )
     if args.lambda_file:
-        if args.lam is not None or args.c is not None:
+        if {"lam", "c"} & args.given:
             raise UsageError("--lambda-file gives lambda and c, so --lam and --c would go unread")
         lam = verma.WeightFunctional.from_json(_read_json(args.lambda_file, "lambda file"))
     else:
-        values = tuple(parse_rational(v) for v in (args.lam or "0," * n + "0").split(","))
-        lam = verma.WeightFunctional(values, parse_rational("0" if args.c is None else args.c))
+        values = tuple(parse_rational(v) for v in (args.lam if "lam" in args.given else "0," * n + "0").split(","))
+        lam = verma.WeightFunctional(values, parse_rational(args.c))
     if lam.n != n:
         raise UsageError(f"lambda table has {lam.n + 1} entries but n={n} needs {n + 1}")
     found = []
@@ -389,7 +388,7 @@ OPTIONS = {
     "vir_degree": (("axioms",), _int, 10, None, None),
     "family": (("module",), ("Aab", "Aa", "Ba"), "Aab", None, None),
     "a": (("module",), _text, "0", None, None),
-    "b": (("module",), _text, None, None, None),  # "0" for family Aab, which alone reads it
+    "b": (("module",), _text, "0", None, None),  # read by family Aab alone
     "to_b": (("module",), _text, None, ("intertwiner",), None),
     "range": (("module",), _text, "-8:8", None, None),
     "pair_degree": (("module",), _int, 4, ("check",), None),
@@ -398,7 +397,7 @@ OPTIONS = {
     "depth": (("verma",), _int, 3, None, None),
     "lambda_file": (("verma",), _text, None, ("singular",), None),
     "lam": (("verma",), _text, None, ("singular",), "comma-separated rational values for the degree-zero levels"),
-    "c": (("verma",), _text, None, ("singular",), "central charge for singular (default 0)"),
+    "c": (("verma",), _text, "0", ("singular",), "central charge for singular (default 0)"),
     "strict": (("lemmas",), _switch, False, None, None),
     "module_file": (("classify",), _text, REQUIRED, None, None),
 }
@@ -409,8 +408,12 @@ def _flag(name: str) -> str:
 
 
 def _read_options(args: argparse.Namespace) -> None:
-    """Set each option of the subcommand to its --config value, then to its typed one, each read by its reader."""
+    """Set each option of the subcommand to its --config value, then to its typed one, each read by its reader.
+
+    ``args.given`` names the options given either way, for a handler that must tell them from defaults.
+    """
     names = [name for name, row in OPTIONS.items() if args.command in row[0]]
+    args.given = set()
     config = _read_json(args.config, "config file") if args.config else {}
     if not isinstance(config, dict):
         raise UsageError("config file must hold a JSON object")
@@ -427,17 +430,31 @@ def _read_options(args: argparse.Namespace) -> None:
             if isinstance(reader, tuple) and given not in reader:
                 raise UsageError(f"{_flag(name)} must be one of {', '.join(reader)}, got {given!r}")
             value = given if isinstance(reader, tuple) else reader(given, _flag(name))
+            args.given.add(name)
         if value is REQUIRED:
             raise UsageError(f"{args.command} needs {_flag(name)}, typed or from --config")
         setattr(args, name, value)
 
 
 def _normalize_argv(argv: list[str]) -> list[str]:
-    """Join each value flag with its value ("--range=-4:4"), so that a value may start with "-", but not "--"."""
+    """Join each value flag with its value ("--range=-4:4"), so that a value may start with "-", but not "--".
+
+    In a subcommand with actions, an unknown flag is joined with a next token that starts
+    with no "-" and is no action, so that argparse refuses the flag by name ("--ran=1:3")
+    rather than reading its value as the action.
+    """
     value_flags = {_flag(name) for name, row in OPTIONS.items() if row[1] is not _switch}
+    known = {_flag(name) for name in OPTIONS} | {"--help", "--"}
+    actions = COMMANDS[argv[0]][2] if argv and argv[0] in COMMANDS else ()
     out = []
     for token in argv:
-        if out and out[-1] in value_flags and not token.startswith("--"):
+        last = out[-1] if out else ""
+        if last in value_flags:
+            join = not token.startswith("--")
+        else:
+            join = last.startswith("--") and last not in known and "=" not in last
+            join = join and bool(actions) and token not in actions and not token.startswith("-")
+        if join:
             out[-1] += "=" + token
         else:
             out.append(token)

@@ -5,7 +5,9 @@ Three layers of checks live here.
 1. A purely symbolic identity between nested brackets of level-0
    generators around a degree-1 generator of symbolic level, verified
    at the level of polynomial coefficients and cross-checked against
-   the numeric bracket engine.
+   the numeric bracket engine.  A symbolic generator is a ``BasisKey``
+   whose degree and level are polynomials, so ``algebra._bilinear``
+   brackets it with ``bracket_terms`` itself.
 
 2. The shift system: applying that identity to a uniformly bounded
    window whose level-0 actions are upper triangular with diagonals
@@ -24,16 +26,16 @@ Three layers of checks live here.
    degree zero, and the nilpotency chain that squares a characteristic
    polynomial to annihilate the window reached from the core band.
 
-Reports never silently replace a computed value with a stated one;
-both travel together with an explicit match status.
+Reports (``LemmaReport`` tuples) never silently replace a computed
+value with a stated one; both travel together with an explicit match
+status.
 """
 
 from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from operator import add
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import algebra
 from .algebra import BasisKey, bracket, gen
@@ -60,80 +62,31 @@ def _const(v) -> MultiPoly:
 ALPHA, BETA, I_SYM, KT, BP, BQ = (_sym(n) for n in ALPHABET)
 
 
-class LemmaReport:
-    """One identity's verdict; ``details`` defaults to a fresh dict per report."""
+class LemmaReport(NamedTuple):
+    """One identity's verdict, with the computed and the stated value side by side."""
 
-    __slots__ = ("claim", "status", "passed", "computed", "stated", "details")
-
-    def __init__(
-        self,
-        claim: str,
-        status: str,
-        passed: bool,
-        computed: object = None,
-        stated: object = None,
-        details: dict | None = None,
-    ):
-        self.claim = claim
-        self.status = status
-        self.passed = passed
-        self.computed = computed
-        self.stated = stated
-        self.details = {} if details is None else details
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.to_json() == other.to_json()
-
-    __hash__ = None  # mutable: _derivation_job reassigns claim
-
-    def __repr__(self) -> str:
-        return "LemmaReport(" + ", ".join(f"{name}={value!r}" for name, value in self.to_json().items()) + ")"
+    claim: str
+    status: str
+    passed: bool
+    computed: object
+    stated: object
+    details: dict
 
     def to_json(self) -> dict:
-        return {
-            "claim": self.claim,
-            "status": self.status,
-            "passed": self.passed,
-            "computed": self.computed,
-            "stated": self.stated,
-            "details": self.details,
-        }
+        return self._asdict()
 
 
 # ---------------------------------------------------------------------------
 # symbolic bracket on generators with symbolic degree and level
 # ---------------------------------------------------------------------------
 
-# key: degree as integer coefficients of (alpha, beta, 1), level as
-# coefficients of (i, 1); the value is the MultiPoly coefficient.
-SymKey = tuple[tuple[int, int, int], tuple[int, int]]
-SymbolicElement = dict[SymKey, MultiPoly]
+# a generator's key holds its degree and level as polynomials; the value
+# is its MultiPoly coefficient
+SymbolicElement = dict[BasisKey, MultiPoly]
 
 
-def _deg_poly(deg: tuple[int, int, int]) -> MultiPoly:
-    ca, cb, const = deg
-    return ALPHA.scale(ca) + BETA.scale(cb) + _const(const)
-
-
-def _lev_poly(lev: tuple[int, int]) -> MultiPoly:
-    ci, const = lev
-    return I_SYM.scale(ci) + _const(const)
-
-
-def sym_gen(deg: tuple[int, int, int], lev: tuple[int, int]) -> SymbolicElement:
-    return {(deg, lev): _const(1)}
-
-
-def _sym_terms(variant: algebra.AlgebraVariant, x: SymKey, y: SymKey) -> tuple[SymbolicElement, int]:
-    """``bracket_terms`` on symbolic keys, whose degree and level become polynomials."""
-    (d1, l1), (d2, l2) = x, y
-    key = (tuple(map(add, d1, d2)), tuple(map(add, l1, l2)))
-    if not any(key[0] + key[1]):
-        raise ValueError(f"[{x}, {y}] may carry a central term, which a symbolic element has no slot for")
-    terms, _ = algebra.bracket_terms(variant, BasisKey(_deg_poly(d1), _lev_poly(l1)), BasisKey(_deg_poly(d2), _lev_poly(l2)))
-    return {key: c for c in terms.values()}, 0
+def sym_gen(degree: MultiPoly, level: MultiPoly) -> SymbolicElement:
+    return {BasisKey(degree, level): _const(1)}
 
 
 def sym_bracket(x: SymbolicElement, y: SymbolicElement) -> SymbolicElement:
@@ -145,11 +98,11 @@ def sym_bracket(x: SymbolicElement, y: SymbolicElement) -> SymbolicElement:
     the zero polynomial raises ValueError.  Numeric spot checks go
     through the full engine.
     """
-    return algebra._bilinear(_sym_terms, algebra.BLOCK_B, x.items(), y.items())[0]
-
-
-def sym_scale(x: SymbolicElement, factor: MultiPoly) -> SymbolicElement:
-    return accumulate({}, x.items(), factor)
+    for kx in x:
+        for ky in y:
+            if not (kx.alpha + ky.alpha or kx.level + ky.level):
+                raise ValueError(f"[{kx}, {ky}] may carry a central term, which a symbolic element has no slot for")
+    return algebra._bilinear(algebra.bracket_terms, algebra.BLOCK_B, x.items(), y.items())[0]
 
 
 def _prefactors() -> tuple[MultiPoly, MultiPoly]:
@@ -165,14 +118,12 @@ def nested_bracket_identity() -> LemmaReport:
     report verifies exact symbolic equality of the shared coefficient
     and backs it with numeric spot checks through the bracket engine.
     """
-    l_a = sym_gen((1, 0, 0), (0, 0))
-    l_b = sym_gen((0, 1, 0), (0, 0))
-    l_ab = sym_gen((1, 1, 0), (0, 0))
-    l_1i = sym_gen((0, 0, 1), (1, 0))
+    level0 = _const(0)
+    l_1i = sym_gen(_const(1), I_SYM)
     pre1, pre2 = _prefactors()
-    lhs = sym_scale(sym_bracket(l_a, sym_bracket(l_b, l_1i)), pre1)
-    rhs = sym_scale(sym_bracket(l_ab, l_1i), pre2)
-    target_key = ((1, 1, 1), (1, 0))
+    lhs = accumulate({}, sym_bracket(sym_gen(ALPHA, level0), sym_bracket(sym_gen(BETA, level0), l_1i)).items(), pre1)
+    rhs = accumulate({}, sym_bracket(sym_gen(ALPHA + BETA, level0), l_1i).items(), pre2)
+    target_key = BasisKey(ALPHA + BETA + 1, I_SYM)
     symbolic_equal = lhs == rhs and set(lhs) <= {target_key}
     expected = pre1 * (_const(1) - (I_SYM + 1) * BETA) * (_const(1) + BETA - (I_SYM + 1) * ALPHA)
     coefficient_ok = lhs.get(target_key, _const(0)) == expected
@@ -218,29 +169,21 @@ def _entry_scalar(pref: MultiPoly, left, t_off: MultiPoly, right) -> tuple[Multi
     return t_off, coeff
 
 
-def _generic_equation() -> list[tuple[MultiPoly, MultiPoly]]:
-    """The extremal-entry equation as (unknown offset, coefficient) pairs, summed to zero."""
+def _generic_equation() -> dict[MultiPoly, MultiPoly]:
+    """The extremal-entry equation as {unknown offset: coefficient}, summed to zero."""
     pre1, pre2 = _prefactors()
     one = _const(1)
     zero = _const(0)
     a, b = ALPHA, BETA
-    terms = [
+    terms = (
         _entry_scalar(pre1, [(a, one + b), (b, one)], zero, []),
         _entry_scalar(-pre1, [(a, one + b)], b, [(b, zero)]),
         _entry_scalar(-pre1, [(b, one + a)], a, [(a, zero)]),
         _entry_scalar(pre1, [], a + b, [(b, a), (a, zero)]),
         _entry_scalar(-pre2, [(a + b, one)], zero, []),
         _entry_scalar(pre2, [], a + b, [(a + b, zero)]),
-    ]
-    merged: list[tuple[MultiPoly, MultiPoly]] = []
-    for off, coeff in terms:
-        for idx, (moff, mcoeff) in enumerate(merged):
-            if moff == off:
-                merged[idx] = (moff, mcoeff + coeff)
-                break
-        else:
-            merged.append((off, coeff))
-    return merged
+    )
+    return accumulate({}, terms)
 
 
 def _instantiate(poly: MultiPoly, beta_sign: int, negate_alpha: bool, kt_shift: int) -> MultiPoly:
@@ -275,19 +218,16 @@ def _shift_system() -> tuple[tuple[tuple[MultiPoly, ...], ...], MultiPoly]:
         (1, True, 1),
     ]
     base_shifts = [-1, 0, 1]
-    columns = [-ALPHA, _const(0), ALPHA]
+    columns = {-ALPHA: 0, 0: 1, ALPHA: 2}
     rows: list[tuple[MultiPoly, ...]] = []
     for (beta_sign, negate_alpha, kt_shift), base in zip(instantiations, base_shifts):
         row = [_const(0), _const(0), _const(0)]
-        for off, coeff in generic:
+        for off, coeff in generic.items():
             off_inst = _instantiate(off, beta_sign, negate_alpha, 0) + ALPHA.scale(base)
-            coeff_inst = _instantiate(coeff, beta_sign, negate_alpha, kt_shift)
-            for col, col_off in enumerate(columns):
-                if off_inst == col_off:
-                    row[col] = row[col] + coeff_inst
-                    break
-            else:
+            col = columns.get(off_inst)
+            if col is None:
                 raise AssertionError(f"unknown offset {off_inst} outside the three-term band")
+            row[col] = row[col] + _instantiate(coeff, beta_sign, negate_alpha, kt_shift)
         rows.append(tuple(row))
 
     for row in rows:
@@ -312,7 +252,7 @@ def shift_system_report() -> LemmaReport:
     quad_ok = True
     expect_t0 = -(ALPHA * BETA) * (_const(1) + KT + BQ * (ALPHA + BETA))
     expect_tab = (ALPHA * BETA) * (KT + BP * (ALPHA + BETA))
-    for off, coeff in generic:
+    for off, coeff in generic.items():
         quad = coeff.coeff_of("i", 2)
         if off == _const(0):
             quad_ok &= quad == expect_t0
@@ -329,6 +269,7 @@ def shift_system_report() -> LemmaReport:
         status=STATUS_EXACT if passed else STATUS_DISCREPANCY,
         passed=passed,
         computed={"determinant_i_degree": det.degree_in("i")},
+        stated=None,
         details={
             "quadratic_part_matches_display": quad_ok,
             "middle_row_quadratic_is_diagonal": middle_ok,
@@ -419,27 +360,15 @@ def shift_system_leading_coefficient() -> LemmaReport:
                     f"slope symbols exchanged, times {mono_swapped!r}"
                 )
 
-    evaluations = []
     all_nonzero = True
     for kt, bp, bq in PARAMETER_SAMPLES:
         for ival in NONVANISHING_GRID:
             for aval in NONVANISHING_GRID:
-                value = det.evaluate({"alpha": aval, "i": ival, "kt": kt, "bp": bp, "bq": bq})
-                evaluations.append(
-                    {
-                        "i": ival,
-                        "alpha": aval,
-                        "kt": format_rational(Fraction(kt)),
-                        "bp": format_rational(Fraction(bp)),
-                        "bq": format_rational(Fraction(bq)),
-                        "nonzero": value != 0,
-                    }
-                )
-                all_nonzero &= value != 0
+                all_nonzero &= det.evaluate({"alpha": aval, "i": ival, "kt": kt, "bp": bp, "bq": bq}) != 0
     degenerate = computed.evaluate({"alpha": 1, "kt": 0, "bp": 0, "bq": 0})
     details["grid"] = list(NONVANISHING_GRID)
     details["evaluations_nonzero"] = all_nonzero
-    details["evaluation_count"] = len(evaluations)
+    details["evaluation_count"] = len(PARAMETER_SAMPLES) * len(NONVANISHING_GRID) ** 2
     details["degenerate_sample_value_alpha1"] = format_rational(degenerate)
     return LemmaReport(
         claim="shift-system-leading-coefficient",
@@ -522,6 +451,7 @@ def edge_product_diagonals() -> LemmaReport:
         status=STATUS_EXACT if passed else STATUS_DISCREPANCY,
         passed=passed,
         computed={"p": repr(p_poly), "q": repr(q_poly)},
+        stated=None,
         details={
             "structural_split": structural,
             "degenerate_reduces_to_scalars": degenerate_ok,
@@ -592,6 +522,8 @@ def derivation_rule_check(
         claim=f"derivation-rule-band{j}-deg{alpha}-g{len(g_coeffs) - 1}",
         status=STATUS_EXACT if passed else STATUS_DISCREPANCY,
         passed=passed,
+        computed=None,
+        stated=None,
         details={"checked": checked, "inconclusive": inconclusive, "violations": violations},
     )
 
@@ -653,6 +585,7 @@ def nilpotency_chain_check(mod: WindowedModule, level: int | None = None) -> Lem
         status=STATUS_EXACT if passed else STATUS_DISCREPANCY,
         passed=passed,
         computed={"f_degree": len(f) - 1},
+        stated=None,
         details={
             "core_annihilated": sanity,
             "checked": checked,
@@ -665,8 +598,7 @@ def nilpotency_chain_check(mod: WindowedModule, level: int | None = None) -> Lem
 def _derivation_job(window: WindowedModule, degree: int, power: int) -> LemmaReport:
     coeffs = [ZERO] * power + [Fraction(1)]
     report = derivation_rule_check(window, coeffs, degree)
-    report.claim = f"derivation-rule-band{window.variant.n}-deg{degree}-power{power}"
-    return report
+    return report._replace(claim=f"derivation-rule-band{window.variant.n}-deg{degree}-power{power}")
 
 
 def run_standard_suite() -> list[LemmaReport]:

@@ -162,6 +162,26 @@ def test_verma_singular_depth_zero_is_usage_error(capsys):
     assert err.startswith("error: singular vectors need depth >= 1")
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_an_empty_lam_is_refused_not_read_as_zero(tmp_path, capsys, monkeypatch, source):
+    # a given --lam "" ran at lambda = 0 and exited 0, as if no --lam were given
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text('{"lam": ""}')
+    extra = ("--lam", "") if source == "flag" else ("--config", "cfg.json")
+    assert run(capsys, "verma", "--n", "1", "--depth", "2", *extra, "singular") == (2, "", "error: malformed rational ''\n")
+
+
+def test_defaults_of_b_c_and_lam_are_the_given_zeros(capsys):
+    # --b and --c default to "0" in cli.OPTIONS; --lam, whose length depends on --n, to one 0 per level
+    assert cli.OPTIONS["b"][2] == cli.OPTIONS["c"][2] == "0"
+    module = ("module", "--a", "1/2", "--range", "-3:3", "--format", "json", "classify")
+    assert run(capsys, *module) == run(capsys, *module, "--b", "0")
+    singular = ("verma", "--n", "1", "--depth", "2", "--format", "json", "singular")
+    assert run(capsys, *singular) == run(capsys, *singular, "--lam", "0,0", "--c", "0")
+    # family Aa reads no --b, so a --b given with its default value is still refused
+    assert run(capsys, "module", "--family", "Aa", "--b", "0", "check")[0] == 2
+
+
 def test_axioms_command(capsys):
     code, out, _ = run(capsys, "axioms", "--variant", "Vir", "--degree", "5", "--vir-degree", "4")
     assert code == 0
@@ -803,15 +823,18 @@ def test_int_options_read_only_canonical_decimals(tmp_path, capsys, monkeypatch,
     [
         (("axioms", "--variant", "Q:0:1", "--deg", "1", "--level", "0"), "unrecognized arguments: --deg 1"),
         (("axioms", "--variant", "Q:0:1", "--level", "0", "--vir", "2"), "unrecognized arguments: --vir 2"),
-        (("module", "--ran", "1:3", "--a", "1/2", "check"), "argument action: invalid choice: '1:3'"),
+        (("module", "--ran", "1:3", "--a", "1/2", "check"), "unrecognized arguments: --ran=1:3"),
         (("module", "--ran", "-3:3", "--a", "1/2", "check"), "unrecognized arguments: --ran -3:3"),
-        (("verma", "--dep", "2", "dims"), "argument action: invalid choice: '2'"),
+        (("verma", "--dep", "2", "dims"), "unrecognized arguments: --dep=2"),
+        (("module", "--a", "1/2", "--ran", "check"), "unrecognized arguments: --ran"),
     ],
-    ids=["deg", "vir", "ran", "ran-negative", "dep"],
+    ids=["deg", "vir", "ran", "ran-negative", "dep", "ran-before-action"],
 )
 def test_flags_are_not_abbreviated(capsys, argv, refusal):
     # argparse read each prefix as its flag; --ran -3:3 failed with "expected one argument",
-    # since only the full --range was joined with a value that starts with "-"
+    # since only the full --range was joined with a value that starts with "-".  An unknown
+    # flag's value is not read as the action ("invalid choice: '1:3'"), and an action after
+    # an unknown flag stays the action
     code, out, err = _run_exit(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.splitlines()[-1].startswith("blocklie") and refusal in err.splitlines()[-1]

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from blocklie import identities as ident
-from blocklie.algebra import BLOCK_B, bracket, gen
+from blocklie.algebra import BLOCK_B, BasisKey, bracket, gen
 from blocklie.modules import IntermediateSpec, build_window, extend_trivially
 from blocklie.rationals import accumulate
 from blocklie.windows import adjoint_window
@@ -23,49 +23,50 @@ def test_nested_bracket_identity_symbolic():
 
 def _reference_sym_bracket(x, y):
     """``sym_bracket`` frozen from before it read ``bracket_terms``: the coefficient written out."""
-
-    def lev_plus_one(lev):
-        ci, const = lev
-        return ident.I_SYM.scale(ci) + ident._const(const + 1)
-
     out = {}
     for (d1, l1), c1 in x.items():
         for (d2, l2), c2 in y.items():
-            coeff = lev_plus_one(l1) * ident._deg_poly(d2) - lev_plus_one(l2) * ident._deg_poly(d1)
-            key = (tuple(a + b for a, b in zip(d1, d2)), tuple(a + b for a, b in zip(l1, l2)))
-            accumulate(out, ((key, coeff * c1 * c2),))
+            coeff = (l1 + 1) * d2 - (l2 + 1) * d1
+            accumulate(out, ((BasisKey(d1 + d2, l1 + l2), coeff * c1 * c2),))
     return out
 
 
 def test_sym_bracket_matches_reference_on_the_lemma_operands():
-    l_a = ident.sym_gen((1, 0, 0), (0, 0))
-    l_b = ident.sym_gen((0, 1, 0), (0, 0))
-    l_1i = ident.sym_gen((0, 0, 1), (1, 0))
+    zero = ident._const(0)
+    l_a = ident.sym_gen(ident.ALPHA, zero)
+    l_b = ident.sym_gen(ident.BETA, zero)
+    l_1i = ident.sym_gen(ident._const(1), ident.I_SYM)
     inner = ident.sym_bracket(l_b, l_1i)
     assert inner == _reference_sym_bracket(l_b, l_1i)
-    mixed = {**l_a, **ident.sym_scale(l_1i, ident.KT + 2)}
+    mixed = {**l_a, **accumulate({}, l_1i.items(), ident.KT + 2)}
     for x, y in ((l_a, inner), (inner, l_a), (mixed, inner), (mixed, mixed)):
         assert list(ident.sym_bracket(x, y).items()) == list(_reference_sym_bracket(x, y).items())
 
 
 def test_sym_bracket_rejects_a_central_pair():
+    zero, one = ident._const(0), ident._const(1)
     # degrees and levels both sum to zero, where B has a central term
     with pytest.raises(ValueError, match="central term"):
-        ident.sym_bracket(ident.sym_gen((1, 0, 0), (0, 0)), ident.sym_gen((-1, 0, 0), (0, 0)))
+        ident.sym_bracket(ident.sym_gen(ident.ALPHA, zero), ident.sym_gen(-ident.ALPHA, zero))
     # a zero degree sum at a nonzero level sum has no central term
-    assert ident.sym_bracket(ident.sym_gen((1, 0, 0), (0, 0)), ident.sym_gen((-1, 0, 0), (1, 0)))
+    assert ident.sym_bracket(ident.sym_gen(ident.ALPHA, zero), ident.sym_gen(-ident.ALPHA, one))
 
 
 def test_lemma_report_values():
-    first, second = ident.LemmaReport("a", ident.STATUS_EXACT, True), ident.LemmaReport("a", ident.STATUS_EXACT, True)
+    first = ident.LemmaReport("a", ident.STATUS_EXACT, True, None, None, {})
+    second = ident.LemmaReport("a", ident.STATUS_EXACT, True, None, None, {})
     assert first == second and first.details == {}
     first.details["k"] = 1
     assert second.details == {} and first != second
-    first.claim = "b"
-    assert first.to_json() == {"claim": "b", "status": "exact", "passed": True, "computed": None, "stated": None, "details": {"k": 1}}
-    assert repr(first) == "LemmaReport(claim='b', status='exact', passed=True, computed=None, stated=None, details={'k': 1})"
+    renamed = first._replace(claim="b")
+    assert first.claim == "a" and renamed.details is first.details
+    assert renamed.to_json() == {"claim": "b", "status": "exact", "passed": True, "computed": None, "stated": None, "details": {"k": 1}}
+    assert repr(renamed) == "LemmaReport(claim='b', status='exact', passed=True, computed=None, stated=None, details={'k': 1})"
     with pytest.raises(TypeError):
-        hash(first)
+        hash(renamed)
+    # no field has a default, so no two reports can share a default details dict
+    with pytest.raises(TypeError):
+        ident.LemmaReport("a", ident.STATUS_EXACT, True, None, None)
 
 
 def test_nested_bracket_numeric_values():
