@@ -298,7 +298,7 @@ def _cmd_verma(args: argparse.Namespace) -> tuple[dict, str, int]:
             f"singular vectors of Q:0:{n} at depth {depth} need up to {n + 1}*{depth}*{space} = {work}"
             f" checking actions, above the cap of {VERMA_WORK_CAP}"
         )
-    if args.lambda_file:
+    if args.lambda_file is not None:
         if {"lam", "c"} & args.given:
             raise UsageError("--lambda-file gives lambda and c, so --lam and --c would go unread")
         lam = verma.WeightFunctional.from_json(_read_json(args.lambda_file, "lambda file"))
@@ -308,8 +308,9 @@ def _cmd_verma(args: argparse.Namespace) -> tuple[dict, str, int]:
     if lam.n != n:
         raise UsageError(f"lambda table has {lam.n + 1} entries but n={n} needs {n + 1}")
     found = []
+    action = verma.VermaAction(lam, n)
     for d in range(1, depth + 1):
-        for vec in verma.singular_vectors(lam, n, d):
+        for vec in verma.singular_vectors(lam, n, d, action):
             pairs = [[verma.monomial_repr(w), format_rational(c)] for w, c in sorted(vec.items())]
             found.append({"depth": d, "vector": pairs})
     generators_ok = verma.validate_positive_generators(n, depth + 2)
@@ -363,6 +364,12 @@ def _text(value, flag: str) -> str:
     return str(value)
 
 
+def _path(value, flag: str) -> str:
+    if value == "":
+        raise UsageError(f"{flag} needs a file path, got an empty one")
+    return str(value)
+
+
 def _int(value, flag: str) -> int:
     return read_int_key(str(value), flag)  # a JSON integer reads as its decimal: 3 and "3" alike
 
@@ -377,8 +384,8 @@ def _switch(value, flag: str) -> bool:
 # the typed string or the --config value and the flag; a tuple of choices is a reader too.
 # ``actions`` are the module or verma actions that read the option, None for all of them.
 OPTIONS = {
-    "config": (EVERY, _text, None, None, "JSON file with default option values"),
-    "out": (EVERY, _text, None, None, "write the canonical JSON report to this path"),
+    "config": (EVERY, _path, None, None, "JSON file with default option values"),
+    "out": (EVERY, _path, None, None, "write the canonical JSON report to this path"),
     "format": (EVERY, ("json", "table"), "table", None, None),
     "variant": (("bracket", "axioms"), _text, "B", None, None),
     "x": (("bracket",), _text, REQUIRED, None, None),
@@ -395,11 +402,11 @@ OPTIONS = {
     "level_cap": (("module",), _int, 2, ("check", "extension", "classify"), None),
     "n": (("verma",), _int, 1, None, None),
     "depth": (("verma",), _int, 3, None, None),
-    "lambda_file": (("verma",), _text, None, ("singular",), None),
+    "lambda_file": (("verma",), _path, None, ("singular",), None),
     "lam": (("verma",), _text, None, ("singular",), "comma-separated rational values for the degree-zero levels"),
     "c": (("verma",), _text, "0", ("singular",), "central charge for singular (default 0)"),
     "strict": (("lemmas",), _switch, False, None, None),
-    "module_file": (("classify",), _text, REQUIRED, None, None),
+    "module_file": (("classify",), _path, REQUIRED, None, None),
 }
 
 
@@ -414,7 +421,7 @@ def _read_options(args: argparse.Namespace) -> None:
     """
     names = [name for name, row in OPTIONS.items() if args.command in row[0]]
     args.given = set()
-    config = _read_json(args.config, "config file") if args.config else {}
+    config = _read_json(_path(args.config, "--config"), "config file") if args.config is not None else {}
     if not isinstance(config, dict):
         raise UsageError("config file must hold a JSON object")
     for key, value in config.items():
@@ -484,7 +491,7 @@ def main(argv: list[str] | None = None) -> int:
         _read_options(args)
         payload, text, code = COMMANDS[args.command][0](args)
         # the one place a report is written
-        if args.out:
+        if args.out is not None:
             write_report(payload, args.out)
         sys.stdout.write(dumps_report(payload) if args.format == "json" else text + "\n")
         sys.stdout.flush()

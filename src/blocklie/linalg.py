@@ -22,11 +22,14 @@ reduced row-echelon form, where each row is divided by its pivot
 entry; that form is unique, so it equals the one rational Gauss-Jordan
 elimination gives.
 
-``row_reduce`` eliminates the rows sparsest first (a stable sort by
-entry count), which limits fill-in (Markowitz 1957).  The order
+``row_reduce`` orders its rows to limit fill-in (Markowitz 1957): rows
+of at most two entries first, then by last column, then by entry
+count, with ties in their given order.  A short row adds little to the
+rows it is eliminated from, and a row whose entries all lie in the
+leading columns cannot spread fill into the later ones.  The order
 changes no result: the reduced row-echelon form is unique, so its
-rref, pivots and kernel are the same for every order,
-and so is the rref mod p below.
+rref, pivots and kernel are the same for every order, and so is the
+rref mod p below.
 
 Vectors are sparse, as in ``rationals``: dicts index -> nonzero value.
 Row reduction returns the reduced row-echelon form together with the
@@ -36,9 +39,13 @@ basis vector is 1 at f and minus the rref entry of column f at the
 pivot of each rref row that holds one, so e.g. rref [[1, 2]] yields
 the kernel vector {0: -2, 1: 1}.
 
-``row_reduce`` first computes the rref modulo the prime p = 2^30 - 35
-and uses it only where it is a proof, so every result is still exact
-and equal to a full rational elimination:
+``row_reduce`` first computes the rref modulo the Mersenne prime
+p = 2^89 - 1 and uses it only where it is a proof, so every result is
+still exact and equal to a full rational elimination.  Its lift bound
+sqrt(p/2) is 2^44, wide enough for the rref entries of the Verma
+systems the CLI eliminates (up to 39 bits at depth 10); a 30-bit prime
+lifted only entries up to about 15 bits, and the wider residues cost
+less than the exact fallback they spare:
 
 * rank mod p <= rank over Q.  A minor that is nonzero mod p is nonzero
   over Q, provided p divides no denominator (otherwise the modular pass
@@ -331,8 +338,9 @@ def _eliminate(rows: Iterable[dict[int, Fraction]]) -> list[tuple[int, dict[int,
     return span.rref()
 
 
-# the largest prime below 2**30: every residue is a single CPython digit
-_PRIME = 1073741789
+# a Mersenne prime: every residue is at most three CPython digits, and the
+# lift bound, 2**44, is above the rref entries of the CLI's Verma systems
+_PRIME = 2**89 - 1
 # Wang's bound: n/d with |n|, d <= sqrt(p/2) is the only such fraction with its residue
 _LIFT_BOUND = isqrt(_PRIME // 2)
 
@@ -466,7 +474,7 @@ def row_reduce(m: RationalMatrix) -> RowReduction:
     that lift is proven, and otherwise eliminated over Q (see the module
     docstring); the result is identical to eliminating every row over Q.
     """
-    rows = sorted(m._by_row.values(), key=len)
+    rows = sorted(m._by_row.values(), key=lambda row: (len(row) > 2, max(row), len(row)))
     reduced = _lifted_rref(rows, m.cols)
     # the residues are released before the fallback runs
     return _reduction(_eliminate(rows) if reduced is None else reduced, m.rows, m.cols)

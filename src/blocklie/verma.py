@@ -286,16 +286,23 @@ def _singular_system(action: VermaAction, basis: list[Monomial], depth: int) -> 
     return linalg.RationalMatrix.from_sparse_rows(rows, len(basis))
 
 
-def singular_vectors(lam: WeightFunctional, n: int, depth: int) -> list[dict[Monomial, Fraction]]:
+def singular_vectors(
+    lam: WeightFunctional, n: int, depth: int, action: VermaAction | None = None
+) -> list[dict[Monomial, Fraction]]:
     """Basis of the depth-d vectors annihilated by the positive part.
 
     Computes the joint kernel of the positive generating set, then
     checks each kernel vector against every positive-degree generator
     whose image depth is still nonnegative; a vector that fails raises
     RuntimeError.  The check runs on ints: each kernel vector scaled by
-    the lcm of its denominators, against the scaled images.
+    the lcm of its denominators, against the scaled images.  A job that
+    asks for several depths passes one ``action`` of lam on Q:0:n to
+    every call, so each depth reuses the images straightened before it.
     """
-    action = VermaAction(lam, n)
+    if action is None:
+        action = VermaAction(lam, n)
+    elif (action.lam, action.n) != (lam, n):
+        raise ValueError("the action is of another weight functional or band than lam and n")
     if depth == 0:
         return [{(): Fraction(1)}]
     basis = verma_basis(n, depth)

@@ -11,8 +11,9 @@ infinite modules without false negatives.  Every window is given a
 callback that gives each action matrix or its entries;
 ``WindowedModule.act`` is the only reader of the callback and the only
 writer of the window's store: it builds each matrix the first time it
-is asked for and keeps it unless it is zero, so a check stores only the
-nonzero matrices it reads.
+is asked for and keeps it, or only a marker when it is zero, so a check
+stores only the nonzero matrices it reads and computes each action
+once.
 
 The verdicts on windows live in ``modules``, which a job that only
 builds windows, such as ``lemmas``, never executes.
@@ -31,6 +32,9 @@ from .rationals import ZERO, check_keys, format_rational, parse_rational, read_i
 
 # adjoint_window: generators have degrees -2..2
 ADJOINT_DEGREE = 2
+
+# what a window stores for a zero action: no matrix, only this marker
+_ZERO = "zero"
 
 
 def interior(lo: int, hi: int, *shifts: int) -> range:
@@ -54,7 +58,8 @@ class WindowedModule:
     ``interior(lo, hi, g.alpha)`` the first time it is asked for.
     ``entries`` gives that matrix as a ``RationalMatrix`` of that shape,
     as its (row, col) -> value map (zeros allowed) or as None for the
-    zero matrix; a zero result is never stored.  The window is read only
+    zero matrix; a zero it computes is stored as a marker, with no matrix
+    behind it, and a None is not stored.  The window is read only
     through ``act``, so it never changes after construction.  Raises
     ValueError for dims or col_margins keys that do not match [lo, hi], a
     negative dimension, a margin list of the wrong length or a generator
@@ -88,7 +93,7 @@ class WindowedModule:
         self.dims = {k: int(dims[k]) for k in range(lo, hi + 1)}
         self.generators = [BasisKey(*g) for g in generators]
         self._generator_set = set(self.generators)
-        self._actions: dict[tuple[BasisKey, int], RationalMatrix] = {}
+        self._actions: dict[tuple[BasisKey, int], RationalMatrix | str] = {}
         self._entries = entries
         self.central_scalar = Fraction(central_scalar)
         self.col_margins = col_margins
@@ -115,8 +120,10 @@ class WindowedModule:
     def act(self, generator: BasisKey, k: int) -> Optional[RationalMatrix]:
         """The matrix V_k -> V_{k+alpha}, or None when the target leaves the window.
 
-        Built from ``entries`` on first use and kept unless it is zero; a
-        ``RationalMatrix`` that ``entries`` gives is kept as it is.  Raises
+        Built from ``entries`` on first use and kept, a zero one as a
+        marker that is read as a new zero matrix, so ``entries`` runs once
+        per action; a ``RationalMatrix`` that ``entries`` gives is kept as
+        it is, and a None, a zero known without work, is not kept.  Raises
         KeyError for a generator outside the window's.
         """
         generator = BasisKey(*generator)
@@ -128,10 +135,13 @@ class WindowedModule:
             if generator not in self._generator_set:
                 raise KeyError(key)
             m = self._entries(generator, k)
+            if m is None:
+                return RationalMatrix(self.dims[k + generator.alpha], self.dims[k])
             if not isinstance(m, RationalMatrix):
                 m = RationalMatrix(self.dims[k + generator.alpha], self.dims[k], m)
-            if not m.is_zero():
-                self._actions[key] = m
+            self._actions[key] = _ZERO if m.is_zero() else m
+        elif m is _ZERO:
+            m = RationalMatrix(self.dims[k + generator.alpha], self.dims[k])
         return m
 
     @property

@@ -171,6 +171,27 @@ def test_an_empty_lam_is_refused_not_read_as_zero(tmp_path, capsys, monkeypatch,
     assert run(capsys, "verma", "--n", "1", "--depth", "2", *extra, "singular") == (2, "", "error: malformed rational ''\n")
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("verma", "--n", "1", "--depth", "2", "--lambda-file", "", "singular"), "--lambda-file"),
+        (("lemmas", "--out", ""), "--out"),
+        (("lemmas", "--config", ""), "--config"),
+        (("classify", "--module-file", ""), "--module-file"),
+    ],
+    ids=["lambda-file", "out", "config", "module-file"],
+)
+def test_an_empty_path_is_refused_not_read_as_no_option(tmp_path, capsys, monkeypatch, argv, flag):
+    # a given --lambda-file "" ran at lambda = 0, --out "" wrote no report and --config "" read no file, each exit 0
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, *argv) == (2, "", f"error: {flag} needs a file path, got an empty one\n")
+    assert list(tmp_path.iterdir()) == []
+    if flag != "--config":
+        (tmp_path / "cfg.json").write_text(json.dumps({flag[2:].replace("-", "_"): ""}))
+        given = [token for token in argv if token not in (flag, "")]
+        assert run(capsys, *given, "--config", "cfg.json") == (2, "", f"error: {flag} needs a file path, got an empty one\n")
+
+
 def test_defaults_of_b_c_and_lam_are_the_given_zeros(capsys):
     # --b and --c default to "0" in cli.OPTIONS; --lam, whose length depends on --n, to one 0 per level
     assert cli.OPTIONS["b"][2] == cli.OPTIONS["c"][2] == "0"

@@ -630,6 +630,19 @@ def test_integer_kernel_on_real_systems(build, kernel_dim):
         assert m.apply(vec) == {}
 
 
+@pytest.mark.parametrize(
+    "lam, c, n, depth",
+    [(("1/2", 0), "1/3", 1, depth) for depth in range(6, 11)] + [(("5/3", "1/5", 0), "3/2", 2, 6)],
+    ids=[f"n1-depth{depth}" for depth in range(6, 11)] + ["n2-depth6"],
+)
+def test_verma_kernels_with_wide_rref_entries_lift(lam, c, n, depth):
+    """Systems whose rref entries reach 39 bits, above a 30-bit prime's lift bound, lift at p = 2^89 - 1."""
+    m = _verma_system(lam, c, n, depth)
+    lifted = _lifted_rref(m.sparse_rows(), m.cols)
+    assert lifted is not None
+    _assert_same(_reduction(lifted, m.rows, m.cols), _reference_row_reduce(m))
+
+
 def test_shuffled_real_system_matches_reference():
     """Row order changes nothing: a shuffled Verma n=1, depth 10 system against the reference."""
     m = _verma_n1_depth10()

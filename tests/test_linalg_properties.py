@@ -147,8 +147,8 @@ _small = st.fractions(min_value=-40, max_value=40, max_denominator=40).filter(bo
 # numerators or denominators above the reconstruction bound
 _tall = st.builds(
     Fraction,
-    st.integers(_LIFT_BOUND + 1, 10**12) | st.integers(-(10**12), -_LIFT_BOUND - 1),
-    st.integers(1, 10**12),
+    st.integers(_LIFT_BOUND + 1, _LIFT_BOUND**2) | st.integers(-(_LIFT_BOUND**2), -_LIFT_BOUND - 1),
+    st.integers(1, _LIFT_BOUND**2),
 ).filter(lambda v: abs(v.numerator) > _LIFT_BOUND or v.denominator > _LIFT_BOUND)
 
 

@@ -523,8 +523,10 @@ def test_build_window_stores_no_zero_matrix():
     spec = IntermediateSpec("Aab", F(0), F(1))
     vir = build_window(spec, -8, 8)
     classify_window(extend_trivially(vir, 2))
-    assert len(vir._actions) == 289 - 17
-    assert not any(m.is_zero() for m in vir._actions.values())
+    # each vanishing one is kept as a marker, with no matrix behind it
+    matrices = [m for m in vir._actions.values() if isinstance(m, RationalMatrix)]
+    assert len(vir._actions) == 289 and len(matrices) == 289 - 17
+    assert not any(m.is_zero() for m in matrices)
     # the document still lists every action, as when each zero was stored
     storing = WindowedModule(
         VIRASORO, vir.offset, -8, 8, vir.dims, vir.generators, lambda g, k: {(0, 0): act_intermediate(spec, g, k)[0]}
@@ -534,21 +536,29 @@ def test_build_window_stores_no_zero_matrix():
 
 def test_a_window_stores_no_zero_matrix_whatever_its_callback_gives():
     def stored(window):
-        return len(window._actions), sum(m.is_zero() for m in window._actions.values())
+        """The stored matrices, the zero ones among them, and the zero markers."""
+        matrices = [m for m in window._actions.values() if isinstance(m, RationalMatrix)]
+        return len(matrices), sum(m.is_zero() for m in matrices), len(window._actions) - len(matrices)
 
-    # the base window gives 17 zero 1x1 matrices, which extend_trivially passes on
+    # the base window computes 17 zero 1x1 matrices, which extend_trivially passes on
     vir = build_window(IntermediateSpec("Aab", F(0), F(1)), -8, 8)
     extended = extend_trivially(vir, 2)
     classify_window(extended)
-    assert stored(extended) == (272, 0)
+    assert stored(extended) == (272, 0, 17)
     extended.to_json()  # reads all 1,445 actions, 1,173 of them zero
-    assert stored(extended) == (272, 0)
+    assert stored(extended) == (272, 0, 17)
     assert len(vir.actions) == 289
-    assert stored(vir) == (272, 0)
-    for zero in (None, {(0, 0): F(0)}, RationalMatrix.zero(1, 1)):
-        window = WindowedModule(VIRASORO, F(0), 0, 1, {0: 1, 1: 1}, [BasisKey(1, 0)], lambda g, k: zero)
-        assert window.act(BasisKey(1, 0), 0).is_zero()
-        assert window._actions == {}
+    assert stored(vir) == (272, 0, 17)
+    # a computed zero is kept as a marker, so the callback runs once; a None is known without work
+    for zero, markers, calls in ((None, 0, 2), ({(0, 0): F(0)}, 1, 1), (RationalMatrix.zero(1, 1), 1, 1)):
+        made = []
+        window = WindowedModule(
+            VIRASORO, F(0), 0, 1, {0: 1, 1: 1}, [BasisKey(1, 0)], lambda g, k: made.append(1) or zero
+        )
+        first, again = window.act(BasisKey(1, 0), 0), window.act(BasisKey(1, 0), 0)
+        assert (again.rows, again.cols, first.is_zero(), again.is_zero()) == (1, 1, True, True)
+        assert stored(window) == (0, 0, markers)
+        assert len(made) == calls
 
 
 def test_act_builds_on_first_use_and_stores_no_zero_action():
@@ -558,6 +568,7 @@ def test_act_builds_on_first_use_and_stores_no_zero_action():
     assert extended.act(BasisKey(2, 0), -1) is first
     zero = extended.act(BasisKey(2, 1), -1)
     assert (zero.rows, zero.cols, zero.is_zero()) == (1, 1, True)
+    # the level-1 action is zero by construction, so nothing is kept for it
     assert set(extended._actions) == {(BasisKey(2, 0), -1)}
     assert set(window._actions) == {(BasisKey(2, 0), -1)}
     assert extended.act(BasisKey(3, 0), 1) is None  # the target leaves the window

@@ -212,6 +212,13 @@ def test_singular_vectors_check_the_weight_table_at_depth_zero():
             singular_vectors(lam, 2, depth)
 
 
+def test_singular_vectors_refuse_an_action_of_another_weight_or_band():
+    lam = WeightFunctional((F(1, 2), F(0)), F(1, 3))
+    for action in (VermaAction(WeightFunctional((F(1, 2), F(0)), F(0)), 1), VermaAction(WeightFunctional((F(0),), F(1, 3)), 0)):
+        with pytest.raises(ValueError, match="another weight functional or band"):
+            singular_vectors(lam, 1, 2, action)
+
+
 def test_singular_depths_of_the_zero_weight_are_the_pentagonal_numbers():
     # at n = 0, lambda = 0, c = 0 the singular depths are the generalized
     # pentagonal numbers k(3k -+ 1)/2, an oracle independent of the straightening

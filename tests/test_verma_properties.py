@@ -1,16 +1,17 @@
-"""Property tests: ``verma_basis`` against brute force, ``VermaAction.act_generator`` against the straightening it replaced."""
+"""Property tests: ``verma_basis`` against brute force, ``VermaAction.act_generator`` against the straightening it
+replaced, and ``singular_vectors`` on one action shared across depths against a fresh action per depth."""
 
 from fractions import Fraction
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from blocklie.algebra import BasisKey, bracket_terms, quotient  # noqa: E402
 from blocklie.rationals import accumulate  # noqa: E402
-from blocklie.verma import VermaAction, WeightFunctional, normal_order, verma_basis  # noqa: E402
+from blocklie.verma import VermaAction, WeightFunctional, normal_order, singular_vectors, verma_basis  # noqa: E402
 
 
 def _ordered_words(n, depth):
@@ -108,3 +109,24 @@ def test_act_generator_matches_the_old_straightening(case):
     with pytest.raises(TypeError):
         empty[()] = 1
     assert not action.act_generator(1, 0, ()) and all(image or image is empty for _, image in images)
+
+
+@st.composite
+def weights(draw):
+    n = draw(st.sampled_from((0, 1, 2)))
+    # a zero among the values, lambda_n = 0 above all, gives singular vectors
+    entry = st.just(Fraction(0)) | values
+    return n, WeightFunctional(tuple(draw(entry) for _ in range(n + 1)), draw(entry)), draw(st.integers(1, 6))
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(weights())
+@example((2, WeightFunctional((Fraction(5, 3), Fraction(1, 5), Fraction(0)), Fraction(3, 2)), 6))
+@example((0, WeightFunctional((Fraction(0),), Fraction(0)), 6))
+def test_one_action_for_every_depth_gives_the_per_depth_vectors(case):
+    n, lam, depth = case
+    action = VermaAction(lam, n)
+    for d in range(1, depth + 1):
+        shared, fresh = singular_vectors(lam, n, d, action), singular_vectors(lam, n, d)
+        # the same vectors with their pairs in the same order, so the report is byte-identical
+        assert [list(v.items()) for v in shared] == [list(v.items()) for v in fresh]
