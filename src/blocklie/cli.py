@@ -308,9 +308,8 @@ def _cmd_verma(args: argparse.Namespace) -> tuple[dict, str, int]:
     if lam.n != n:
         raise UsageError(f"lambda table has {lam.n + 1} entries but n={n} needs {n + 1}")
     found = []
-    action = verma.VermaAction(lam, n)
-    for d in range(1, depth + 1):
-        for vec in verma.singular_vectors(lam, n, d, action):
+    for d, vectors in enumerate(verma.singular_vectors(lam, n, depth)[1:], 1):
+        for vec in vectors:
             pairs = [[verma.monomial_repr(w), format_rational(c)] for w, c in sorted(vec.items())]
             found.append({"depth": d, "vector": pairs})
     generators_ok = verma.validate_positive_generators(n, depth + 2)

@@ -20,11 +20,19 @@ drops the entries that cancel.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Iterable
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+# Python's limit for converting an int to and from decimal text, so the
+# largest numerator or denominator ``format_rational`` can write
+DIGIT_CAP = 4300
+_DIGIT_BOUND = 10**DIGIT_CAP
+# the exponent of a decimal such as "1e3", which Fraction turns into 10**exponent
+_EXPONENT = re.compile(r"e[-+]?([\d_]+)\Z", re.IGNORECASE)
 
 
 def format_rational(x: Fraction | int) -> str:
@@ -39,18 +47,30 @@ def parse_rational(text: str | int) -> Fraction:
 
     Any other exact string ``fractions.Fraction`` reads is accepted as
     well: decimals ("0.5"), exponents ("1e3") and digit underscores
-    ("1_000").
+    ("1_000").  An exponent above ``DIGIT_CAP`` in magnitude is refused
+    before any value is built, since Fraction would build 10**exponent
+    first, and so is a value whose numerator or denominator has more
+    than ``DIGIT_CAP`` decimal digits, which ``format_rational`` could
+    not write.
     """
     if isinstance(text, bool):
         raise ValueError(f"rational must be a string or integer, got {text!r}")
     if isinstance(text, int):
-        return Fraction(text)
-    if not isinstance(text, str):
+        value = Fraction(text)
+    elif not isinstance(text, str):
         raise ValueError(f"rational must be a string or integer, got {text!r}")
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"malformed rational {text!r}") from exc
+    else:
+        exponent = _EXPONENT.search(text.strip())
+        digits = exponent[1].replace("_", "").lstrip("0") if exponent else ""
+        if len(digits) > len(str(DIGIT_CAP)) or int(digits or 0) > DIGIT_CAP:
+            raise ValueError(f"rational {text!r} has an exponent above {DIGIT_CAP} in magnitude")
+        try:
+            value = Fraction(text.strip())
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"malformed rational {text!r}") from exc
+    if max(abs(value.numerator), value.denominator) >= _DIGIT_BOUND:
+        raise ValueError(f"rational {text!r} has more than {DIGIT_CAP} digits in its numerator or denominator")
+    return value
 
 
 def read_int(value: object, what: str) -> int:

@@ -27,8 +27,10 @@ recursion reads again, the images of degree >= 0 generators, in one
 table per generator keyed by monomial, and keeps one tuple per distinct
 monomial.  A negative generator prepends its factor uncached, and a
 product whose new first factor is already in order skips
-``normal_order``.  ``verma_basis`` builds one tuple per factor per
-call.
+``normal_order``.  ``verma_basis`` and ``singular_vectors`` answer every
+depth up to their bound in one pass, so one call serves a whole job:
+one action and one list of bases.  ``verma_basis`` builds one tuple per
+factor per call.
 """
 
 from __future__ import annotations
@@ -76,27 +78,29 @@ class WeightFunctional(algebra.Frozen):
         return cls(values, c)
 
 
-def verma_basis(n: int, depth: int) -> list[Monomial]:
-    """All canonical monomials of the given depth over Q:0:n, sorted.
+def verma_basis(n: int, depth: int) -> list[list[Monomial]]:
+    """The sorted canonical monomials of each depth 0..depth over Q:0:n, one list per depth.
 
-    Within one call every factor (alpha, level) is one tuple object.
+    One pass over the depths: the depth-d basis puts each leading factor
+    (alpha, level) in front of every monomial of the depth-(d - alpha)
+    basis whose first factor does not exceed it.  Factors are taken in
+    increasing order and each tail list is sorted, so every list comes
+    out sorted.  Within one call every factor (alpha, level) is one
+    tuple object.
     """
     if n < 0 or depth < 0:
         raise ValueError("need n >= 0 and depth >= 0")
-    factors = {(alpha, level): (alpha, level) for alpha in range(1, depth + 1) for level in range(n + 1)}
-
-    def build(remaining: int, max_factor: tuple[int, int]) -> list[Monomial]:
-        if remaining == 0:
-            return [()]
-        out = []
-        for alpha in range(min(remaining, max_factor[0]), 0, -1):
-            top_level = max_factor[1] if alpha == max_factor[0] else n
-            for level in range(top_level, -1, -1):
-                factor = factors[alpha, level]
-                out += [(factor,) + tail for tail in build(remaining - alpha, factor)]
-        return out
-
-    return sorted(build(depth, (depth, n)))
+    factors = [(alpha, level) for alpha in range(1, depth + 1) for level in range(n + 1)]
+    bases: list[list[Monomial]] = [[()]]
+    for d in range(1, depth + 1):
+        basis = []
+        for factor in factors[: d * (n + 1)]:
+            for tail in bases[d - factor[0]]:
+                if tail and tail[0] > factor:
+                    break
+                basis.append((factor,) + tail)
+        bases.append(basis)
+    return bases
 
 
 def partition_dimensions(n: int, max_depth: int) -> list[int]:
@@ -266,66 +270,57 @@ def validate_positive_generators(n: int, degree_bound: int) -> bool:
     return reached == set(window.keys(algebra.quotient(0, n)))
 
 
-def _singular_system(action: VermaAction, basis: list[Monomial], depth: int) -> linalg.RationalMatrix:
+def _singular_system(action: VermaAction, bases: list[list[Monomial]], depth: int) -> linalg.RationalMatrix:
     """The matrix of the positive generating set on the depth-d basis, times ``action.scale``.
 
-    One block of rows per generator, one row dict per target monomial,
-    holding the int images as they are; scaling every row by one factor
-    leaves the kernel as it is.  Each target basis is built once.
+    ``bases`` is ``verma_basis`` through at least ``depth``.  One block of
+    rows per generator, one row dict per target monomial of
+    ``bases[depth - alpha]``, holding the int images as they are; scaling
+    every row by one factor leaves the kernel as it is.
     """
-    targets: dict[int, list[Monomial]] = {}
     rows: list[dict[int, int]] = []
     for g in positive_generators(action.n):
-        if g.alpha not in targets:
-            targets[g.alpha] = verma_basis(action.n, depth - g.alpha) if depth - g.alpha >= 0 else []
-        block: dict[Monomial, dict[int, int]] = {w: {} for w in targets[g.alpha]}
-        for col, word in enumerate(basis):
+        block: dict[Monomial, dict[int, int]] = {w: {} for w in bases[depth - g.alpha]} if g.alpha <= depth else {}
+        for col, word in enumerate(bases[depth]):
             for w, c in action.act_generator(g.alpha, g.level, word).items():
                 block[w][col] = c
         rows += block.values()
-    return linalg.RationalMatrix.from_sparse_rows(rows, len(basis))
+    return linalg.RationalMatrix.from_sparse_rows(rows, len(bases[depth]))
 
 
-def singular_vectors(
-    lam: WeightFunctional, n: int, depth: int, action: VermaAction | None = None
-) -> list[dict[Monomial, Fraction]]:
-    """Basis of the depth-d vectors annihilated by the positive part.
+def singular_vectors(lam: WeightFunctional, n: int, depth: int) -> list[list[dict[Monomial, Fraction]]]:
+    """Bases of the vectors annihilated by the positive part, one list per depth 0..depth.
 
-    Computes the joint kernel of the positive generating set, then
-    checks each kernel vector against every positive-degree generator
+    Entry 0 is the cyclic vector alone.  One ``VermaAction`` of lam on
+    Q:0:n and one ``verma_basis`` call serve every depth, so each depth
+    reuses the images straightened before it.  At each depth d >= 1 the
+    joint kernel of the positive generating set is computed, then each
+    kernel vector is checked against every positive-degree generator
     whose image depth is still nonnegative; a vector that fails raises
     RuntimeError.  The check runs on ints: each kernel vector scaled by
-    the lcm of its denominators, against the scaled images.  A job that
-    asks for several depths passes one ``action`` of lam on Q:0:n to
-    every call, so each depth reuses the images straightened before it.
+    the lcm of its denominators, against the scaled images.
     """
-    if action is None:
-        action = VermaAction(lam, n)
-    elif (action.lam, action.n) != (lam, n):
-        raise ValueError("the action is of another weight functional or band than lam and n")
-    if depth == 0:
-        return [{(): Fraction(1)}]
-    basis = verma_basis(n, depth)
-    kernel = linalg.row_reduce(_singular_system(action, basis, depth)).kernel
-
-    vectors = []
-    for vec in kernel:
-        v = {basis[i]: c for i, c in vec.items()}
-        common = lcm(*[c.denominator for c in v.values()])
-        scaled = {w: c.numerator * (common // c.denominator) for w, c in v.items()}
-        for alpha in range(1, depth + 1):
-            for level in range(n + 1):
-                if action.act(BasisKey(alpha, level), scaled):
-                    raise RuntimeError(
-                        f"depth-{depth} kernel vector not annihilated by L_{{{alpha},{level}}}"
-                    )
-        vectors.append(v)
-    return vectors
+    action = VermaAction(lam, n)
+    bases = verma_basis(n, depth)
+    found = [[{(): Fraction(1)}]]
+    for d in range(1, depth + 1):
+        vectors = []
+        for vec in linalg.row_reduce(_singular_system(action, bases, d)).kernel:
+            v = {bases[d][i]: c for i, c in vec.items()}
+            common = lcm(*[c.denominator for c in v.values()])
+            scaled = {w: c.numerator * (common // c.denominator) for w, c in v.items()}
+            for alpha in range(1, d + 1):
+                for level in range(n + 1):
+                    if action.act(BasisKey(alpha, level), scaled):
+                        raise RuntimeError(f"depth-{d} kernel vector not annihilated by L_{{{alpha},{level}}}")
+            vectors.append(v)
+        found.append(vectors)
+    return found
 
 
 def quasifinite_report(n: int, depth_cap: int) -> dict:
     """Depth-space dimensions against the colored-partition generating function."""
-    enumerated = [len(verma_basis(n, d)) for d in range(depth_cap + 1)]
+    enumerated = [len(basis) for basis in verma_basis(n, depth_cap)]
     oracle = partition_dimensions(n, depth_cap)
     return {
         "n": n,
@@ -346,7 +341,8 @@ def verma_window(lam: WeightFunctional, n: int, depth_cap: int) -> windows.Windo
     """
     lo, hi = -depth_cap, 2
     action = VermaAction(lam, n)
-    bases = {k: (verma_basis(n, -k) if k <= 0 else []) for k in range(lo, hi + 1)}
+    depth_bases = verma_basis(n, depth_cap)
+    bases = {k: (depth_bases[-k] if k <= 0 else []) for k in range(lo, hi + 1)}
     dims = {k: len(bases[k]) for k in bases}
     positions = {k: {w: i for i, w in enumerate(bases[k])} for k in bases}
     generators = [

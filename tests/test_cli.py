@@ -172,6 +172,26 @@ def test_an_empty_lam_is_refused_not_read_as_zero(tmp_path, capsys, monkeypatch,
 
 
 @pytest.mark.parametrize(
+    "argv, config",
+    [
+        (("verma", "--n", "1", "--depth", "2", "--lam", "0e10000000,0", "singular"), None),
+        (("verma", "--n", "1", "--depth", "2", "--lam", "1e10000000,0", "singular"), None),
+        (("module", "--a", "1e5000", "--range", "-8:8", "classify"), None),
+        (("verma", "--n", "1", "--depth", "2", "--config", "cfg.json", "singular"), '{"c": "1e-4300"}'),
+    ],
+    ids=["zero-lam", "lam", "module-a", "config-c"],
+)
+def test_a_huge_exponent_is_refused_before_any_work(tmp_path, capsys, monkeypatch, argv, config):
+    # "0e10000000" ran for seconds and exited 0; the others exited 2 only after building 10**exponent
+    monkeypatch.chdir(tmp_path)
+    if config:
+        (tmp_path / "cfg.json").write_text(config)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: rational '") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
     "argv, flag",
     [
         (("verma", "--n", "1", "--depth", "2", "--lambda-file", "", "singular"), "--lambda-file"),

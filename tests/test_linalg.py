@@ -2,6 +2,8 @@
 
 import functools
 import random
+import re
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -244,6 +246,21 @@ def test_parse_rational_rejects_booleans_and_keeps_exact_strings():
             parse_rational(flag)
     assert parse_rational("0.5") == Fraction(1, 2)
     assert parse_rational("1e3") == parse_rational("1_000") == Fraction(1000)
+
+
+@pytest.mark.parametrize("text", ["1e4300", "1e-4300", "0e5000", "1e10000000", "-0.5E+0_0000_4301", "9" * 4301 + "/7"])
+def test_parse_rational_refuses_a_huge_exponent_or_value_before_building_it(text):
+    # Fraction builds 10**exponent first: "1e10000000" took seconds, and "0e..." was then read as 0
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=re.escape(repr(text))):
+        parse_rational(text)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_parse_rational_keeps_values_of_up_to_4300_digits():
+    for text in ("1e4299", "-1e-4299", "0e4300", "1" * 4300):
+        value = parse_rational(text)
+        assert parse_rational(format_rational(value)) == value
 
 
 def test_rational_wire_format():
@@ -578,8 +595,8 @@ def test_integer_kernel_duplicated_rows():
         assert doubled.kernel == red.kernel
 
 
-def _captured_system(module, run):
-    """The matrix behind the first ``row_reduce`` call that ``run`` makes in ``module``."""
+def _captured_system(module, run, call=0):
+    """The matrix behind the ``row_reduce`` call of index ``call`` (first by default) that ``run`` makes in ``module``."""
     seen = []
     real = module.row_reduce
 
@@ -592,13 +609,13 @@ def _captured_system(module, run):
         run()
     finally:
         module.row_reduce = real
-    return seen[0]
+    return seen[call]
 
 
 def _verma_system(lam, c, n, depth):
     weight = verma.WeightFunctional(tuple(Fraction(v) for v in lam), Fraction(c))
-    # verma calls row_reduce through the linalg module
-    return _captured_system(linalg, lambda: verma.singular_vectors(weight, n, depth))
+    # verma calls row_reduce through the linalg module, once per depth, so the depth-D system is the last call
+    return _captured_system(linalg, lambda: verma.singular_vectors(weight, n, depth), -1)
 
 
 @functools.cache

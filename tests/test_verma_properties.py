@@ -1,5 +1,6 @@
 """Property tests: ``verma_basis`` against brute force, ``VermaAction.act_generator`` against the straightening it
-replaced, and ``singular_vectors`` on one action shared across depths against a fresh action per depth."""
+replaced, ``singular_vectors`` through depth D against the same call stopped at each lower depth, and the first
+singular depths at n = 0 against the Kac table."""
 
 from fractions import Fraction
 
@@ -28,13 +29,16 @@ def _ordered_words(n, depth):
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)
 @given(st.integers(0, 2), st.integers(0, 7))
 def test_verma_basis_is_every_canonical_monomial_in_order(n, depth):
-    basis = verma_basis(n, depth)
-    assert basis == sorted({tuple(sorted(w, reverse=True)) for w in _ordered_words(n, depth)})
-    # within one call each factor is one object
+    bases = verma_basis(n, depth)
+    assert len(bases) == depth + 1
+    for d, basis in enumerate(bases):
+        assert basis == sorted({tuple(sorted(w, reverse=True)) for w in _ordered_words(n, d)})
+    # within one call each factor is one object, across every depth
     factors = {}
-    for word in basis:
-        for factor in word:
-            assert factors.setdefault(factor, factor) is factor
+    for basis in bases:
+        for word in basis:
+            for factor in word:
+                assert factors.setdefault(factor, factor) is factor
 
 
 class _StraightenEveryProduct(VermaAction):
@@ -125,8 +129,42 @@ def weights(draw):
 @example((0, WeightFunctional((Fraction(0),), Fraction(0)), 6))
 def test_one_action_for_every_depth_gives_the_per_depth_vectors(case):
     n, lam, depth = case
-    action = VermaAction(lam, n)
-    for d in range(1, depth + 1):
-        shared, fresh = singular_vectors(lam, n, d, action), singular_vectors(lam, n, d)
+    found = singular_vectors(lam, n, depth)
+    assert len(found) == depth + 1
+    for d in range(depth + 1):
+        shared, fresh = found[d], singular_vectors(lam, n, d)[d]
         # the same vectors with their pairs in the same order, so the report is byte-identical
         assert [list(v.items()) for v in shared] == [list(v.items()) for v in fresh]
+
+
+def _kac_h(r, s, t):
+    """h_{r,s}(t), the conformal weight of the Kac table at c_Vir = 13 - 6(t + 1/t)."""
+    return ((r * r - 1) * t - 2 * (r * s - 1) + (s * s - 1) / t) / 4
+
+
+_KAC_PAIRS = [(r, s) for r in range(1, 7) for s in range(1, 7) if r * s <= 6]
+_NONZERO = st.fractions(min_value=-6, max_value=6, max_denominator=6).filter(bool)
+
+
+@st.composite
+def kac_points(draw):
+    """A rational t != 0 and a weight h, half the time on a curve h = h_{r,s}(t) with rs <= 6."""
+    t = draw(_NONZERO)
+    if draw(st.booleans()):
+        r, s = draw(st.sampled_from(_KAC_PAIRS))
+        return t, _kac_h(r, s, t)
+    return t, draw(st.fractions(min_value=-6, max_value=6, max_denominator=8))
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(kac_points())
+@example((Fraction(2, 3), Fraction(5, 8)))
+@example((Fraction(1), Fraction(0)))
+def test_first_singular_depth_at_n0_is_the_least_kac_level(point):
+    # in Q:0:0, E_a = -L_{a,0} spans a Virasoro algebra with c_Vir = 2c and h = -lambda_0, and by the Kac
+    # determinant the first singular depth is the least rs <= 6 with h = h_{r,s}(t), none if there is none
+    t, h = point
+    c_vir = 13 - 6 * (t + 1 / t)
+    found = singular_vectors(WeightFunctional((-h,), c_vir / 2), 0, 6)
+    least = min((r * s for r, s in _KAC_PAIRS if _kac_h(r, s, t) == h), default=None)
+    assert next((d for d in range(1, 7) if found[d]), None) == least
